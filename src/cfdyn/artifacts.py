@@ -6,14 +6,17 @@ float64 values and re-running a configuration reproduces identical bytes.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .abduction import NoisePosterior
 from .counterfactual import CfTrajectorySet
+from .errors import ArtifactError
 from .filtering import FilterDiagnostics, FilterHistory, SmoothedWeights
 from .simulate import Trajectory
 
@@ -31,10 +34,35 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8").strip("\n")
-    lines = text.split("\n")
+    text = Path(path).read_text(encoding="utf-8")
+    # write_csv ends every file with a newline; a file cut short ends mid-line.
+    if not text.endswith("\n"):
+        raise ArtifactError(f"{path} is truncated: it does not end with a newline")
+    lines = text.strip("\n").split("\n")
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ArtifactError(
+                f"{path} line {number} has {len(row)} fields, the header has {len(header)}"
+            )
+    return header, rows
+
+
+def _reader(load):
+    """Re-raise what `load` cannot parse as a one-line ArtifactError naming the file."""
+
+    @functools.wraps(load)
+    def checked(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except ArtifactError:
+            raise
+        except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
+            detail = " ".join(str(exc).split())
+            raise ArtifactError(f"{path} is corrupt or truncated: {detail}") from exc
+
+    return checked
 
 
 def save_trajectory(path: Path, traj: Trajectory, prefix: str = "x") -> None:
@@ -47,6 +75,7 @@ def save_trajectory(path: Path, traj: Trajectory, prefix: str = "x") -> None:
     write_csv(path, header, rows)
 
 
+@_reader
 def load_trajectory(path: Path, delta: float) -> Trajectory:
     _, rows = read_csv(path)
     states = np.array([[float(v) for v in row[1:]] for row in rows])
@@ -63,6 +92,7 @@ def save_observations(path: Path, observations: np.ndarray) -> None:
     write_csv(path, header, rows)
 
 
+@_reader
 def load_observations(path: Path) -> np.ndarray:
     _, rows = read_csv(path)
     return np.array([[float(v) for v in row[1:]] for row in rows])
@@ -84,6 +114,7 @@ def save_noise_posterior(path: Path, noise: NoisePosterior) -> None:
     write_csv(path, header, rows)
 
 
+@_reader
 def load_noise_posterior(path: Path) -> NoisePosterior:
     header, rows = read_csv(path)
     d = (len(header) - 1) // 2
@@ -109,6 +140,7 @@ def save_ensemble(path: Path, thetas_path: Path, ensemble: CfTrajectorySet,
     write_csv(thetas_path, theta_header, theta_rows)
 
 
+@_reader
 def load_ensemble(
     path: Path, thetas_path: Path, delta: float, reference: Trajectory | None = None
 ) -> CfTrajectorySet:
@@ -144,6 +176,7 @@ def save_rmse(path: Path, raw: np.ndarray, smoothed: np.ndarray) -> None:
     write_csv(path, header, rows)
 
 
+@_reader
 def load_rmse(path: Path) -> tuple[np.ndarray, np.ndarray]:
     _, rows = read_csv(path)
     raw = np.array([float(row[1]) for row in rows])
@@ -161,6 +194,7 @@ def save_theta_estimate(
     write_csv(path, header, rows)
 
 
+@_reader
 def load_theta_estimate(path: Path) -> tuple[np.ndarray, np.ndarray]:
     _, rows = read_csv(path)
     mean = np.array([float(row[1]) for row in rows])
@@ -168,25 +202,51 @@ def load_theta_estimate(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+_NPZ_CHUNK = 1 << 20
+
+
+def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write the bytes `np.savez(path, **arrays)` writes, streaming each array.
+
+    A zip entry is not a real file, so `np.savez` copies every array out in
+    chunks of up to 16 MiB; this writes the same entries (stored, zip64) from
+    uint8 views of at most 1 MiB, without the copies.
+    """
+    with zipfile.ZipFile(path, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for key, value in arrays.items():
+            array = np.asanyarray(value)
+            header = np.lib.format.header_data_from_array_1_0(array)
+            if header["fortran_order"]:
+                array = array.T
+            data = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+            with zf.open(key + ".npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(entry, header)
+                for start in range(0, data.size, _NPZ_CHUNK):
+                    entry.write(data[start : start + _NPZ_CHUNK])
+
+
 def save_filter_state(path: Path, history: FilterHistory, smoothed: SmoothedWeights) -> None:
-    np.savez(
+    save_npz(
         path,
-        thetas=history.thetas,
-        states=history.states,
-        inner_weights=history.inner_weights,
-        outer_weights=history.outer_weights,
-        outer_ancestors=history.outer_ancestors,
-        inner_ancestors=history.inner_ancestors,
-        delta=np.float64(history.delta),
-        w_tilde=smoothed.w_tilde,
-        v_tilde=smoothed.v_tilde,
-        lane_index=smoothed.lane_index,
-        underflow_lane_steps=np.int64(smoothed.underflow_lane_steps),
+        dict(
+            thetas=history.thetas,
+            states=history.states,
+            inner_weights=history.inner_weights,
+            outer_weights=history.outer_weights,
+            outer_ancestors=history.outer_ancestors,
+            inner_ancestors=history.inner_ancestors,
+            delta=np.float64(history.delta),
+            w_tilde=smoothed.w_tilde,
+            v_tilde=smoothed.v_tilde,
+            lane_index=smoothed.lane_index,
+            underflow_lane_steps=np.int64(smoothed.underflow_lane_steps),
+        ),
     )
 
 
+@_reader
 def load_filter_state(path: Path) -> tuple[FilterHistory, SmoothedWeights]:
-    with np.load(path) as z:
+    with np.load(path, allow_pickle=False) as z:
         history = FilterHistory(
             thetas=z["thetas"],
             states=z["states"],

@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages (`simulate`, `filter`, `abduct`,
 `counterfactual`, `metrics`, `plot`), plus `run` for the fused pipeline and
 `grid` for the noise-by-regime cross product. Exit codes: 0 success, 2
-configuration error, 3 numerical failure, 4 I/O error.
+configuration error, 3 numerical failure, 4 I/O error (also a corrupt or
+truncated input artifact).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 from . import artifacts as io
 from .counterfactual import REGIMES
 from .dynamics import get_system
-from .errors import ConfigError, NumericsError
+from .errors import ArtifactError, ConfigError, NumericsError
 from .filtering import PosteriorSummary
 from .experiment import (
     NOISE_GRID,
@@ -84,6 +85,11 @@ def _cmd_filter(args) -> int:
     out = _out_dir(args, config)
     spec = get_system(config.system)
     observations = io.load_observations(out / "observations.csv")
+    expected = (config.horizon + 1, spec.dimension)
+    if observations.shape != expected:
+        raise ArtifactError(
+            f"{out / 'observations.csv'} holds {observations.shape} values, expected {expected}"
+        )
     history, smoothed, summary = stage_filter(config, observations, workers=args.threads)
     io.save_trajectory(out / "state_estimate.csv", summary.state_mean)
     io.save_theta_estimate(
@@ -114,7 +120,7 @@ def _cmd_counterfactual(args) -> int:
         mean, std = io.load_theta_estimate(out / "theta_estimate.csv")
         estimate = io.load_trajectory(out / "state_estimate.csv", config.delta)
         summary = PosteriorSummary(state_mean=estimate, theta_mean=mean, theta_std=std)
-    reference, ensemble = stage_counterfactual(config, summary, noise, workers=args.threads)
+    reference, ensemble = stage_counterfactual(config, summary, noise)
     io.save_trajectory(out / "cf_deterministic.csv", reference)
     io.save_ensemble(out / "cf_ensemble.csv", out / "cf_thetas.csv", ensemble, spec.parameter_names)
     print(f"counterfactual: wrote cf_deterministic.csv, cf_ensemble.csv, cf_thetas.csv to {out}")
@@ -207,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, FileNotFoundError) as exc:
+    except (OSError, ArtifactError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
 

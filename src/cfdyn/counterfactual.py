@@ -7,13 +7,12 @@ samples from the parameter posterior).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .abduction import NoisePosterior
-from .dynamics import SystemSpec, _rk4, get_system
+from .dynamics import SystemSpec, get_system, rollout
 from .errors import NumericsError
 from .seeding import RngSeed
 from .simulate import Trajectory
@@ -149,7 +148,6 @@ def generate_cf(
     delta: float,
     n_trajectories: int,
     rng: RngSeed,
-    workers: int = 1,
     reference: Trajectory | None = None,
 ) -> CfTrajectorySet:
     """Roll the counterfactual model forward `n_trajectories` times.
@@ -157,7 +155,8 @@ def generate_cf(
     Each trajectory draws its own parameters via `sample_theta` and its own
     noise sequence u_t ~ N(mu_t, diag(sigma_t)) from the abducted posterior,
     on substreams indexed by trajectory, so ensembles are reproducible and
-    order-independent. A trajectory that goes non-finite is truncated at the
+    independent of the ensemble size. All trajectories then step together as
+    one `rollout` block. A trajectory that goes non-finite is truncated at the
     failing step (NaN-padded) and flagged rather than aborting the ensemble.
     """
     spec = get_system(system)
@@ -177,34 +176,17 @@ def generate_cf(
         n_params = regime.particles.shape[1]
     else:
         n_params = regime.theta_hat.shape[0]
-    trajectories = np.empty((n_trajectories, horizon + 1, spec.dimension))
     thetas = np.empty((n_trajectories, n_params))
-    failures = np.full(n_trajectories, -1, dtype=np.int64)
+    u = np.empty((n_trajectories, horizon, spec.dimension))
     noise_std = np.sqrt(noise.sigma[:horizon])
-
-    def _roll(i: int) -> None:
+    for i in range(n_trajectories):
         traj_seed = rng.child("traj", i)
-        theta = sample_theta(regime, traj_seed.child("theta"))
-        thetas[i] = theta
-        u = noise.mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
+        thetas[i] = sample_theta(regime, traj_seed.child("theta"))
+        u[i] = noise.mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
             size=(horizon, spec.dimension)
         )
-        states = trajectories[i]
-        states[0] = x0_cf
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(1, horizon + 1):
-                states[t] = _rk4(spec, states[t - 1], theta, delta) + u[t - 1]
-                if not np.isfinite(states[t]).all():
-                    failures[i] = t
-                    states[t:] = np.nan
-                    return
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_roll, range(n_trajectories)))
-    else:
-        for i in range(n_trajectories):
-            _roll(i)
+    x0_rows = np.broadcast_to(x0_cf, (n_trajectories, spec.dimension))
+    trajectories, failures = rollout(spec, x0_rows, thetas, horizon, delta, u)
 
     return CfTrajectorySet(
         trajectories=trajectories,
@@ -229,11 +211,8 @@ def deterministic_cf(
     x0_cf = np.asarray(x0_cf, dtype=float)
     if x0_cf.shape != (spec.dimension,):
         raise ValueError(f"x0_cf has shape {x0_cf.shape}, expected ({spec.dimension},)")
-    states = np.empty((horizon + 1, spec.dimension))
-    states[0] = x0_cf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, horizon + 1):
-            states[t] = _rk4(spec, states[t - 1], theta_true, delta)
-            if not np.isfinite(states[t]).all():
-                raise NumericsError(f"deterministic rollout became non-finite at step {t}", index=t)
-    return Trajectory(states=states, delta=delta)
+    states, failure = rollout(spec, x0_cf[None], theta_true[None], horizon, delta)
+    if failure[0] >= 0:
+        t = int(failure[0])
+        raise NumericsError(f"deterministic rollout became non-finite at step {t}", index=t)
+    return Trajectory(states=states[0], delta=delta)

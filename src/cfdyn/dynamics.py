@@ -73,6 +73,65 @@ def _rk4(system: SystemSpec, state: np.ndarray, params: np.ndarray, delta: float
     return state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rollout(
+    system: str | SystemSpec,
+    x0: np.ndarray,
+    params: np.ndarray,
+    horizon: int,
+    delta: float,
+    noise: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roll K independent rows forward, stepping all of them as one RK4 block.
+
+    states[:, t] = rk4(states[:, t-1], params) + noise[:, t-1] for t = 1..horizon.
+
+    Parameters
+    ----------
+    x0 : ndarray (K, d)
+    params : ndarray (K, p), one parameter row per trajectory
+    noise : ndarray (K, horizon, d) or None
+        Additive process noise; None adds nothing (not even +0.0, which would
+        turn -0.0 into 0.0).
+
+    Returns
+    -------
+    states : ndarray (K, horizon+1, d)
+        A row is NaN from its first non-finite step on.
+    first_failure : ndarray (K,) int64
+        That step per row, or -1 for a row that stayed finite.
+    """
+    spec = get_system(system)
+    x0 = np.asarray(x0, dtype=float)
+    params = np.asarray(params, dtype=float)
+    d = spec.dimension
+    if x0.ndim != 2 or x0.shape[1] != d:
+        raise ValueError(f"x0 has shape {x0.shape}, expected (K, {d}) for {spec.id}")
+    k = x0.shape[0]
+    if params.shape != (k, spec.n_params):
+        raise ValueError(f"params has shape {params.shape}, expected ({k}, {spec.n_params})")
+    if noise is not None and noise.shape != (k, horizon, d):
+        raise ValueError(f"noise has shape {noise.shape}, expected ({k}, {horizon}, {d})")
+
+    states = np.empty((k, horizon + 1, d))
+    states[:, 0] = x0
+    first_failure = np.full(k, -1, dtype=np.int64)
+    current = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, horizon + 1):
+            current = _rk4(spec, current, params, delta)
+            if noise is not None:
+                current += noise[:, t - 1]
+            finite = np.isfinite(current).all(axis=1)
+            if not finite.all():
+                first_failure[~finite & (first_failure < 0)] = t
+                current[~finite] = np.nan
+                if (first_failure >= 0).all():
+                    states[:, t:] = np.nan
+                    break
+            states[:, t] = current
+    return states, first_failure
+
+
 def _check_inputs(system: SystemSpec, state: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state = np.asarray(state, dtype=float)
     params = np.asarray(params, dtype=float)

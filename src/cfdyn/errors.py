@@ -5,6 +5,10 @@ class ConfigError(ValueError):
     """A configuration file or preset failed validation."""
 
 
+class ArtifactError(ValueError):
+    """A run artifact read back from disk is corrupt, truncated or malformed."""
+
+
 class NumericsError(ArithmeticError):
     """A numerical computation produced non-finite values.
 

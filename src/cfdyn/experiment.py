@@ -387,7 +387,6 @@ def stage_counterfactual(
     config: ExperimentConfig,
     summary: PosteriorSummary | None,
     noise: NoisePosterior,
-    workers: int = 1,
 ) -> tuple[Trajectory, CfTrajectorySet]:
     seed = RngSeed(config.master_seed)
     x0_cf = intervene(np.asarray(config.x0), build_intervention(config))
@@ -403,7 +402,6 @@ def stage_counterfactual(
         config.delta,
         config.n_cf,
         seed.child("counterfactual"),
-        workers=workers,
         reference=reference,
     )
     return reference, ensemble
@@ -460,7 +458,7 @@ def run_pipeline(
     noise = stage_abduct(config, history, smoothed)
     io.save_noise_posterior(out / "noise_posterior.csv", noise)
 
-    reference, ensemble = stage_counterfactual(config, summary, noise, workers=workers)
+    reference, ensemble = stage_counterfactual(config, summary, noise)
     io.save_trajectory(out / "cf_deterministic.csv", reference)
     io.save_ensemble(out / "cf_ensemble.csv", out / "cf_thetas.csv", ensemble, spec.parameter_names)
 

@@ -373,9 +373,26 @@ def outer_weights(
 
 def systematic_resample(weights: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Systematic (low-variance) resampling; returns selected indices."""
-    n = weights.shape[0]
-    positions = (gen.uniform() + np.arange(n)) / n
-    return np.clip(np.searchsorted(np.cumsum(weights), positions), 0, n - 1)
+    return systematic_resample_rows(weights[None], np.array([gen.uniform()]))[0]
+
+
+def systematic_resample_rows(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Systematic resampling of every row of `weights` (R, n) at once.
+
+    Row r places its positions at (uniforms[r] + k) / n and selects, for each,
+    the number of cumulative weights strictly below it, clipped to n - 1: what
+    a per-row `np.searchsorted(cumsum, positions, side="left")` returns. The
+    counts come from one stable merge that puts positions ahead of equal
+    cumulative weights, so ties resolve exactly as in the per-row search
+    (offsetting each row's cumsum by its row index would round differently).
+    """
+    r, n = weights.shape
+    positions = (uniforms[:, None] + np.arange(n)) / n
+    merged = np.concatenate([positions, np.cumsum(weights, axis=1)], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    # Positions are increasing, so each row meets them in order k = 0..n-1.
+    below = np.cumsum(order >= n, axis=1)[order < n].reshape(r, n)
+    return np.minimum(below, n - 1)
 
 
 def resample(cloud: ParticleCloud, rng: RngSeed) -> tuple[ParticleCloud, np.ndarray]:
@@ -464,17 +481,15 @@ def run_filter(
         outer_w[t] = cloud.outer_weights
 
         if config.inner_resampling:
-            resampled_states = np.empty_like(cloud.states)
             drawer = StreamDrawer(step)
-            for lane in range(m):
-                idx = systematic_resample(
-                    cloud.inner_weights[lane], drawer.generator("inner_resample", lane)
-                )
-                inner_anc[t, lane] = idx
-                resampled_states[lane] = cloud.states[lane, idx]
+            uniforms = np.array(
+                [drawer.generator("inner_resample", lane).uniform() for lane in range(m)]
+            )
+            idx = systematic_resample_rows(cloud.inner_weights, uniforms)
+            inner_anc[t] = idx
             cloud = replace(
                 cloud,
-                states=resampled_states,
+                states=np.take_along_axis(cloud.states, idx[:, :, None], axis=1),
                 inner_weights=np.full((m, n), 1.0 / n),
                 invalid=None,
             )

@@ -61,14 +61,21 @@ class StreamDrawer:
         self._base = base
         self._bitgen = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bitgen)
+        # The state setter copies these values, so one zero block serves every re-key.
+        self._zeros = np.zeros(4, dtype=np.uint64)
 
     def generator(self, tag: str, *indices: int) -> np.random.Generator:
         sid = _derive(self._base.stream_id, tag, indices)
-        state = self._bitgen.state
-        state["state"]["key"] = np.array([sid, self._base.seed & _MASK64], dtype=np.uint64)
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
+        # A freshly built state is cheaper than reading `.state` back and editing it.
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": self._zeros,
+                "key": np.array([sid, self._base.seed & _MASK64], dtype=np.uint64),
+            },
+            "buffer": self._zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return self._gen

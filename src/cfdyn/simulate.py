@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemSpec, _rk4, get_system
+from .dynamics import SystemSpec, get_system, rollout
 from .errors import NumericsError
 from .seeding import RngSeed
 
@@ -84,14 +84,11 @@ def simulate_hidden(
     gen = rng.generator()
     # Draw the whole noise block up front so draws are independent of state values.
     u = gen.normal(0.0, noise.process_std, size=(horizon, spec.dimension))
-    states = np.empty((horizon + 1, spec.dimension))
-    states[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, horizon + 1):
-            states[t] = _rk4(spec, states[t - 1], params, delta) + u[t - 1]
-            if not np.isfinite(states[t]).all():
-                raise NumericsError(f"simulation became non-finite at step {t}", index=t)
-    return Trajectory(states=states, delta=delta)
+    states, failure = rollout(spec, x0[None], params[None], horizon, delta, u[None])
+    if failure[0] >= 0:
+        t = int(failure[0])
+        raise NumericsError(f"simulation became non-finite at step {t}", index=t)
+    return Trajectory(states=states[0], delta=delta)
 
 
 def observe(

@@ -3,12 +3,16 @@
 These deliberately avoid the package's filtering/smoothing code paths: the
 Kalman filter and RTS smoother are exact closed-form recursions, and the
 bootstrap particle filter is a from-scratch single-layer filter that shares
-only the seed-stream discipline with the package.
+only the seed-stream discipline with the package. The loop versions of the
+batched rollout and resampling kernels step one row at a time; the batched
+kernels must match them bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from cfdyn.counterfactual import sample_theta
+from cfdyn.dynamics import _rk4, get_system
 from cfdyn.seeding import RngSeed
 
 
@@ -103,3 +107,53 @@ def euler_rollout(rhs_fn, x0: float, horizon_time: float, n_steps: int) -> float
     for _ in range(n_steps):
         x += h * rhs_fn(x)
     return x
+
+
+def roll_one(spec, x0, theta, horizon, delta, u=None) -> tuple[np.ndarray, int]:
+    """One trajectory stepped alone, one `_rk4` call per step.
+
+    Returns the states (T+1, d), NaN from the first non-finite step on, and
+    that step (-1 when every step stayed finite).
+    """
+    states = np.empty((horizon + 1, spec.dimension))
+    states[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, horizon + 1):
+            step = _rk4(spec, states[t - 1], theta, delta)
+            states[t] = step if u is None else step + u[t - 1]
+            if not np.isfinite(states[t]).all():
+                states[t:] = np.nan
+                return states, t
+    return states, -1
+
+
+def generate_cf_per_trajectory(system, regime, noise, x0_cf, horizon, delta,
+                               n_trajectories, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counterfactual ensemble drawn and rolled one trajectory at a time.
+
+    Same substreams as `generate_cf`; returns (trajectories, thetas, failure
+    steps with -1 for clean rows).
+    """
+    spec = get_system(system)
+    noise_std = np.sqrt(noise.sigma[:horizon])
+    trajectories, thetas, failures = [], [], []
+    for i in range(n_trajectories):
+        traj_seed = rng.child("traj", i)
+        theta = sample_theta(regime, traj_seed.child("theta"))
+        u = noise.mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
+            size=(horizon, spec.dimension)
+        )
+        states, failure = roll_one(spec, np.asarray(x0_cf, dtype=float), theta, horizon, delta, u)
+        trajectories.append(states)
+        thetas.append(theta)
+        failures.append(failure)
+    return np.stack(trajectories), np.stack(thetas), np.array(failures)
+
+
+def systematic_resample_per_row(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Systematic resampling one row at a time with `np.searchsorted(side="left")`."""
+    n = weights.shape[1]
+    return np.stack([
+        np.clip(np.searchsorted(np.cumsum(w), (u + np.arange(n)) / n), 0, n - 1)
+        for w, u in zip(weights, uniforms)
+    ])

@@ -83,6 +83,33 @@ def test_stage_without_inputs_is_io_error(tmp_path):
     assert main(["abduct", "--config", str(config), "--out", str(empty)]) == 4
 
 
+def test_corrupt_filter_state_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    (out / "filter_state.npz").write_bytes(b"garbage, not a zip archive\n" * 20)
+    capsys.readouterr()
+    assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "filter_state.npz" in err
+    assert err.count("\n") == 1
+
+
+def test_truncated_observations_are_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "observations.csv"
+    text = path.read_text(encoding="utf-8")
+    for cut in (text[: len(text) // 2], text[: text.rindex("\n", 0, len(text) // 2) + 1]):
+        path.write_text(cut, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["filter", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and "observations.csv" in err
+        assert err.count("\n") == 1
+
+
 def test_run_uses_config_output_dir_when_no_flag(tmp_path):
     out = tmp_path / "from-config"
     config = write_config(tmp_path, output_dir=str(out))

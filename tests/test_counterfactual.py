@@ -12,8 +12,11 @@ from cfdyn.counterfactual import (
     sample_theta,
 )
 from cfdyn.dynamics import LOGISTIC, LORENZ
+from cfdyn.errors import NumericsError
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, simulate_hidden
+
+from .oracles import generate_cf_per_trajectory, roll_one
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 X0 = np.array([1.0, 1.0, 1.0])
@@ -164,12 +167,33 @@ def test_trajectories_use_independent_substreams():
     assert np.array_equal(small.trajectories, large.trajectories[:3])
 
 
-def test_worker_count_does_not_change_ensemble():
-    noise = NoisePosterior(mu=np.zeros((15, 3)), sigma=np.ones((15, 3)))
-    regime = ThetaRegime(mode="true", theta_true=LORENZ_THETA)
-    a = generate_cf(LORENZ, regime, noise, X0, 15, 0.05, 8, RngSeed(10), workers=1)
-    b = generate_cf(LORENZ, regime, noise, X0, 15, 0.05, 8, RngSeed(10), workers=4)
-    assert np.array_equal(a.trajectories, b.trajectories)
+@pytest.mark.parametrize("rate", [-40.0, -160.0])
+def test_batched_ensemble_matches_per_trajectory_loop(rate):
+    # At -40 the rates straddle the blow-up threshold, so rows fail at different
+    # steps or not at all; at -160 every row fails and the rollout stops early.
+    from cfdyn.dynamics import EXP_DECAY
+
+    noise = NoisePosterior(mu=np.full((300, 1), 0.01), sigma=np.full((300, 1), 1e-4))
+    regime = ThetaRegime(mode="posterior", theta_hat=np.array([rate]), theta_std=np.array([40.0]))
+    args = (EXP_DECAY, regime, noise, np.array([1.0]), 300, 0.05, 24, RngSeed(10))
+    ens = generate_cf(*args)
+    trajectories, thetas, failures = generate_cf_per_trajectory(*args)
+    assert len(set(failures.tolist()) - {-1}) >= 3
+    assert (failures == -1).any() == (rate == -40.0)
+    assert np.array_equal(ens.failure_index, failures)
+    assert np.array_equal(ens.thetas, thetas)
+    assert trajectories.tobytes() == ens.trajectories.tobytes()
+
+
+def test_batched_lorenz_ensemble_matches_per_trajectory_loop():
+    noise = NoisePosterior(mu=np.full((80, 3), 0.1), sigma=np.full((80, 3), 0.5))
+    regime = ThetaRegime(mode="posterior", theta_hat=LORENZ_THETA, theta_std=np.array([0.5, 1.0, 0.1]))
+    args = (LORENZ, regime, noise, X0, 80, 0.05, 7, RngSeed(14))
+    ens = generate_cf(*args)
+    trajectories, thetas, failures = generate_cf_per_trajectory(*args)
+    assert ens.failure_index is None and (failures == -1).all()
+    assert np.array_equal(ens.thetas, thetas)
+    assert trajectories.tobytes() == ens.trajectories.tobytes()
 
 
 def test_short_noise_posterior_rejected():
@@ -194,6 +218,34 @@ def test_nonfinite_trajectory_truncated_and_flagged():
 
 
 # --------------------------------------------------------- deterministic_cf
+
+
+def test_single_rollouts_report_first_failing_step():
+    from cfdyn.dynamics import EXP_DECAY
+
+    theta, x0 = np.array([-120.0]), np.array([1.0])
+    _, step = roll_one(EXP_DECAY, x0, theta, 400, 0.5)
+    assert step > 1
+    with pytest.raises(NumericsError) as exc:
+        deterministic_cf(EXP_DECAY, theta, x0, 400, 0.5)
+    assert exc.value.index == step
+    assert str(exc.value) == f"deterministic rollout became non-finite at step {step}"
+
+    u = RngSeed(15).generator().normal(0.0, 0.1, size=(400, 1))
+    _, step = roll_one(EXP_DECAY, x0, theta, 400, 0.5, u)
+    with pytest.raises(NumericsError) as exc:
+        simulate_hidden(EXP_DECAY, theta, x0, 400, 0.5, NoiseConfig(0.1, 1.0), RngSeed(15))
+    assert exc.value.index == step
+    assert str(exc.value) == f"simulation became non-finite at step {step}"
+
+
+def test_deterministic_cf_keeps_negative_zero():
+    # Logistic growth fixes x = -0.0 exactly; adding a zero noise row would give +0.0.
+    theta = np.array([0.5, 100.0])
+    ref = deterministic_cf(LOGISTIC, theta, np.array([-0.0]), 3, 0.05)
+    want, _ = roll_one(LOGISTIC, np.array([-0.0]), theta, 3, 0.05)
+    assert ref.states.tobytes() == want.tobytes()
+    assert np.signbit(ref.states).all()
 
 
 def test_deterministic_cf_fixed_point_constant():

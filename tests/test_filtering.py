@@ -20,11 +20,12 @@ from cfdyn.filtering import (
     resample,
     run_filter,
     systematic_resample,
+    systematic_resample_rows,
 )
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
 
-from .oracles import bootstrap_particle_filter, kalman_filter_rts
+from .oracles import bootstrap_particle_filter, kalman_filter_rts, systematic_resample_per_row
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 TABLE1_PRIOR = ParameterPrior(low=[5.0, 20.0, 2.0], high=[15.0, 35.0, 4.0])
@@ -276,6 +277,40 @@ def test_systematic_offspring_expectation():
         counts += np.bincount(idx, minlength=4)
     expected = 4 * w
     assert (np.abs(counts / trials - expected) < 0.05 * expected).all()
+
+
+def test_batched_resample_matches_per_row_search_on_random_weights():
+    gen = RngSeed(40).generator()
+    for n in (1, 2, 7, 50, 64):
+        weights = gen.dirichlet(np.full(n, 0.3), size=33)
+        uniforms = gen.uniform(size=33)
+        got = systematic_resample_rows(weights, uniforms)
+        assert np.array_equal(got, systematic_resample_per_row(weights, uniforms))
+
+
+def test_batched_resample_matches_per_row_search_on_degenerate_rows():
+    weights = np.array([
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.5, 0.0, 0.5, 0.0],
+        [1e-300, 0.0, 0.0, 1.0 - 1e-300, 0.0],
+        [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-16],
+    ])
+    for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+        uniforms = np.full(weights.shape[0], u)
+        got = systematic_resample_rows(weights, uniforms)
+        assert np.array_equal(got, systematic_resample_per_row(weights, uniforms))
+    assert (systematic_resample_rows(weights[1:2], np.array([0.3])) == 4).all()
+
+
+def test_batched_resample_resolves_exact_ties_like_searchsorted_left():
+    # Uniform weights with u = 0 put positions on the cumulative sums themselves.
+    for n in (3, 4, 5, 10, 49, 50, 64, 200):
+        weights = np.full((3, n), 1.0 / n)
+        uniforms = np.zeros(3)
+        got = systematic_resample_rows(weights, uniforms)
+        assert np.array_equal(got, systematic_resample_per_row(weights, uniforms))
+    assert systematic_resample_rows(np.full((1, 4), 0.25), np.zeros(1)).tolist() == [[0, 0, 1, 2]]
 
 
 def test_resample_carries_inner_clouds():

@@ -47,3 +47,12 @@ def test_stream_drawer_matches_child_generator():
         assert np.array_equal(got, want)
     # uniform path exercises the 32-bit buffer reset
     assert drawer.generator("u", 1).uniform() == base.child("u", 1).generator().uniform()
+    # re-keying after a partial draw must discard the buffered words and counter
+    def draws(gen):
+        return gen.integers(0, 1 << 30, size=3, dtype=np.int32), gen.normal(size=5)
+
+    for partial in (lambda g: g.uniform(), lambda g: g.integers(0, 7, dtype=np.int32)):
+        partial(drawer.generator("partial", 0))
+        got = draws(drawer.generator("lane", 5))
+        want = draws(base.child("lane", 5).generator())
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
