@@ -5,7 +5,7 @@ parameters with a nested particle filter plus backward smoothing, abduct the
 process noise, and generate counterfactual trajectories under
 initial-condition interventions.
 """
-from .abduction import NoisePosterior, abduct_noise, particle_residual
+from .abduction import NoisePosterior, abduct_noise
 from .counterfactual import (
     CfTrajectorySet,
     Intervention,
@@ -51,7 +51,6 @@ from .filtering import (
     SmoothedWeights,
     backward_smooth,
     filtered_means,
-    gaussian_log_likelihood,
     init_particles,
     inner_weights,
     jitter,
@@ -106,7 +105,6 @@ __all__ = [
     "expand_grid",
     "factual_rmse",
     "filtered_means",
-    "gaussian_log_likelihood",
     "generate_cf",
     "get_preset",
     "get_system",
@@ -118,7 +116,6 @@ __all__ = [
     "moving_average",
     "observe",
     "outer_weights",
-    "particle_residual",
     "phase_distance",
     "posterior_summary",
     "propagate",

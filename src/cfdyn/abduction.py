@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemSpec, _rk4, get_system, rk4_step
+from .dynamics import SystemSpec, _rk4, get_system
 from .filtering import FilterHistory, SmoothedWeights
 
 
@@ -43,18 +43,6 @@ class NoisePosterior:
     @property
     def dimension(self) -> int:
         return self.mu.shape[1]
-
-
-def particle_residual(
-    x_t: np.ndarray,
-    x_prev: np.ndarray,
-    theta: np.ndarray,
-    system: str | SystemSpec,
-    delta: float,
-) -> np.ndarray:
-    """Noise increment implied by one transition: x_t - rk4_step(x_prev, theta)."""
-    x_t = np.asarray(x_t, dtype=float)
-    return x_t - rk4_step(system, x_prev, theta, delta)
 
 
 def abduct_noise(

@@ -274,6 +274,16 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+@_reader
+def load_manifest(path: Path) -> dict:
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not all(
+        isinstance(manifest.get(key), dict) for key in ("artifacts", "diagnostics")
+    ):
+        raise ValueError("not a run manifest")
+    return manifest
+
+
 def write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(
         json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n",

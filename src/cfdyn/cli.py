@@ -2,9 +2,11 @@
 
 Subcommands mirror the pipeline stages (`simulate`, `filter`, `abduct`,
 `counterfactual`, `metrics`, `plot`), plus `run` for the fused pipeline and
-`grid` for the noise-by-regime cross product. Exit codes: 0 success, 2
-configuration error, 3 numerical failure, 4 I/O error (also a corrupt or
-truncated input artifact).
+`grid` for the noise-by-regime cross product. Every stage command runs one
+entry of `experiment.STAGES` and extends the run's manifest.json. Exit codes:
+0 success, 2 configuration error, 3 numerical failure, 4 I/O error (also an
+input artifact that is corrupt, truncated or of the wrong shape, and a
+manifest that is missing or written for another config).
 """
 from __future__ import annotations
 
@@ -13,26 +15,20 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import artifacts as io
 from .counterfactual import REGIMES
-from .dynamics import get_system
 from .errors import ArtifactError, ConfigError, NumericsError
-from .filtering import PosteriorSummary
 from .experiment import (
     NOISE_GRID,
     PRESETS,
-    config_hash,
+    STAGES,
+    RunDir,
     expand_grid,
     get_preset,
     load_config,
+    resolve_out_dir,
     run_grid,
     run_pipeline,
-    save_config,
-    stage_abduct,
-    stage_counterfactual,
-    stage_filter,
-    stage_metrics,
-    stage_simulate,
+    run_stage,
     validate_config,
 )
 from .svgplot import render_plots
@@ -60,94 +56,18 @@ def _resolve_config(args: argparse.Namespace):
     return config
 
 
-def _out_dir(args: argparse.Namespace, config) -> Path:
-    if args.out is not None:
-        return args.out
-    if config.output_dir is not None:
-        return Path(config.output_dir)
-    return Path("runs") / config_hash(config)[:12]
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_stage(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(args, config)
-    out.mkdir(parents=True, exist_ok=True)
-    truth, observations = stage_simulate(config)
-    io.save_trajectory(out / "truth.csv", truth)
-    io.save_observations(out / "observations.csv", observations)
-    save_config(out / "config.json", config)
-    print(f"simulate: wrote truth.csv and observations.csv to {out}")
-    return 0
-
-
-def _cmd_filter(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args, config)
-    spec = get_system(config.system)
-    observations = io.load_observations(out / "observations.csv")
-    expected = (config.horizon + 1, spec.dimension)
-    if observations.shape != expected:
-        raise ArtifactError(
-            f"{out / 'observations.csv'} holds {observations.shape} values, expected {expected}"
-        )
-    history, smoothed, summary = stage_filter(config, observations, workers=args.threads)
-    io.save_trajectory(out / "state_estimate.csv", summary.state_mean)
-    io.save_theta_estimate(
-        out / "theta_estimate.csv", spec.parameter_names, summary.theta_mean, summary.theta_std
-    )
-    io.save_filter_state(out / "filter_state.npz", history, smoothed)
-    print(f"filter: wrote state_estimate.csv, theta_estimate.csv, filter_state.npz to {out}")
-    return 0
-
-
-def _cmd_abduct(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args, config)
-    history, smoothed = io.load_filter_state(out / "filter_state.npz")
-    noise = stage_abduct(config, history, smoothed)
-    io.save_noise_posterior(out / "noise_posterior.csv", noise)
-    print(f"abduct: wrote noise_posterior.csv to {out}")
-    return 0
-
-
-def _cmd_counterfactual(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args, config)
-    spec = get_system(config.system)
-    noise = io.load_noise_posterior(out / "noise_posterior.csv")
-    summary = None
-    if config.theta_regime != "true":
-        mean, std = io.load_theta_estimate(out / "theta_estimate.csv")
-        estimate = io.load_trajectory(out / "state_estimate.csv", config.delta)
-        summary = PosteriorSummary(state_mean=estimate, theta_mean=mean, theta_std=std)
-    reference, ensemble = stage_counterfactual(config, summary, noise)
-    io.save_trajectory(out / "cf_deterministic.csv", reference)
-    io.save_ensemble(out / "cf_ensemble.csv", out / "cf_thetas.csv", ensemble, spec.parameter_names)
-    print(f"counterfactual: wrote cf_deterministic.csv, cf_ensemble.csv, cf_thetas.csv to {out}")
-    return 0
-
-
-def _cmd_metrics(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(args, config)
-    truth = io.load_trajectory(out / "truth.csv", config.delta)
-    estimate = io.load_trajectory(out / "state_estimate.csv", config.delta)
-    reference = io.load_trajectory(out / "cf_deterministic.csv", config.delta)
-    ensemble = io.load_ensemble(
-        out / "cf_ensemble.csv", out / "cf_thetas.csv", config.delta, reference
-    )
-    raw, smoothed, factual, factual_smoothed = stage_metrics(
-        config, ensemble, reference, estimate, truth
-    )
-    io.save_rmse(out / "rmse.csv", raw, smoothed)
-    io.save_rmse(out / "factual_rmse.csv", factual, factual_smoothed)
-    print(f"metrics: wrote rmse.csv and factual_rmse.csv to {out}")
+    stage = next(stage for stage in STAGES if stage.name == args.command)
+    run = RunDir(config, resolve_out_dir(config, args.out), workers=args.threads)
+    run_stage(stage, run)
+    print(f"{stage.name}: wrote {', '.join(stage.outputs)} and manifest.json to {run.path}")
     return 0
 
 
 def _cmd_plot(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(args, config)
+    out = resolve_out_dir(config, args.out)
     written = render_plots(out)
     print(f"plot: wrote {len(written)} SVG files to {out / 'plots'}")
     return 0
@@ -155,15 +75,14 @@ def _cmd_plot(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(args, config)
-    artifacts = run_pipeline(config, out, workers=args.threads)
+    artifacts = run_pipeline(config, args.out, workers=args.threads)
     print(f"run: wrote artifacts and manifest.json to {artifacts.out_dir}")
     return 0
 
 
 def _cmd_grid(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(args, config)
+    out = resolve_out_dir(config, args.out)
     cells = expand_grid(config, NOISE_GRID, REGIMES, swap_noise=args.swap_noise)
     results = run_grid(cells, out, workers=args.threads)
     failures = [(name, r) for name, r in results if isinstance(r, Exception)]
@@ -180,11 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "simulate": (_cmd_simulate, "simulate ground truth and observations"),
-        "filter": (_cmd_filter, "run the nested filter and backward smoother"),
-        "abduct": (_cmd_abduct, "compute the process-noise posterior"),
-        "counterfactual": (_cmd_counterfactual, "generate counterfactual trajectories"),
-        "metrics": (_cmd_metrics, "compute divergence metrics"),
+        "simulate": (_cmd_stage, "simulate ground truth and observations"),
+        "filter": (_cmd_stage, "run the nested filter and backward smoother"),
+        "abduct": (_cmd_stage, "compute the process-noise posterior"),
+        "counterfactual": (_cmd_stage, "generate counterfactual trajectories"),
+        "metrics": (_cmd_stage, "compute divergence metrics"),
         "plot": (_cmd_plot, "render SVG figures from run artifacts"),
         "run": (_cmd_run, "execute the full pipeline"),
         "grid": (_cmd_grid, "run the noise-by-regime grid"),

@@ -67,17 +67,12 @@ class ThetaRegime:
 
     mode "true" uses theta_true; "point" uses the smoothed estimate; and
     "posterior" draws theta_hat + N(0, diag(theta_std^2)) per trajectory.
-    Supplying `particles` (with `particle_weights`) switches the posterior
-    mode to resampling from the weighted parameter particle set, keeping the
-    cross-parameter correlations the Gaussian approximation discards.
     """
 
     mode: str
     theta_true: np.ndarray | None = None
     theta_hat: np.ndarray | None = None
     theta_std: np.ndarray | None = None
-    particles: np.ndarray | None = None
-    particle_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in REGIMES:
@@ -86,17 +81,9 @@ class ThetaRegime:
             raise ValueError("mode 'true' requires theta_true")
         if self.mode == REGIME_POINT and self.theta_hat is None:
             raise ValueError("mode 'point' requires theta_hat")
-        if self.mode == REGIME_POSTERIOR:
-            gaussian = self.theta_hat is not None and self.theta_std is not None
-            particle = self.particles is not None and self.particle_weights is not None
-            if not (gaussian or particle):
-                raise ValueError(
-                    "mode 'posterior' requires theta_hat and theta_std, or a "
-                    "weighted particle set"
-                )
-        elif self.particles is not None:
-            raise ValueError("particle sets only apply to mode 'posterior'")
-        for name in ("theta_true", "theta_hat", "theta_std", "particles", "particle_weights"):
+        if self.mode == REGIME_POSTERIOR and (self.theta_hat is None or self.theta_std is None):
+            raise ValueError("mode 'posterior' requires theta_hat and theta_std")
+        for name in ("theta_true", "theta_hat", "theta_std"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
@@ -108,10 +95,6 @@ def sample_theta(regime: ThetaRegime, rng: RngSeed) -> np.ndarray:
         return regime.theta_true.copy()
     if regime.mode == REGIME_POINT:
         return regime.theta_hat.copy()
-    if regime.particles is not None:
-        gen = rng.generator()
-        idx = np.searchsorted(np.cumsum(regime.particle_weights), gen.uniform())
-        return regime.particles[min(idx, regime.particles.shape[0] - 1)].copy()
     eps = rng.generator().normal(size=regime.theta_hat.shape[0])
     return regime.theta_hat + regime.theta_std * eps
 
@@ -170,12 +153,7 @@ def generate_cf(
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
 
-    if regime.mode == REGIME_TRUE:
-        n_params = regime.theta_true.shape[0]
-    elif regime.particles is not None:
-        n_params = regime.particles.shape[1]
-    else:
-        n_params = regime.theta_hat.shape[0]
+    n_params = (regime.theta_true if regime.mode == REGIME_TRUE else regime.theta_hat).shape[0]
     thetas = np.empty((n_trajectories, n_params))
     u = np.empty((n_trajectories, horizon, spec.dimension))
     noise_std = np.sqrt(noise.sigma[:horizon])

@@ -1,15 +1,17 @@
 """Experiment orchestration: configuration, presets, pipeline, and grids.
 
-A run executes simulate -> filter/smooth -> abduct -> intervene -> predict ->
-evaluate, persisting every product under one output directory together with a
-manifest that pins the configuration, master seed, and artifact checksums.
-Each stage can also run standalone from the previous stage's files and yields
-byte-identical results.
+A run walks the stage table `STAGES` (simulate -> filter/smooth -> abduct ->
+counterfactual -> metrics) on one `RunDir`, writing every product under one
+output directory. After each stage the manifest, which pins the configuration,
+master seed, diagnostics and artifact checksums, is brought up to date. A
+stage can also run alone on a fresh `RunDir` from the earlier stages' files
+and yields byte-identical results.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -28,7 +30,7 @@ from .counterfactual import (
     intervene,
 )
 from .dynamics import get_system
-from .errors import ConfigError
+from .errors import ArtifactError, ConfigError
 from .filtering import (
     FilterConfig,
     FilterHistory,
@@ -289,21 +291,6 @@ class RunArtifacts:
     manifest: dict
 
 
-ARTIFACT_FILES = (
-    "truth.csv",
-    "observations.csv",
-    "state_estimate.csv",
-    "theta_estimate.csv",
-    "filter_state.npz",
-    "noise_posterior.csv",
-    "cf_deterministic.csv",
-    "cf_ensemble.csv",
-    "cf_thetas.csv",
-    "rmse.csv",
-    "factual_rmse.csv",
-)
-
-
 def build_prior(config: ExperimentConfig) -> ParameterPrior:
     bounds = np.asarray(config.prior_bounds, dtype=float)
     return ParameterPrior(low=bounds[:, 0], high=bounds[:, 1])
@@ -354,7 +341,7 @@ def stage_simulate(config: ExperimentConfig) -> tuple[Trajectory, np.ndarray]:
         noise,
         seed.child("simulate"),
     )
-    observations = observe(truth, None, config.observation_std, seed.child("observe"))
+    observations = observe(truth, config.observation_std, seed.child("observe"))
     return truth, observations
 
 
@@ -407,21 +394,7 @@ def stage_counterfactual(
     return reference, ensemble
 
 
-def stage_metrics(
-    config: ExperimentConfig,
-    ensemble: CfTrajectorySet,
-    reference: Trajectory,
-    estimate: Trajectory,
-    truth: Trajectory,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    raw = rmse_t(ensemble, reference)
-    smoothed = moving_average(raw, config.rmse_window)
-    factual = factual_rmse(estimate, truth)
-    factual_smoothed = moving_average(factual, config.rmse_window)
-    return raw, smoothed, factual, factual_smoothed
-
-
-def _resolve_out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
+def resolve_out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
     if out_dir is not None:
         return Path(out_dir)
     if config.output_dir is not None:
@@ -429,74 +402,229 @@ def _resolve_out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Pa
     return Path("runs") / config_hash(config)[:12]
 
 
+def _new_manifest(config: ExperimentConfig) -> dict:
+    return {
+        "config": config_to_dict(config, include_output=False),
+        "config_hash": config_hash(config),
+        "master_seed": config.master_seed,
+        "package": {"name": "cfdyn", "version": PACKAGE_VERSION},
+        "diagnostics": {},
+        "artifacts": {},
+    }
+
+
+class RunDir:
+    """One run directory, as the stages run in one process see it.
+
+    `put` writes a product to its file and keeps it; `get` returns a kept
+    product, or loads it from its file and raises ArtifactError if its shape
+    does not fit the config. Products are named by their file (the ensemble
+    by cf_ensemble.csv; its thetas go to cf_thetas.csv alongside).
+    """
+
+    def __init__(self, config: ExperimentConfig, path: str | Path, workers: int = 1):
+        self.config = config
+        self.path = Path(path)
+        self.workers = workers
+        self.spec = get_system(config.system)
+        self.products: dict[str, object] = {}
+        self.manifest: dict | None = None
+
+    def put(self, name: str, product) -> None:
+        path, names = self.path / name, self.spec.parameter_names
+        if name == "observations.csv":
+            io.save_observations(path, product)
+        elif name == "theta_estimate.csv":
+            io.save_theta_estimate(path, names, *product)
+        elif name == "filter_state.npz":
+            io.save_filter_state(path, *product)
+        elif name == "noise_posterior.csv":
+            io.save_noise_posterior(path, product)
+        elif name == "cf_ensemble.csv":
+            io.save_ensemble(path, self.path / "cf_thetas.csv", product, names)
+        elif name in ("rmse.csv", "factual_rmse.csv"):
+            io.save_rmse(path, *product)
+        else:
+            io.save_trajectory(path, product)
+        self.products[name] = product
+
+    def get(self, name: str):
+        if name not in self.products:
+            self.products[name] = self._load(name)
+        return self.products[name]
+
+    def _load(self, name: str):
+        path, config = self.path / name, self.config
+        series, p = (config.horizon + 1, self.spec.dimension), self.spec.n_params
+        if name == "observations.csv":
+            product = io.load_observations(path)
+            shape, expected = product.shape, series
+        elif name == "theta_estimate.csv":
+            product = io.load_theta_estimate(path)
+            shape, expected = product[0].shape, (p,)
+        elif name == "filter_state.npz":
+            product = io.load_filter_state(path)
+            shape = product[0].states.shape
+            expected = (series[0], config.outer_particles, config.inner_particles, series[1])
+        elif name == "noise_posterior.csv":
+            product = io.load_noise_posterior(path)
+            shape, expected = product.mu.shape, (config.horizon, series[1])
+        elif name == "cf_ensemble.csv":
+            product = io.load_ensemble(
+                path, self.path / "cf_thetas.csv", config.delta, self.get("cf_deterministic.csv")
+            )
+            shape = (product.trajectories.shape, product.thetas.shape)
+            expected = ((config.n_cf, *series), (config.n_cf, p))
+        else:
+            product = io.load_trajectory(path, config.delta)
+            shape, expected = product.states.shape, series
+        if shape != expected:
+            raise ArtifactError(f"{path} holds shape {shape}, the config needs {expected}")
+        return product
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: the files it reads and writes, and the code that does it.
+
+    `run` takes every input from the RunDir, puts every output in it, and
+    returns the stage's diagnostics for the manifest.
+    """
+
+    name: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    run: Callable[[RunDir], dict]
+
+
+def _simulate(run: RunDir) -> dict:
+    truth, observations = stage_simulate(run.config)
+    run.put("truth.csv", truth)
+    run.put("observations.csv", observations)
+    return {}
+
+
+def _filter(run: RunDir) -> dict:
+    history, smoothed, summary = stage_filter(
+        run.config, run.get("observations.csv"), workers=run.workers
+    )
+    run.put("state_estimate.csv", summary.state_mean)
+    run.put("theta_estimate.csv", (summary.theta_mean, summary.theta_std))
+    run.put("filter_state.npz", (history, smoothed))
+    return history.diagnostics.to_dict()
+
+
+def _abduct(run: RunDir) -> dict:
+    run.put("noise_posterior.csv", stage_abduct(run.config, *run.get("filter_state.npz")))
+    return {}
+
+
+def _counterfactual(run: RunDir) -> dict:
+    summary = None
+    if run.config.theta_regime != "true":
+        summary = PosteriorSummary(run.get("state_estimate.csv"), *run.get("theta_estimate.csv"))
+    reference, ensemble = stage_counterfactual(
+        run.config, summary, run.get("noise_posterior.csv")
+    )
+    run.put("cf_deterministic.csv", reference)
+    run.put("cf_ensemble.csv", ensemble)
+    failures = ensemble.failure_index
+    return {"cf_truncated_trajectories": 0 if failures is None else int((failures >= 0).sum())}
+
+
+def _metrics(run: RunDir) -> dict:
+    raw = rmse_t(run.get("cf_ensemble.csv"), run.get("cf_deterministic.csv"))
+    factual = factual_rmse(run.get("state_estimate.csv"), run.get("truth.csv"))
+    run.put("rmse.csv", (raw, moving_average(raw, run.config.rmse_window)))
+    run.put("factual_rmse.csv", (factual, moving_average(factual, run.config.rmse_window)))
+    return {}
+
+
+STAGES = (
+    Stage("simulate", (), ("truth.csv", "observations.csv"), _simulate),
+    Stage(
+        "filter",
+        ("observations.csv",),
+        ("state_estimate.csv", "theta_estimate.csv", "filter_state.npz"),
+        _filter,
+    ),
+    Stage("abduct", ("filter_state.npz",), ("noise_posterior.csv",), _abduct),
+    Stage(
+        "counterfactual",
+        ("state_estimate.csv", "theta_estimate.csv", "noise_posterior.csv"),
+        ("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv"),
+        _counterfactual,
+    ),
+    Stage(
+        "metrics",
+        ("truth.csv", "state_estimate.csv", "cf_deterministic.csv", "cf_ensemble.csv",
+         "cf_thetas.csv"),
+        ("rmse.csv", "factual_rmse.csv"),
+        _metrics,
+    ),
+)
+ARTIFACT_FILES = tuple(name for stage in STAGES for name in stage.outputs)
+
+
+def run_stage(stage: Stage, run: RunDir) -> None:
+    """Run one stage, then add its files' sha256 and its diagnostics to manifest.json.
+
+    `simulate` starts the manifest. Every later stage needs a manifest that
+    names this config's hash and lists the stage's inputs; otherwise it raises
+    ArtifactError before reading anything, so it never reads the files of a
+    run made under another config.
+    """
+    manifest_path = run.path / "manifest.json"
+    if stage.name == "simulate":
+        run.path.mkdir(parents=True, exist_ok=True)
+        run.manifest = _new_manifest(run.config)
+    elif run.manifest is None:
+        if not manifest_path.exists():
+            raise ArtifactError(f"{manifest_path} is missing: run `cfdyn simulate` first")
+        run.manifest = io.load_manifest(manifest_path)
+        if run.manifest.get("config_hash") != config_hash(run.config):
+            raise ArtifactError(f"{manifest_path} was written for a different config")
+    missing = [name for name in stage.inputs if name not in run.manifest["artifacts"]]
+    if missing:
+        raise ArtifactError(f"{manifest_path} does not list {', '.join(missing)}")
+    diagnostics = stage.run(run)
+    run.manifest["diagnostics"].update(diagnostics)
+    for name in stage.outputs:
+        run.manifest["artifacts"][name] = io.sha256_file(run.path / name)
+    io.write_manifest(manifest_path, run.manifest)
+
+
 def run_pipeline(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
     workers: int = 1,
 ) -> RunArtifacts:
-    """Execute every stage in causal order and persist all artifacts.
+    """Run every stage in causal order into one directory.
 
     The filter runs under every theta regime (it supplies the noise posterior
     even when the counterfactual parameters are pinned to their true values).
+    A failing stage leaves the manifest listing what the earlier ones wrote.
     """
     validate_config(config)
-    out = _resolve_out_dir(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = get_system(config.system)
-
-    truth, observations = stage_simulate(config)
-    io.save_trajectory(out / "truth.csv", truth)
-    io.save_observations(out / "observations.csv", observations)
-
-    history, smoothed, summary = stage_filter(config, observations, workers=workers)
-    io.save_trajectory(out / "state_estimate.csv", summary.state_mean)
-    io.save_theta_estimate(
-        out / "theta_estimate.csv", spec.parameter_names, summary.theta_mean, summary.theta_std
-    )
-    io.save_filter_state(out / "filter_state.npz", history, smoothed)
-
-    noise = stage_abduct(config, history, smoothed)
-    io.save_noise_posterior(out / "noise_posterior.csv", noise)
-
-    reference, ensemble = stage_counterfactual(config, summary, noise)
-    io.save_trajectory(out / "cf_deterministic.csv", reference)
-    io.save_ensemble(out / "cf_ensemble.csv", out / "cf_thetas.csv", ensemble, spec.parameter_names)
-
-    raw, smoothed_series, factual, factual_smoothed = stage_metrics(
-        config, ensemble, reference, summary.state_mean, truth
-    )
-    io.save_rmse(out / "rmse.csv", raw, smoothed_series)
-    io.save_rmse(out / "factual_rmse.csv", factual, factual_smoothed)
-
-    diagnostics = history.diagnostics.to_dict()
-    diagnostics["cf_truncated_trajectories"] = (
-        0 if ensemble.failure_index is None else int((ensemble.failure_index >= 0).sum())
-    )
-    manifest = {
-        "config": config_to_dict(config, include_output=False),
-        "config_hash": config_hash(config),
-        "master_seed": config.master_seed,
-        "package": {"name": "cfdyn", "version": PACKAGE_VERSION},
-        "diagnostics": diagnostics,
-        "artifacts": {name: io.sha256_file(out / name) for name in ARTIFACT_FILES},
-    }
-    io.write_manifest(out / "manifest.json", manifest)
-
+    run = RunDir(config, resolve_out_dir(config, out_dir), workers)
+    for stage in STAGES:
+        run_stage(stage, run)
+    products = run.products
     return RunArtifacts(
         config=config,
-        out_dir=out,
-        truth=truth,
-        observations=observations,
-        summary=summary,
-        noise=noise,
-        reference=reference,
-        ensemble=ensemble,
-        rmse_raw=raw,
-        rmse_smoothed=smoothed_series,
-        factual_raw=factual,
-        factual_smoothed=factual_smoothed,
-        diagnostics=diagnostics,
-        manifest=manifest,
+        out_dir=run.path,
+        truth=products["truth.csv"],
+        observations=products["observations.csv"],
+        summary=PosteriorSummary(products["state_estimate.csv"], *products["theta_estimate.csv"]),
+        noise=products["noise_posterior.csv"],
+        reference=products["cf_deterministic.csv"],
+        ensemble=products["cf_ensemble.csv"],
+        rmse_raw=products["rmse.csv"][0],
+        rmse_smoothed=products["rmse.csv"][1],
+        factual_raw=products["factual_rmse.csv"][0],
+        factual_smoothed=products["factual_rmse.csv"][1],
+        diagnostics=run.manifest["diagnostics"],
+        manifest=run.manifest,
     )
 
 

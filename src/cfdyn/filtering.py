@@ -130,7 +130,6 @@ class FilterConfig:
     observation_std: float
     kernel: JitterKernel
     inner_resampling: bool = True
-    observation_matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.num_outer < 1 or self.num_inner < 1:
@@ -198,24 +197,18 @@ def init_particles(
     prior: ParameterPrior,
     num_outer: int,
     num_inner: int,
-    x0,
+    x0: np.ndarray,
     rng: RngSeed,
 ) -> ParticleCloud:
     """Draw the initial cloud: theta i.i.d. from the prior, uniform weights.
 
-    `x0` is either a (d,) array (all state particles start there) or a
-    callable (generator, num_outer, num_inner) -> (M, N, d).
+    Every state particle starts at the (d,) point `x0`.
     """
     if num_outer < 1 or num_inner < 1:
         raise ValueError("particle counts must be >= 1")
     theta = prior.sample(rng.child("theta_init").generator(), num_outer)
-    if callable(x0):
-        states = np.asarray(x0(rng.child("state_init").generator(), num_outer, num_inner), dtype=float)
-        if states.shape[:2] != (num_outer, num_inner):
-            raise ValueError(f"x0 sampler returned shape {states.shape}, expected ({num_outer}, {num_inner}, d)")
-    else:
-        point = np.asarray(x0, dtype=float)
-        states = np.broadcast_to(point, (num_outer, num_inner, point.shape[0])).copy()
+    point = np.asarray(x0, dtype=float)
+    states = np.broadcast_to(point, (num_outer, num_inner, point.shape[0])).copy()
     return ParticleCloud(
         theta=theta,
         states=states,
@@ -272,35 +265,13 @@ def propagate(
     return replace(cloud, states=states, invalid=invalid if invalid.any() else None)
 
 
-def gaussian_log_likelihood(
-    obs: np.ndarray,
-    state: np.ndarray,
-    matrix: np.ndarray | None,
-    observation_std: float,
-) -> float:
-    """log N(obs; H state, observation_std^2 I)."""
-    if observation_std <= 0:
-        raise ValueError("observation_std must be > 0 for a proper likelihood")
-    obs = np.asarray(obs, dtype=float)
-    state = np.asarray(state, dtype=float)
-    if obs.shape != state.shape:
-        raise ValueError(f"observation shape {obs.shape} != state shape {state.shape}")
-    mapped = state if matrix is None else np.asarray(matrix, dtype=float) @ state
-    resid = obs - mapped
-    d = obs.shape[0]
-    var = observation_std * observation_std
-    return float(-0.5 * (resid @ resid) / var - 0.5 * d * (_LOG_2PI + np.log(var)))
-
-
 def _batch_log_likelihood(
     obs: np.ndarray,
     states: np.ndarray,
-    matrix: np.ndarray | None,
     observation_std: float,
 ) -> np.ndarray:
-    """Vectorized log-likelihoods over an (M, N, d) particle block."""
-    mapped = states if matrix is None else states @ np.asarray(matrix, dtype=float).T
-    resid = obs - mapped
+    """log N(obs; x, observation_std^2 I) for every particle x of an (M, N, d) block."""
+    resid = obs - states
     d = obs.shape[0]
     var = observation_std * observation_std
     return -0.5 * np.einsum("mnd,mnd->mn", resid, resid) / var - 0.5 * d * (
@@ -311,7 +282,6 @@ def _batch_log_likelihood(
 def inner_weights(
     cloud: ParticleCloud,
     obs: np.ndarray,
-    matrix: np.ndarray | None,
     observation_std: float,
     diagnostics: FilterDiagnostics | None = None,
 ) -> ParticleCloud:
@@ -326,7 +296,7 @@ def inner_weights(
     if observation_std <= 0:
         raise ValueError("observation_std must be > 0 for a proper likelihood")
     obs = np.asarray(obs, dtype=float)
-    ll = _batch_log_likelihood(obs, cloud.states, matrix, observation_std)
+    ll = _batch_log_likelihood(obs, cloud.states, observation_std)
     if cloud.invalid is not None:
         ll[cloud.invalid] = -np.inf
         if diagnostics is not None:
@@ -415,7 +385,7 @@ def run_filter(
     observations: np.ndarray,
     system: str | SystemSpec,
     prior: ParameterPrior,
-    x0,
+    x0: np.ndarray,
     config: FilterConfig,
     rng: RngSeed,
 ) -> FilterHistory:
@@ -426,7 +396,8 @@ def run_filter(
     observations : ndarray (T+1, d)
         obs[0] aligns with the initial state and is not assimilated.
     system, prior, config : model, parameter prior, and filter settings.
-    x0 : initial state particles; see `init_particles`.
+    x0 : ndarray (d,)
+        Initial state of every state particle.
     rng : RngSeed
         Master stream. Substream layout: initialization draws from
         rng.child("init"), and step t uses rng.child("step", t) with
@@ -470,9 +441,7 @@ def run_filter(
         step = rng.child("step", t)
         cloud = jitter(cloud, config.kernel, step.child("jitter"))
         cloud = propagate(cloud, spec, config.delta, config.process_std, step.child("propagate"))
-        cloud = inner_weights(
-            cloud, observations[t], config.observation_matrix, config.observation_std, diagnostics
-        )
+        cloud = inner_weights(cloud, observations[t], config.observation_std, diagnostics)
         cloud = outer_weights(cloud, diagnostics)
 
         thetas[t] = cloud.theta
@@ -585,7 +554,6 @@ def backward_smooth(
     delta: float,
     process_std: float,
     workers: int = 1,
-    inner_stride: int = 1,
 ) -> SmoothedWeights:
     """Reweight the filter history so each step conditions on all observations.
 
@@ -596,15 +564,12 @@ def backward_smooth(
     normalized each step; lane masses accumulate into smoothed outer weights,
     and the joint (outer x inner) weights are normalized per time step.
 
-    `inner_stride` > 1 subsamples the k-sum for speed (cost drops by the same
-    factor); `workers` parallelizes lanes without changing results. Lanes whose
-    weights underflow fall back to their filtered weights and are counted.
+    `workers` parallelizes lanes without changing results. Lanes whose weights
+    underflow fall back to their filtered weights and are counted.
     """
     spec = get_system(system)
     t_end = history.horizon
     m, n = history.num_outer, history.num_inner
-    if inner_stride < 1:
-        raise ValueError(f"inner_stride must be >= 1, got {inner_stride}")
 
     lane = lane_alignment(history.outer_ancestors)
     w_tilde = np.empty_like(history.inner_weights)
@@ -632,8 +597,7 @@ def backward_smooth(
 
     var = process_std * process_std
     # Lane chunks sized to keep the (C, K, N) temporaries modest.
-    k_eff = max(1, (n + inner_stride - 1) // inner_stride)
-    chunk = max(1, int(8_000_000 // max(1, k_eff * n)))
+    chunk = max(1, int(8_000_000 // (n * n)))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for t in range(t_end - 1, -1, -1):
@@ -643,11 +607,6 @@ def backward_smooth(
             w_filt = history.inner_weights[t][lane[t]]
 
             log_w_next = _log_nonzero(w_norm)
-            if inner_stride > 1:
-                x_next = x_next[:, ::inner_stride]
-                log_w_next = log_w_next[:, ::inner_stride]
-                log_w_next = log_w_next - _logsumexp(log_w_next, axis=1)[:, None]
-
             log_s = np.empty((m, n))
             spans = [(i, min(i + chunk, m)) for i in range(0, m, chunk)]
 
@@ -708,14 +667,12 @@ class PosteriorSummary:
 def posterior_summary(
     history: FilterHistory,
     smoothed: SmoothedWeights,
-    theta_average: str = "final",
 ) -> PosteriorSummary:
     """Collapse smoothed weights into point estimates.
 
     State means use the joint smoothed weights at each step. The parameter
     estimate averages final-time particles under the fully smoothed lane
-    weights (`theta_average="final"`, the default) or pools every step's
-    lane-weighted particles (`"per_t"`).
+    weights.
     """
     t_end = history.horizon
     x_hat = np.empty((t_end + 1, history.dimension))
@@ -725,20 +682,10 @@ def posterior_summary(
     x_hat_sum = smoothed.w_tilde.sum(axis=(1, 2))
     x_hat /= x_hat_sum[:, None]
 
-    if theta_average == "final":
-        theta = history.thetas[t_end][smoothed.lane_index[t_end]]
-        v = smoothed.v_tilde[min(1, t_end)]
-        theta_mean = v @ theta
-        theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))
-    elif theta_average == "per_t":
-        thetas = np.stack(
-            [history.thetas[t][smoothed.lane_index[t]] for t in range(1, t_end + 1)]
-        )
-        v = smoothed.v_tilde[1 : t_end + 1] / t_end
-        theta_mean = np.einsum("tm,tmp->p", v, thetas)
-        theta_std = np.sqrt(np.maximum(0.0, np.einsum("tm,tmp->p", v, (thetas - theta_mean) ** 2)))
-    else:
-        raise ValueError(f"theta_average must be 'final' or 'per_t', got {theta_average!r}")
+    theta = history.thetas[t_end][smoothed.lane_index[t_end]]
+    v = smoothed.v_tilde[min(1, t_end)]
+    theta_mean = v @ theta
+    theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))
 
     return PosteriorSummary(
         state_mean=Trajectory(states=x_hat, delta=history.delta),

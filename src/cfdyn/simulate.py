@@ -1,8 +1,8 @@
 """Ground-truth simulation: hidden trajectories and noisy observations.
 
 The hidden state advances by the RK4 forward operator plus additive Gaussian
-process noise; observations are a linear map of the state plus Gaussian
-observation noise. Everything is deterministic given an `RngSeed`.
+process noise; observations are the state plus Gaussian observation noise.
+Everything is deterministic given an `RngSeed`.
 """
 from __future__ import annotations
 
@@ -93,25 +93,15 @@ def simulate_hidden(
 
 def observe(
     traj: Trajectory,
-    matrix: np.ndarray | None,
     observation_std: float,
     rng: RngSeed,
 ) -> np.ndarray:
-    """Map the hidden trajectory to observations obs[t] = H states[t] + w_t.
+    """Observe the hidden trajectory: obs[t] = states[t] + w_t.
 
-    `matrix` is the d-by-d observation model H; None means identity.
     Returns an (T+1, d) array, deterministic given the seed.
     """
-    d = traj.dimension
-    if matrix is None:
-        mapped = traj.states
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (d, d):
-            raise ValueError(f"observation matrix has shape {matrix.shape}, expected ({d}, {d})")
-        mapped = traj.states @ matrix.T
     if observation_std < 0:
         raise ValueError(f"observation_std must be >= 0, got {observation_std}")
     gen = rng.generator()
-    w = gen.normal(0.0, observation_std, size=mapped.shape)
-    return mapped + w
+    w = gen.normal(0.0, observation_std, size=traj.states.shape)
+    return traj.states + w

@@ -5,14 +5,15 @@ Kalman filter and RTS smoother are exact closed-form recursions, and the
 bootstrap particle filter is a from-scratch single-layer filter that shares
 only the seed-stream discipline with the package. The loop versions of the
 batched rollout and resampling kernels step one row at a time; the batched
-kernels must match them bit for bit.
+kernels must match them bit for bit. The scalar likelihood and residual are
+the one-particle forms of the filter's likelihood and the abduction residual.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from cfdyn.counterfactual import sample_theta
-from cfdyn.dynamics import _rk4, get_system
+from cfdyn.dynamics import _rk4, get_system, rk4_step
 from cfdyn.seeding import RngSeed
 
 
@@ -157,3 +158,22 @@ def systematic_resample_per_row(weights: np.ndarray, uniforms: np.ndarray) -> np
         np.clip(np.searchsorted(np.cumsum(w), (u + np.arange(n)) / n), 0, n - 1)
         for w, u in zip(weights, uniforms)
     ])
+
+
+def gaussian_log_likelihood(obs: np.ndarray, state: np.ndarray, observation_std: float) -> float:
+    """log N(obs; state, observation_std^2 I) for one particle."""
+    if observation_std <= 0:
+        raise ValueError("observation_std must be > 0 for a proper likelihood")
+    obs = np.asarray(obs, dtype=float)
+    state = np.asarray(state, dtype=float)
+    if obs.shape != state.shape:
+        raise ValueError(f"observation shape {obs.shape} != state shape {state.shape}")
+    resid = obs - state
+    d = obs.shape[0]
+    var = observation_std * observation_std
+    return float(-0.5 * (resid @ resid) / var - 0.5 * d * (np.log(2.0 * np.pi) + np.log(var)))
+
+
+def particle_residual(x_t, x_prev, theta, system, delta) -> np.ndarray:
+    """Noise increment implied by one transition: x_t - rk4_step(x_prev, theta)."""
+    return np.asarray(x_t, dtype=float) - rk4_step(system, x_prev, theta, delta)

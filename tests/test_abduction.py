@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfdyn.abduction import NoisePosterior, abduct_noise, particle_residual
+from cfdyn.abduction import NoisePosterior, abduct_noise
 from cfdyn.dynamics import LORENZ, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
@@ -14,6 +14,8 @@ from cfdyn.filtering import (
 )
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
+
+from .oracles import particle_residual
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 X0 = np.array([1.0, 1.0, 1.0])
@@ -46,7 +48,7 @@ def test_residuals_replay_simulator_noise():
 def _degenerate_history(horizon=12):
     prior = ParameterPrior(low=LORENZ_THETA, high=LORENZ_THETA + 1e-12)
     truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, horizon, 0.05, NoiseConfig(1.0, 0.0), RngSeed(41))
-    obs = observe(truth, None, 1.0, RngSeed(41, 1))
+    obs = observe(truth, 1.0, RngSeed(41, 1))
     config = FilterConfig(
         num_outer=1,
         num_inner=1,
@@ -142,7 +144,7 @@ def test_variance_matches_two_pass_oracle():
 def test_noiseless_truth_yields_small_abducted_mean():
     prior = ParameterPrior(low=LORENZ_THETA - 1e-9, high=LORENZ_THETA + 1e-9)
     truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, 150, 0.05, NoiseConfig(0.0, 0.0), RngSeed(43))
-    obs = observe(truth, None, 0.01, RngSeed(43, 1))
+    obs = observe(truth, 0.01, RngSeed(43, 1))
     config = FilterConfig(
         num_outer=10,
         num_inner=30,

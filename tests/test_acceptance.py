@@ -9,8 +9,8 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from cfdyn.abduction import particle_residual
 from cfdyn.cli import main
 from cfdyn.counterfactual import ThetaRegime, deterministic_cf, generate_cf, intervene
 from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
@@ -37,7 +37,7 @@ from cfdyn.metrics import divergence_onset, factual_rmse, moving_average, rmse_t
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
 
-from .oracles import kalman_filter_rts
+from .oracles import kalman_filter_rts, particle_residual
 from .test_experiment import TINY
 
 DECAY_DELTA = float(-np.log(0.9))
@@ -64,6 +64,7 @@ def test_criterion_1_rk4_order():
     report(1, "rk4 order", f"error shrink factor {factor:.2f} in [12, 20], {elapsed:.3f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_kalman_rts_oracle():
     start = time.perf_counter()
     a_eff = float(rk4_step(EXP_DECAY, np.array([1.0]), np.array([1.0]), DECAY_DELTA)[0])
@@ -83,7 +84,7 @@ def test_criterion_2_kalman_rts_oracle():
             EXP_DECAY, np.array([1.0]), np.array([0.0]), 200, DECAY_DELTA,
             NoiseConfig(1.0, 1.0), root.child("sim"),
         )
-        ys = observe(truth, None, 1.0, root.child("obs"))
+        ys = observe(truth, 1.0, root.child("obs"))
         history = run_filter(ys, EXP_DECAY, prior, np.array([0.0]), config, root.child("filter"))
         smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
         summary = posterior_summary(history, smoothed)
@@ -102,6 +103,7 @@ def test_criterion_2_kalman_rts_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_factual_estimation_quality():
     start = time.perf_counter()
     base = replace(get_preset("lorenz-table1"), outer_particles=100, inner_particles=100)
@@ -126,6 +128,7 @@ def test_criterion_3_factual_estimation_quality():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_divergence_regime_ordering():
     # the contrast between parameter regimes lives in the small-process-noise
     # corner of the study grid; (0.01, 4) is that corner
@@ -177,6 +180,7 @@ def test_criterion_4_divergence_regime_ordering():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_logistic_baseline():
     start = time.perf_counter()
     base = replace(

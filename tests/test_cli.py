@@ -30,7 +30,7 @@ def test_staged_commands_reproduce_fused_run(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(fused)]) == 0
     for stage in ("simulate", "filter", "abduct", "counterfactual", "metrics"):
         assert main([stage, "--config", str(config), "--out", str(staged)]) == 0
-    for name in ARTIFACT_FILES:
+    for name in ARTIFACT_FILES + ("manifest.json",):
         assert (staged / name).read_bytes() == (fused / name).read_bytes(), name
 
 
@@ -108,6 +108,47 @@ def test_truncated_observations_are_io_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("I/O error:") and "observations.csv" in err
         assert err.count("\n") == 1
+
+
+def test_wrong_shape_inputs_are_io_errors(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    # Cut at a line boundary: each file still parses, but holds too few rows.
+    for name, lines in (("noise_posterior.csv", 30), ("theta_estimate.csv", 2)):
+        path = out / name
+        original = path.read_text(encoding="utf-8")
+        path.write_text("".join(original.splitlines(keepends=True)[:lines]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["counterfactual", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and name in err
+        assert err.count("\n") == 1
+        path.write_text(original, encoding="utf-8")
+
+
+def test_stage_needs_a_manifest_of_the_same_config(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["filter", "--config", str(config), "--out", str(out), "--seed", "7"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "manifest.json" in err
+    assert err.count("\n") == 1
+    (out / "manifest.json").unlink()
+    assert main(["filter", "--config", str(config), "--out", str(out)]) == 4
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_partial_run_manifest_lists_written_artifacts(tmp_path):
+    # The intervened initial state overflows, so the counterfactual stage fails.
+    config = write_config(tmp_path, intervention={"absolute": [1e200, 1.0, 1.0]})
+    out = tmp_path / "partial"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == sorted(ARTIFACT_FILES[:6])
+    assert "smoother_underflows" in manifest["diagnostics"]
 
 
 def test_run_uses_config_output_dir_when_no_flag(tmp_path):

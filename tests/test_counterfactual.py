@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfdyn.abduction import NoisePosterior, particle_residual
+from cfdyn.abduction import NoisePosterior
 from cfdyn.counterfactual import (
     CfTrajectorySet,
     Intervention,
@@ -16,7 +16,7 @@ from cfdyn.errors import NumericsError
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, simulate_hidden
 
-from .oracles import generate_cf_per_trajectory, roll_one
+from .oracles import generate_cf_per_trajectory, particle_residual, roll_one
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 X0 = np.array([1.0, 1.0, 1.0])
@@ -95,19 +95,6 @@ def test_regime_reference_requirements():
         ThetaRegime(mode="posterior", theta_hat=LORENZ_THETA)
     with pytest.raises(ValueError):
         ThetaRegime(mode="maximum-likelihood", theta_true=LORENZ_THETA)
-    with pytest.raises(ValueError):
-        ThetaRegime(mode="point", theta_hat=LORENZ_THETA, particles=np.zeros((3, 3)))
-
-
-def test_posterior_particle_resampling_mode():
-    particles = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
-    weights = np.array([0.2, 0.5, 0.3])
-    regime = ThetaRegime(mode="posterior", particles=particles, particle_weights=weights)
-    draws = np.array([sample_theta(regime, RngSeed(30).child("i", i)) for i in range(20000)])
-    rows = {tuple(p) for p in particles}
-    assert {tuple(d) for d in draws} <= rows
-    freq = np.array([(draws == particles[k]).all(axis=1).mean() for k in range(3)])
-    assert np.abs(freq - weights).max() < 0.02
 
 
 # ------------------------------------------------------------- generate_cf

@@ -9,7 +9,6 @@ from cfdyn.filtering import (
     ParticleCloud,
     backward_smooth,
     filtered_means,
-    gaussian_log_likelihood,
     init_particles,
     inner_weights,
     jitter,
@@ -25,7 +24,12 @@ from cfdyn.filtering import (
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
 
-from .oracles import bootstrap_particle_filter, kalman_filter_rts, systematic_resample_per_row
+from .oracles import (
+    bootstrap_particle_filter,
+    gaussian_log_likelihood,
+    kalman_filter_rts,
+    systematic_resample_per_row,
+)
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 TABLE1_PRIOR = ParameterPrior(low=[5.0, 20.0, 2.0], high=[15.0, 35.0, 4.0])
@@ -149,27 +153,27 @@ def test_propagate_flags_nonfinite_particles():
 
 
 def test_gaussian_loglik_at_mean_1d():
-    value = gaussian_log_likelihood(np.array([2.0]), np.array([2.0]), None, 1.0)
+    value = gaussian_log_likelihood(np.array([2.0]), np.array([2.0]), 1.0)
     assert abs(value - np.log(1.0 / np.sqrt(2.0 * np.pi))) < 1e-12
 
 
 def test_gaussian_loglik_symmetry():
     obs = np.array([1.0, 2.0, 3.0])
-    a = gaussian_log_likelihood(obs, obs + [0.5, 0.0, 0.0], None, 2.0)
-    b = gaussian_log_likelihood(obs, obs - [0.5, 0.0, 0.0], None, 2.0)
+    a = gaussian_log_likelihood(obs, obs + [0.5, 0.0, 0.0], 2.0)
+    b = gaussian_log_likelihood(obs, obs - [0.5, 0.0, 0.0], 2.0)
     assert a == b
 
 
 def test_gaussian_loglik_three_sigma_gap():
     obs = np.array([0.0])
-    at_mean = gaussian_log_likelihood(obs, np.array([0.0]), None, 2.0)
-    at_3s = gaussian_log_likelihood(obs, np.array([6.0]), None, 2.0)
+    at_mean = gaussian_log_likelihood(obs, np.array([0.0]), 2.0)
+    at_3s = gaussian_log_likelihood(obs, np.array([6.0]), 2.0)
     assert abs((at_3s - at_mean) + 4.5) < 1e-12
 
 
 def test_gaussian_loglik_rejects_zero_std():
     with pytest.raises(ValueError):
-        gaussian_log_likelihood(np.array([0.0]), np.array([0.0]), None, 0.0)
+        gaussian_log_likelihood(np.array([0.0]), np.array([0.0]), 0.0)
 
 
 # ------------------------------------------------------------ inner weights
@@ -188,13 +192,13 @@ def _cloud_from_states(states):
 
 def test_inner_weights_single_particle():
     cloud = _cloud_from_states(np.zeros((1, 1, 1)))
-    out = inner_weights(cloud, np.array([3.0]), None, 1.0)
+    out = inner_weights(cloud, np.array([3.0]), 1.0)
     assert out.inner_weights[0, 0] == 1.0
 
 
 def test_inner_weights_ordering_and_normalization():
     cloud = _cloud_from_states([[[0.0], [5.0]]])
-    out = inner_weights(cloud, np.array([0.0]), None, 1.0)
+    out = inner_weights(cloud, np.array([0.0]), 1.0)
     w = out.inner_weights[0]
     assert w[0] > w[1]
     assert abs(w.sum() - 1.0) < 1e-12
@@ -206,17 +210,19 @@ def test_inner_weights_match_density_ratios():
     obs = np.array([0.5])
     sigma = 0.8
     cloud = _cloud_from_states(states)
-    out = inner_weights(cloud, obs, None, sigma)
+    out = inner_weights(cloud, obs, sigma)
     dens = np.exp(-0.5 * (obs[0] - states[0, :, 0]) ** 2 / sigma**2)
     expected = dens / dens.sum()
     assert np.allclose(out.inner_weights[0], expected, rtol=1e-12)
+    loglik = [gaussian_log_likelihood(obs, x, sigma) for x in states[0]]
+    assert np.isclose(out.log_mean_lik[0], np.log(np.mean(np.exp(loglik))), rtol=1e-12)
 
 
 def test_inner_weights_underflow_falls_back_to_uniform():
     # distances large enough that the squared residual overflows to inf
     states = np.array([[[1e200], [2e200]]])
     cloud = _cloud_from_states(states)
-    out = inner_weights(cloud, np.array([0.0]), None, 1.0)
+    out = inner_weights(cloud, np.array([0.0]), 1.0)
     assert np.allclose(out.inner_weights[0], 0.5)
     assert out.log_mean_lik[0] == -np.inf
 
@@ -226,7 +232,7 @@ def test_inner_weights_underflow_falls_back_to_uniform():
 
 def test_outer_weights_single_lane():
     cloud = _cloud_from_states(np.zeros((1, 2, 1)))
-    cloud = inner_weights(cloud, np.array([0.0]), None, 1.0)
+    cloud = inner_weights(cloud, np.array([0.0]), 1.0)
     out = outer_weights(cloud)
     assert out.outer_weights[0] == 1.0
 
@@ -234,7 +240,7 @@ def test_outer_weights_single_lane():
 def test_outer_weights_identical_lanes_equal():
     states = np.zeros((3, 4, 1))
     cloud = _cloud_from_states(states)
-    cloud = inner_weights(cloud, np.array([0.3]), None, 1.0)
+    cloud = inner_weights(cloud, np.array([0.3]), 1.0)
     out = outer_weights(cloud)
     assert np.allclose(out.outer_weights, 1.0 / 3.0)
 
@@ -335,7 +341,7 @@ def test_degenerate_filter_recovers_noiseless_truth():
     truth = simulate_hidden(
         EXP_DECAY, drawn, np.array([1.0]), 30, 0.1, NoiseConfig(0.0, 0.0), RngSeed(15)
     )
-    obs = observe(truth, None, 0.0, RngSeed(15, 1))
+    obs = observe(truth, 0.0, RngSeed(15, 1))
     config = FilterConfig(
         num_outer=1,
         num_inner=1,
@@ -357,7 +363,7 @@ def test_filter_matches_independent_bootstrap_pf():
     truth = simulate_hidden(
         EXP_DECAY, theta, np.array([0.0]), 40, DECAY_DELTA, NoiseConfig(1.0, 0.0), root.child("sim")
     )
-    obs = observe(truth, None, 1.0, root.child("obs"))
+    obs = observe(truth, 1.0, root.child("obs"))
     prior = _point_prior(theta)
     filter_seed = root.child("filter")
     history = run_filter(obs, EXP_DECAY, prior, np.array([0.0]), _decay_config(64), filter_seed)
@@ -381,7 +387,7 @@ def test_filter_weights_normalized_every_step():
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 25, 0.05, NoiseConfig(1.0, 0.0), RngSeed(18)
     )
-    obs = observe(truth, None, 1.0, RngSeed(18, 1))
+    obs = observe(truth, 1.0, RngSeed(18, 1))
     config = FilterConfig(
         num_outer=8,
         num_inner=12,
@@ -402,7 +408,7 @@ def test_filter_seed_determinism():
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 15, 0.05, NoiseConfig(1.0, 0.0), RngSeed(20)
     )
-    obs = observe(truth, None, 1.0, RngSeed(20, 1))
+    obs = observe(truth, 1.0, RngSeed(20, 1))
     config = FilterConfig(
         num_outer=6,
         num_inner=7,
@@ -422,7 +428,7 @@ def test_filter_without_inner_resampling_accumulates_weights():
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 20, 0.05, NoiseConfig(1.0, 0.0), RngSeed(50)
     )
-    obs = observe(truth, None, 1.0, RngSeed(50, 1))
+    obs = observe(truth, 1.0, RngSeed(50, 1))
     config = FilterConfig(
         num_outer=5,
         num_inner=40,
@@ -441,21 +447,11 @@ def test_filter_without_inner_resampling_accumulates_weights():
     assert ess_last.mean() < ess_first.mean()
 
 
-def test_posterior_summary_per_step_averaging():
-    _, _, history = _decay_history(52, n_inner=20, horizon=15)
-    smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
-    summary = posterior_summary(history, smoothed, theta_average="per_t")
-    assert np.isfinite(summary.theta_mean).all()
-    assert (summary.theta_std >= 0).all()
-    with pytest.raises(ValueError):
-        posterior_summary(history, smoothed, theta_average="median")
-
-
 def test_lorenz_theta_estimate_within_prior_support():
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 120, 0.05, NoiseConfig(1.0, 0.0), RngSeed(22)
     )
-    obs = observe(truth, None, 1.0, RngSeed(22, 1))
+    obs = observe(truth, 1.0, RngSeed(22, 1))
     config = FilterConfig(
         num_outer=30,
         num_inner=30,
@@ -480,7 +476,7 @@ def _decay_history(seed, n_inner=50, horizon=40):
     truth = simulate_hidden(
         EXP_DECAY, theta, np.array([0.0]), horizon, DECAY_DELTA, NoiseConfig(1.0, 0.0), root.child("sim")
     )
-    obs = observe(truth, None, 1.0, root.child("obs"))
+    obs = observe(truth, 1.0, root.child("obs"))
     history = run_filter(
         obs, EXP_DECAY, _point_prior(theta), np.array([0.0]), _decay_config(n_inner), root.child("filter")
     )
@@ -505,7 +501,7 @@ def test_smoother_worker_count_does_not_change_results():
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 30, 0.05, NoiseConfig(1.0, 0.0), RngSeed(26)
     )
-    obs = observe(truth, None, 1.0, RngSeed(26, 1))
+    obs = observe(truth, 1.0, RngSeed(26, 1))
     config = FilterConfig(
         num_outer=12,
         num_inner=10,
@@ -519,12 +515,6 @@ def test_smoother_worker_count_does_not_change_results():
     b = backward_smooth(history, LORENZ, 0.05, 1.0, workers=8)
     assert np.array_equal(a.w_tilde, b.w_tilde)
     assert np.array_equal(a.v_tilde, b.v_tilde)
-
-
-def test_smoother_inner_stride_keeps_weights_normalized():
-    _, _, history = _decay_history(28, n_inner=40, horizon=25)
-    smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0, inner_stride=4)
-    assert np.allclose(smoothed.w_tilde.sum(axis=(1, 2)), 1.0, atol=1e-9)
 
 
 def test_smoothed_means_track_rts_oracle():

@@ -48,8 +48,8 @@ def test_seed_determinism_bit_identical():
     a = simulate_hidden(LORENZ, LORENZ_THETA, X0, 50, 0.05, NoiseConfig(1.0, 0.0), RngSeed(5))
     b = simulate_hidden(LORENZ, LORENZ_THETA, X0, 50, 0.05, NoiseConfig(1.0, 0.0), RngSeed(5))
     assert np.array_equal(a.states, b.states)
-    ya = observe(a, None, 2.0, RngSeed(5, 1))
-    yb = observe(b, None, 2.0, RngSeed(5, 1))
+    ya = observe(a, 2.0, RngSeed(5, 1))
+    yb = observe(b, 2.0, RngSeed(5, 1))
     assert np.array_equal(ya, yb)
 
 
@@ -63,19 +63,13 @@ def test_simulation_blowup_reports_first_index():
 
 def test_observe_noiseless_identity():
     traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 10, 0.05, NoiseConfig(0.0, 0.0), RngSeed(7))
-    obs = observe(traj, None, 0.0, RngSeed(7, 1))
+    obs = observe(traj, 0.0, RngSeed(7, 1))
     assert np.array_equal(obs, traj.states)
-
-
-def test_observe_zero_matrix_gives_zeros():
-    traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 10, 0.05, NoiseConfig(0.0, 0.0), RngSeed(8))
-    obs = observe(traj, np.zeros((3, 3)), 0.0, RngSeed(8, 1))
-    assert np.array_equal(obs, np.zeros_like(traj.states))
 
 
 def test_observation_noise_variance_matches_config():
     traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 5000, 0.05, NoiseConfig(0.0, 0.0), RngSeed(9))
-    obs = observe(traj, None, 2.0, RngSeed(9, 1))
+    obs = observe(traj, 2.0, RngSeed(9, 1))
     noise = obs - traj.states
     for k in range(3):
         assert abs(noise[:, k].var() - 4.0) < 0.4
@@ -83,19 +77,13 @@ def test_observation_noise_variance_matches_config():
 
 def test_zero_noise_chain_reproduces_rk4_rollout():
     traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 30, 0.05, NoiseConfig(0.0, 0.0), RngSeed(10))
-    obs = observe(traj, np.eye(3), 0.0, RngSeed(10, 1))
+    obs = observe(traj, 0.0, RngSeed(10, 1))
     state = X0.copy()
     rolled = [state]
     for _ in range(30):
         state = rk4_step(LORENZ, state, LORENZ_THETA, 0.05)
         rolled.append(state)
     assert np.array_equal(obs, np.array(rolled))
-
-
-def test_observation_matrix_shape_checked():
-    traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 5, 0.05, NoiseConfig(0.0, 0.0), RngSeed(11))
-    with pytest.raises(ValueError):
-        observe(traj, np.eye(2), 0.0, RngSeed(11, 1))
 
 
 def test_noise_config_validation():
