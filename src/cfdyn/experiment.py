@@ -317,16 +317,16 @@ def build_intervention(config: ExperimentConfig) -> Intervention:
     return Intervention(component=int(data["component"]), shift=float(data["shift"]))
 
 
-def build_regime(config: ExperimentConfig, summary: PosteriorSummary | None) -> ThetaRegime:
+def build_regime(
+    config: ExperimentConfig, theta: tuple[np.ndarray, np.ndarray] | None
+) -> ThetaRegime:
+    """The config's theta regime; `theta` is the filter's (theta_mean, theta_std)."""
     if config.theta_regime == "true":
         return ThetaRegime(mode="true", theta_true=np.asarray(config.theta_true))
-    if summary is None:
+    if theta is None:
         raise ConfigError(f"theta_regime {config.theta_regime!r} needs filter output")
-    return ThetaRegime(
-        mode=config.theta_regime,
-        theta_hat=summary.theta_mean,
-        theta_std=summary.theta_std,
-    )
+    theta_mean, theta_std = theta
+    return ThetaRegime(mode=config.theta_regime, theta_hat=theta_mean, theta_std=theta_std)
 
 
 def stage_simulate(config: ExperimentConfig) -> tuple[Trajectory, np.ndarray]:
@@ -372,7 +372,7 @@ def stage_abduct(
 
 def stage_counterfactual(
     config: ExperimentConfig,
-    summary: PosteriorSummary | None,
+    theta: tuple[np.ndarray, np.ndarray] | None,
     noise: NoisePosterior,
 ) -> tuple[Trajectory, CfTrajectorySet]:
     seed = RngSeed(config.master_seed)
@@ -382,7 +382,7 @@ def stage_counterfactual(
     )
     ensemble = generate_cf(
         config.system,
-        build_regime(config, summary),
+        build_regime(config, theta),
         noise,
         x0_cf,
         config.horizon,
@@ -464,8 +464,16 @@ class RunDir:
             shape, expected = product[0].shape, (p,)
         elif name == "filter_state.npz":
             product = io.load_filter_state(path)
-            shape = product[0].states.shape
-            expected = (series[0], config.outer_particles, config.inner_particles, series[1])
+            t1, m, n = series[0], config.outer_particles, config.inner_particles
+            needs = {"thetas": (t1, m, p), "states": (t1, m, n, series[1])}
+            for key in ("inner_weights", "inner_ancestors", "w_tilde"):
+                needs[key] = (t1, m, n)
+            for key in ("outer_weights", "outer_ancestors", "v_tilde", "lane_index"):
+                needs[key] = (t1, m)
+            arrays = {**vars(product[0]), **vars(product[1])}
+            # Name only the arrays that do not fit; both sides are {} when all do.
+            shape = {key: arrays[key].shape for key in needs if arrays[key].shape != needs[key]}
+            expected = {key: needs[key] for key in shape}
         elif name == "noise_posterior.csv":
             product = io.load_noise_posterior(path)
             shape, expected = product.mu.shape, (config.horizon, series[1])
@@ -520,12 +528,8 @@ def _abduct(run: RunDir) -> dict:
 
 
 def _counterfactual(run: RunDir) -> dict:
-    summary = None
-    if run.config.theta_regime != "true":
-        summary = PosteriorSummary(run.get("state_estimate.csv"), *run.get("theta_estimate.csv"))
-    reference, ensemble = stage_counterfactual(
-        run.config, summary, run.get("noise_posterior.csv")
-    )
+    theta = None if run.config.theta_regime == "true" else run.get("theta_estimate.csv")
+    reference, ensemble = stage_counterfactual(run.config, theta, run.get("noise_posterior.csv"))
     run.put("cf_deterministic.csv", reference)
     run.put("cf_ensemble.csv", ensemble)
     failures = ensemble.failure_index
@@ -551,7 +555,7 @@ STAGES = (
     Stage("abduct", ("filter_state.npz",), ("noise_posterior.csv",), _abduct),
     Stage(
         "counterfactual",
-        ("state_estimate.csv", "theta_estimate.csv", "noise_posterior.csv"),
+        ("theta_estimate.csv", "noise_posterior.csv"),
         ("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv"),
         _counterfactual,
     ),

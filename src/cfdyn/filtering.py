@@ -515,37 +515,53 @@ class SmoothedWeights:
     underflow_lane_steps: int = 0
 
 
-def _transition_log_scores(
+def _transition_factors(
     spec: SystemSpec,
-    x_from: np.ndarray,       # (C, N, d)
-    x_to: np.ndarray,         # (C, K, d)
-    theta_to: np.ndarray,     # (C, p)
-    log_w_next: np.ndarray,   # (C, K)
+    x_from: np.ndarray,       # (M, N, d)
+    x_to: np.ndarray,         # (M, K, d)
+    theta_to: np.ndarray,     # (M, p)
+    log_w_next: np.ndarray,   # (M, K)
     delta: float,
     var: float,
-) -> np.ndarray:
-    """log sum_k p(x_to[k] | x_from[n], theta) w_next[k] for each lane, (C, N)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors of log sum_k p(x_to[k] | x_from[n], theta) w_next[k] for each lane.
+
+    With mu_n = rk4_step(x_from[n], theta), the norm expansion
+        log sum_k w_k N(x_k; mu_n, var I)
+          = LSE_k(mu_n.x_k / var + log w_k - |x_k|^2 / 2var) - |mu_n|^2 / 2var + log_norm
+    puts every exponent into one matmul of `a` = [mu / var, 1] (M, N, d+1) with
+    `b` = [x_to^T ; log w - |x_to|^2 / 2var] (M, d+1, K). A zero weight enters
+    as -inf and gives a -inf exponent. `row` (M, N) is the term added after
+    the log-sum-exp. The cancellation error (~1e-13 relative to |x|^2 / var)
+    is far below the weight resolution that matters.
+    """
     base = _rk4(spec, x_from, theta_to[:, None, :], delta)
-    # Pairwise squared distances via the norm expansion (BLAS inner products);
-    # cancellation error ~1e-12 is far below the weight resolution that matters.
-    # Layout (C, N, K) keeps the k-reduction on the contiguous axis.
-    sq_base = np.einsum("cnd,cnd->cn", base, base)
-    sq_to = np.einsum("ckd,ckd->ck", x_to, x_to)
-    scores = np.matmul(base, np.swapaxes(x_to, 1, 2))
-    scores *= -2.0
-    scores += sq_to[:, None, :]
-    scores += sq_base[:, :, None]
-    np.maximum(scores, 0.0, out=scores)
-    d = x_from.shape[-1]
+    m, n, d = base.shape
+    a = np.empty((m, n, d + 1))
+    np.divide(base, var, out=a[:, :, :d])
+    a[:, :, d] = 1.0
+    b = np.empty((m, d + 1, x_to.shape[1]))
+    b[:, :d] = np.swapaxes(x_to, 1, 2)
+    b[:, d] = log_w_next - (0.5 / var) * np.einsum("mkd,mkd->mk", x_to, x_to)
     log_norm = -0.5 * d * (_LOG_2PI + np.log(var))
-    scores *= -0.5 / var
-    scores += (log_w_next + log_norm)[:, None, :]
-    m = np.max(scores, axis=2, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    scores -= m_safe
+    row = log_norm - (0.5 / var) * np.einsum("mnd,mnd->mn", base, base)
+    return a, b, row
+
+
+def _transition_log_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LSE_k (a @ b)[c, n, k] for each lane row, (C, N); all -inf rows stay -inf.
+
+    One matmul, then the row max, subtract, exp and sum on the (C, N, K)
+    block, whose k axis is contiguous. Subtract and exp work in place: two
+    fresh ~1 MiB temporaries per chunk cost more than the passes themselves.
+    """
+    scores = np.matmul(a, b)
+    mx = np.max(scores, axis=2, keepdims=True)
+    mx_safe = np.where(np.isfinite(mx), mx, 0.0)
+    scores -= mx_safe
     np.exp(scores, out=scores)
     with np.errstate(divide="ignore"):
-        return np.log(scores.sum(axis=2)) + np.squeeze(m_safe, 2)
+        return np.log(scores.sum(axis=2)) + np.squeeze(mx_safe, 2)
 
 
 def backward_smooth(
@@ -564,8 +580,9 @@ def backward_smooth(
     normalized each step; lane masses accumulate into smoothed outer weights,
     and the joint (outer x inner) weights are normalized per time step.
 
-    `workers` parallelizes lanes without changing results. Lanes whose weights
-    underflow fall back to their filtered weights and are counted.
+    `workers` parallelizes lane chunks without changing results: each lane's
+    scores depend only on that lane. Lanes whose weights underflow fall back
+    to their filtered weights and are counted.
     """
     spec = get_system(system)
     t_end = history.horizon
@@ -596,8 +613,9 @@ def backward_smooth(
         )
 
     var = process_std * process_std
-    # Lane chunks sized to keep the (C, K, N) temporaries modest.
-    chunk = max(1, int(8_000_000 // (n * n)))
+    # Lane chunks whose (C, N, N) score block is ~1 MiB of float64, so the
+    # kernel's passes over it stay in a core's L2 cache.
+    chunk = max(1, 131_072 // (n * n))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for t in range(t_end - 1, -1, -1):
@@ -606,16 +624,14 @@ def backward_smooth(
             theta_next = history.thetas[t + 1][lane[t + 1]]
             w_filt = history.inner_weights[t][lane[t]]
 
-            log_w_next = _log_nonzero(w_norm)
-            log_s = np.empty((m, n))
+            a, b, log_s = _transition_factors(
+                spec, x_t, x_next, theta_next, _log_nonzero(w_norm), delta, var
+            )
             spans = [(i, min(i + chunk, m)) for i in range(0, m, chunk)]
 
             def _work(span):
                 lo, hi = span
-                log_s[lo:hi] = _transition_log_scores(
-                    spec, x_t[lo:hi], x_next[lo:hi], theta_next[lo:hi],
-                    log_w_next[lo:hi], delta, var,
-                )
+                log_s[lo:hi] += _transition_log_scores(a[lo:hi], b[lo:hi])
 
             if pool is not None and len(spans) > 1:
                 list(pool.map(_work, spans))

@@ -3,12 +3,16 @@
 These deliberately avoid the package's filtering/smoothing code paths: the
 Kalman filter and RTS smoother are exact closed-form recursions, and the
 bootstrap particle filter is a from-scratch single-layer filter that shares
-only the seed-stream discipline with the package. The loop versions of the
+only the seed-stream discipline with the package. The pairwise backward
+smoother evaluates each transition density from its own difference vector,
+one (lane, n, k) triple at a time. The loop versions of the
 batched rollout and resampling kernels step one row at a time; the batched
 kernels must match them bit for bit. The scalar likelihood and residual are
 the one-particle forms of the filter's likelihood and the abduction residual.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -177,3 +181,77 @@ def gaussian_log_likelihood(obs: np.ndarray, state: np.ndarray, observation_std:
 def particle_residual(x_t, x_prev, theta, system, delta) -> np.ndarray:
     """Noise increment implied by one transition: x_t - rk4_step(x_prev, theta)."""
     return np.asarray(x_t, dtype=float) - rk4_step(system, x_prev, theta, delta)
+
+
+def _log_sum_exp(values) -> float:
+    top = max(values)
+    if top == -math.inf:
+        return -math.inf
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
+def _log(w: float) -> float:
+    return math.log(w) if w > 0 else -math.inf
+
+
+def backward_smooth_pairwise(history, system, delta: float,
+                             process_std: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The backward smoothing recursion with one loop iteration per pair.
+
+    For lane j on the final-time lineage, particle n at step t and particle k
+    at t+1, log p(x_k | x_n) = -|x_k - rk4_step(x_n)|^2 / 2 var + log_norm is
+    evaluated from the difference vector (no norm expansion, no matmul), and
+        log w~_t(n) = log w_t(n) + log sum_k p(x_k | x_n) w~_{t+1}(k)
+    is normalized per lane. A lane whose sum is not finite keeps its filtered
+    weights and is counted; lane masses carry the smoothed outer weights.
+    Returns (w_tilde, v_tilde, underflow lane-steps) with w_tilde
+    joint-normalized per step.
+    """
+    spec = get_system(system)
+    t_end = history.states.shape[0] - 1
+    m, n = history.inner_weights.shape[1:]
+    var = process_std * process_std
+    log_norm = -0.5 * spec.dimension * (math.log(2.0 * math.pi) + math.log(var))
+    lane = np.empty((t_end + 1, m), dtype=np.int64)
+    lane[-1] = np.arange(m)
+    for t in range(t_end - 1, -1, -1):
+        lane[t] = history.outer_ancestors[t][lane[t + 1]]
+
+    w_tilde = np.empty((t_end + 1, m, n))
+    v_tilde = np.empty((t_end + 1, m))
+    w = history.inner_weights[t_end].copy()
+    v = history.outer_weights[t_end].copy()
+    w_tilde[t_end] = v[:, None] * w
+    v_tilde[t_end] = v
+    underflows = 0
+    for t in range(t_end - 1, -1, -1):
+        w_new = np.empty((m, n))
+        log_v = []
+        for j in range(m):
+            x_t = history.states[t, lane[t, j]]
+            x_next = history.states[t + 1, lane[t + 1, j]]
+            theta = history.thetas[t + 1, lane[t + 1, j]]
+            w_filt = history.inner_weights[t, lane[t, j]]
+            log_raw = []
+            for i in range(n):
+                mu_i = rk4_step(spec, x_t[i], theta, delta)
+                terms = []
+                for k in range(n):
+                    diff = x_next[k] - mu_i
+                    terms.append(_log(w[j, k]) - 0.5 * float(diff @ diff) / var + log_norm)
+                log_raw.append(_log(w_filt[i]) + _log_sum_exp(terms))
+            log_r = _log_sum_exp(log_raw)
+            if math.isfinite(log_r):
+                w_new[j] = [math.exp(x - log_r) for x in log_raw]
+                log_v.append(_log(v[j]) + log_r)
+            else:
+                w_new[j] = w_filt
+                log_v.append(-math.inf)
+                underflows += 1
+        norm = _log_sum_exp(log_v)
+        if math.isfinite(norm):
+            v = np.array([math.exp(x - norm) for x in log_v])
+        w = w_new
+        w_tilde[t] = v[:, None] * w
+        v_tilde[t] = v
+    return w_tilde, v_tilde, underflows

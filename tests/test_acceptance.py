@@ -195,7 +195,9 @@ def test_criterion_5_logistic_baseline():
         truth, observations = stage_simulate(config)
         history, smoothed, summary = stage_filter(config, observations)
         noise = stage_abduct(config, history, smoothed)
-        reference, ensemble = stage_counterfactual(config, summary, noise)
+        reference, ensemble = stage_counterfactual(
+            config, (summary.theta_mean, summary.theta_std), noise
+        )
         series = moving_average(rmse_t(ensemble, reference), config.rmse_window)
         tenth = max(1, len(series) // 10)
         heads.append(series[:tenth].mean())

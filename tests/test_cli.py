@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
 from cfdyn.cli import main
 from cfdyn.experiment import ARTIFACT_FILES
 
@@ -92,6 +94,23 @@ def test_corrupt_filter_state_is_io_error(tmp_path, capsys):
     assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and "filter_state.npz" in err
+    assert err.count("\n") == 1
+
+
+def test_inconsistent_filter_state_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "filter_state.npz"
+    with np.load(path) as z:
+        arrays = dict(z)
+    # A valid archive whose smoothed weights cover 3 of the config's 6 lanes.
+    arrays["w_tilde"] = arrays["w_tilde"][:, :3]
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "filter_state.npz" in err and "w_tilde" in err
     assert err.count("\n") == 1
 
 

@@ -1,6 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cfdyn import filtering
 from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
@@ -25,6 +29,7 @@ from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
 
 from .oracles import (
+    backward_smooth_pairwise,
     bootstrap_particle_filter,
     gaussian_log_likelihood,
     kalman_filter_rts,
@@ -497,24 +502,83 @@ def test_single_inner_particle_smoothing_is_identity():
     assert np.allclose(smoothed.w_tilde, history.inner_weights[:, :, :], atol=1e-12)
 
 
-def test_smoother_worker_count_does_not_change_results():
+def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon):
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 30, 0.05, NoiseConfig(1.0, 0.0), RngSeed(26)
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), horizon, 0.05, NoiseConfig(1.0, 0.0),
+        RngSeed(sim_seed),
     )
-    obs = observe(truth, 1.0, RngSeed(26, 1))
+    obs = observe(truth, 1.0, RngSeed(sim_seed, 1))
     config = FilterConfig(
-        num_outer=12,
-        num_inner=10,
+        num_outer=num_outer,
+        num_inner=num_inner,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(TABLE1_PRIOR, 12),
+        kernel=JitterKernel.from_prior(TABLE1_PRIOR, num_outer),
     )
-    history = run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(27))
-    a = backward_smooth(history, LORENZ, 0.05, 1.0, workers=1)
-    b = backward_smooth(history, LORENZ, 0.05, 1.0, workers=8)
-    assert np.array_equal(a.w_tilde, b.w_tilde)
-    assert np.array_equal(a.v_tilde, b.v_tilde)
+    return run_filter(
+        obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(filter_seed)
+    )
+
+
+def test_smoother_worker_count_does_not_change_results(monkeypatch):
+    pool_spans = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def map(self, fn, spans):
+            pool_spans.append(len(spans))
+            return super().map(fn, spans)
+
+    monkeypatch.setattr(filtering, "ThreadPoolExecutor", CountingPool)
+    # At N=10 all 12 lanes fit in one chunk and the pool stays idle; at N=200
+    # a chunk holds 131072 // 200**2 = 3 lanes, so 9 lanes make 3 chunks.
+    for seeds, m, n, horizon in (((26, 27), 12, 10, 30), ((28, 29), 9, 200, 4)):
+        history = _lorenz_history(*seeds, m, n, horizon)
+        a = backward_smooth(history, LORENZ, 0.05, 1.0, workers=1)
+        for workers in (2, 8):
+            b = backward_smooth(history, LORENZ, 0.05, 1.0, workers=workers)
+            assert np.array_equal(a.w_tilde, b.w_tilde)
+            assert np.array_equal(a.v_tilde, b.v_tilde)
+    # One map of 3 spans per step (T=4) for each of workers 2 and 8.
+    assert pool_spans == [3] * 4 * 2
+
+
+def _smoother_matches_pairwise_oracle(history, process_std) -> int:
+    """Compare backward_smooth with the pairwise oracle; the underflow count."""
+    smoothed = backward_smooth(history, LORENZ, 0.05, process_std)
+    w_tilde, v_tilde, underflows = backward_smooth_pairwise(history, LORENZ, 0.05, process_std)
+    np.testing.assert_allclose(smoothed.w_tilde, w_tilde, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(smoothed.v_tilde, v_tilde, rtol=1e-9, atol=0.0)
+    assert smoothed.underflow_lane_steps == underflows
+    return underflows
+
+
+def test_smoother_matches_pairwise_oracle():
+    history = _lorenz_history(60, 61, 6, 20, 15)
+    assert _smoother_matches_pairwise_oracle(history, 1.0) == 0
+
+
+def test_smoother_matches_pairwise_oracle_with_zero_inner_weights():
+    history = _lorenz_history(62, 63, 6, 20, 15)
+    weights = history.inner_weights.copy()
+    keep = np.random.default_rng(64).uniform(size=weights.shape) < 0.6
+    # Keep each row's largest weight, so every row still sums to a positive mass.
+    np.put_along_axis(keep, weights.argmax(axis=2)[..., None], True, axis=2)
+    weights[~keep] = 0.0
+    weights /= weights.sum(axis=2, keepdims=True)
+    assert (weights == 0.0).any(axis=2).all()
+    assert _smoother_matches_pairwise_oracle(replace(history, inner_weights=weights), 1.0) == 0
+
+
+def test_smoother_matches_pairwise_oracle_when_a_lane_underflows():
+    # With process_std 1e-150 every exponent |x_k - b_n|^2 / 2 var is ~1e300 or
+    # larger but finite, except in lane 2, whose final particles sit 1e5 away
+    # from their predictions: there it overflows for every pair, so the lane's
+    # sum is -inf at t = T - 1 and it keeps its filtered weights.
+    history = _lorenz_history(65, 66, 6, 20, 15)
+    states = history.states.copy()
+    states[-1, 2] += 1e5
+    assert _smoother_matches_pairwise_oracle(replace(history, states=states), 1e-150) == 1
 
 
 def test_smoothed_means_track_rts_oracle():
