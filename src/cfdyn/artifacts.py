@@ -145,13 +145,19 @@ def load_ensemble(
     path: Path, thetas_path: Path, delta: float, reference: Trajectory | None = None
 ) -> CfTrajectorySet:
     _, rows = read_csv(path)
+    steps = np.array([int(row[0]) for row in rows])
     ids = np.array([int(row[1]) for row in rows])
     values = np.array([[float(v) for v in row[2:]] for row in rows])
-    n_traj = ids.max() + 1
-    horizon1 = values.shape[0] // n_traj
-    trajectories = np.empty((n_traj, horizon1, values.shape[1]))
-    for idx, (i, row) in enumerate(zip(ids, values)):
-        trajectories[i, idx % horizon1] = row
+    # save_ensemble writes the rows trajectory-major with t = 0..T in each.
+    n_traj = int(ids.max()) + 1
+    horizon1 = len(rows) // n_traj
+    if not (np.array_equal(ids, np.repeat(np.arange(n_traj), horizon1))
+            and np.array_equal(steps, np.tile(np.arange(horizon1), n_traj))):
+        raise ArtifactError(
+            f"{path} rows do not form the (traj_id, t) grid of {n_traj} trajectories "
+            f"with t = 0..{horizon1 - 1} in order"
+        )
+    trajectories = values.reshape(n_traj, horizon1, -1)
     _, theta_rows = read_csv(thetas_path)
     thetas = np.array([[float(v) for v in row[1:]] for row in theta_rows])
     bad_steps = ~np.isfinite(trajectories).all(axis=2)

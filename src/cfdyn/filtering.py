@@ -515,6 +515,10 @@ class SmoothedWeights:
     underflow_lane_steps: int = 0
 
 
+# Rows with gap_n <= 600 sum at most K * e^600 (finite for any K below 1e47).
+_GAP_BOUND = 600.0
+
+
 def _transition_factors(
     spec: SystemSpec,
     x_from: np.ndarray,       # (M, N, d)
@@ -523,45 +527,72 @@ def _transition_factors(
     log_w_next: np.ndarray,   # (M, K)
     delta: float,
     var: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factors of log sum_k p(x_to[k] | x_from[n], theta) w_next[k] for each lane.
 
-    With mu_n = rk4_step(x_from[n], theta), the norm expansion
+    Each lane is centred on its heaviest next-step particle k* (L = log w_k*;
+    a non-finite L counts as 0): with mu'_n = rk4_step(x_from[n], theta) - x_k*
+    and x'_k = x_k - x_k*, the norm expansion
         log sum_k w_k N(x_k; mu_n, var I)
-          = LSE_k(mu_n.x_k / var + log w_k - |x_k|^2 / 2var) - |mu_n|^2 / 2var + log_norm
-    puts every exponent into one matmul of `a` = [mu / var, 1] (M, N, d+1) with
-    `b` = [x_to^T ; log w - |x_to|^2 / 2var] (M, d+1, K). A zero weight enters
-    as -inf and gives a -inf exponent. `row` (M, N) is the term added after
-    the log-sum-exp. The cancellation error (~1e-13 relative to |x|^2 / var)
-    is far below the weight resolution that matters.
+          = LSE_k(mu'_n.x'_k / var + log w_k - L - |x'_k|^2 / 2var) + L - gap_n + log_norm,
+        gap_n = |mu'_n|^2 / 2var,
+    puts every exponent into one matmul of `a` = [mu' / var, 1] (M, N, d+1)
+    with `b` = [x'^T ; log w - L - |x'|^2 / 2var] (M, d+1, K). A zero weight
+    enters as -inf and gives a -inf exponent. `row` (M, N) is the term added
+    after the log-sum-exp. Centring leaves |x - mu| unchanged and removes the
+    cancellation of |x|^2 / var terms that the raw origin suffers.
+
+    Every exponent equals gap_n - |x'_k - mu'_n|^2 / 2var + log w_k - L, so it
+    is at most gap_n, and the one at k* is exactly 0. `fast` (M,) marks the
+    lanes whose rows all have gap_n <= _GAP_BOUND: their exponentials cannot
+    overflow and their row sums are at least 1, so the log-sum-exp needs no
+    shift there. A non-finite gap leaves the lane on the row-max branch.
     """
-    base = _rk4(spec, x_from, theta_to[:, None, :], delta)
-    m, n, d = base.shape
+    m, n, d = x_from.shape
+    lanes = np.arange(m)
+    heaviest = np.argmax(log_w_next, axis=1)
+    top = log_w_next[lanes, heaviest]
+    top = np.where(np.isfinite(top), top, 0.0)
+    centre = x_to[lanes, heaviest][:, None, :]
+    mu = _rk4(spec, x_from, theta_to[:, None, :], delta)
+    mu -= centre
     a = np.empty((m, n, d + 1))
-    np.divide(base, var, out=a[:, :, :d])
+    np.divide(mu, var, out=a[:, :, :d])
     a[:, :, d] = 1.0
     b = np.empty((m, d + 1, x_to.shape[1]))
-    b[:, :d] = np.swapaxes(x_to, 1, 2)
-    b[:, d] = log_w_next - (0.5 / var) * np.einsum("mkd,mkd->mk", x_to, x_to)
+    x_rel = b[:, :d]
+    np.subtract(np.swapaxes(x_to, 1, 2), np.swapaxes(centre, 1, 2), out=x_rel)
+    b[:, d] = log_w_next - top[:, None] - (0.5 / var) * np.einsum("mdk,mdk->mk", x_rel, x_rel)
+    with np.errstate(over="ignore"):
+        gap = (0.5 / var) * np.einsum("mnd,mnd->mn", mu, mu)
     log_norm = -0.5 * d * (_LOG_2PI + np.log(var))
-    row = log_norm - (0.5 / var) * np.einsum("mnd,mnd->mn", base, base)
-    return a, b, row
+    row = log_norm + top[:, None] - gap
+    fast = (gap <= _GAP_BOUND).all(axis=1)
+    return a, b, row, fast
 
 
-def _transition_log_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _transition_log_scores(a: np.ndarray, b: np.ndarray, fast: np.ndarray) -> np.ndarray:
     """LSE_k (a @ b)[c, n, k] for each lane row, (C, N); all -inf rows stay -inf.
 
-    One matmul, then the row max, subtract, exp and sum on the (C, N, K)
-    block, whose k axis is contiguous. Subtract and exp work in place: two
-    fresh ~1 MiB temporaries per chunk cost more than the passes themselves.
+    One matmul, then exp and sum on the (C, N, K) block, whose k axis is
+    contiguous; both work in place, since fresh ~1 MiB temporaries per chunk
+    cost more than the passes themselves. Lanes not marked `fast` (C,) are
+    shifted by their row max first; `fast` lanes are shifted by exactly 0, so
+    a lane's result does not depend on the other lanes of its chunk, and when
+    every lane is `fast` the max and subtract passes are skipped.
     """
     scores = np.matmul(a, b)
-    mx = np.max(scores, axis=2, keepdims=True)
-    mx_safe = np.where(np.isfinite(mx), mx, 0.0)
-    scores -= mx_safe
+    shift = None
+    if not fast.all():
+        mx = np.max(scores, axis=2, keepdims=True)
+        shift = np.where(np.isfinite(mx) & ~fast[:, None, None], mx, 0.0)
+        scores -= shift
     np.exp(scores, out=scores)
     with np.errstate(divide="ignore"):
-        return np.log(scores.sum(axis=2)) + np.squeeze(mx_safe, 2)
+        out = np.log(scores.sum(axis=2))
+    if shift is not None:
+        out += np.squeeze(shift, 2)
+    return out
 
 
 def backward_smooth(
@@ -580,9 +611,17 @@ def backward_smooth(
     normalized each step; lane masses accumulate into smoothed outer weights,
     and the joint (outer x inner) weights are normalized per time step.
 
-    `workers` parallelizes lane chunks without changing results: each lane's
-    scores depend only on that lane. Lanes whose weights underflow fall back
-    to their filtered weights and are counted.
+    Each step's pair sums come from `_transition_factors`, which centres each
+    lane on its heaviest next-step particle, and `_transition_log_scores`,
+    which skips the row max for the lanes whose centred gap bound shows the
+    exponentials cannot overflow (see both). The branch is chosen per lane,
+    and the shift of 0 on the fast branch is exact, so a lane's weights do
+    not depend on the other lanes of its chunk.
+
+    `workers` splits the lanes into at most that many contiguous spans of
+    whole ~1 MiB lane chunks, one per thread, without changing results: each
+    lane's scores depend only on that lane. Lanes whose weights underflow
+    fall back to their filtered weights and are counted.
     """
     spec = get_system(system)
     t_end = history.horizon
@@ -614,9 +653,15 @@ def backward_smooth(
 
     var = process_std * process_std
     # Lane chunks whose (C, N, N) score block is ~1 MiB of float64, so the
-    # kernel's passes over it stay in a core's L2 cache.
+    # kernel's passes over it stay in a core's L2 cache. Each worker walks one
+    # contiguous span of whole chunks, so the chunk grid does not depend on
+    # the worker count.
     chunk = max(1, 131_072 // (n * n))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    n_chunks = -(-m // chunk)
+    n_spans = max(1, min(workers, n_chunks))
+    edges = [min(m, chunk * (n_chunks * i // n_spans)) for i in range(n_spans + 1)]
+    spans = list(zip(edges[:-1], edges[1:]))
+    pool = ThreadPoolExecutor(max_workers=n_spans) if n_spans > 1 else None
     try:
         for t in range(t_end - 1, -1, -1):
             x_t = history.states[t][lane[t]]
@@ -624,16 +669,16 @@ def backward_smooth(
             theta_next = history.thetas[t + 1][lane[t + 1]]
             w_filt = history.inner_weights[t][lane[t]]
 
-            a, b, log_s = _transition_factors(
+            a, b, log_s, fast = _transition_factors(
                 spec, x_t, x_next, theta_next, _log_nonzero(w_norm), delta, var
             )
-            spans = [(i, min(i + chunk, m)) for i in range(0, m, chunk)]
 
             def _work(span):
-                lo, hi = span
-                log_s[lo:hi] += _transition_log_scores(a[lo:hi], b[lo:hi])
+                for lo in range(span[0], span[1], chunk):
+                    hi = min(lo + chunk, span[1])
+                    log_s[lo:hi] += _transition_log_scores(a[lo:hi], b[lo:hi], fast[lo:hi])
 
-            if pool is not None and len(spans) > 1:
+            if pool is not None:
                 list(pool.map(_work, spans))
             else:
                 for span in spans:

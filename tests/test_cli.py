@@ -129,6 +129,24 @@ def test_truncated_observations_are_io_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_misordered_ensemble_rows_are_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "cf_ensemble.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # Rows t=5 and t=30 of trajectory 0 (line 0 is the header): every field
+    # still parses, but the states would land at the wrong steps.
+    assert lines[6].startswith("5,0,") and lines[31].startswith("30,0,")
+    lines[6], lines[31] = lines[31], lines[6]
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "cf_ensemble.csv" in err
+    assert err.count("\n") == 1
+
+
 def test_wrong_shape_inputs_are_io_errors(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"

@@ -539,8 +539,9 @@ def test_smoother_worker_count_does_not_change_results(monkeypatch):
             b = backward_smooth(history, LORENZ, 0.05, 1.0, workers=workers)
             assert np.array_equal(a.w_tilde, b.w_tilde)
             assert np.array_equal(a.v_tilde, b.v_tilde)
-    # One map of 3 spans per step (T=4) for each of workers 2 and 8.
-    assert pool_spans == [3] * 4 * 2
+    # One map per step (T=4): 2 spans of whole chunks with workers 2, one span
+    # per chunk (3) with workers 8.
+    assert pool_spans == [2] * 4 + [3] * 4
 
 
 def _smoother_matches_pairwise_oracle(history, process_std) -> int:
@@ -579,6 +580,38 @@ def test_smoother_matches_pairwise_oracle_when_a_lane_underflows():
     states = history.states.copy()
     states[-1, 2] += 1e5
     assert _smoother_matches_pairwise_oracle(replace(history, states=states), 1e-150) == 1
+
+
+def test_smoother_matches_pairwise_oracle_at_small_process_noise():
+    # Every lane takes the row-max branch here (each gap |mu'|^2 / 2var is
+    # far above 600); the centred factors keep the error near 4e-11.
+    history = _lorenz_history(70, 71, 6, 40, 15)
+    assert _smoother_matches_pairwise_oracle(history, 0.01) == 0
+
+
+def test_smoother_matches_pairwise_oracle_at_tiny_process_noise():
+    # At process_std 1e-153 the exponents are ~1e305; centred on the heaviest
+    # particle, mu' . x' / var stays finite and no lane underflows.
+    history = _lorenz_history(65, 66, 6, 20, 15)
+    assert _smoother_matches_pairwise_oracle(history, 1e-153) == 0
+
+
+def test_smoother_mixes_fast_and_max_lanes_in_one_call(monkeypatch):
+    lanes = []
+    kernel = filtering._transition_log_scores
+
+    def counting_kernel(a, b, fast):
+        lanes.append(fast.copy())
+        return kernel(a, b, fast)
+
+    monkeypatch.setattr(filtering, "_transition_log_scores", counting_kernel)
+    history = _lorenz_history(60, 61, 6, 20, 15)
+    assert _smoother_matches_pairwise_oracle(history, 0.3) == 0
+    fast = np.array(lanes)
+    # One 6-lane chunk per step; some steps mix both branches in one chunk.
+    assert fast.shape == (15, 6)
+    assert fast.sum() > 0 and (~fast).sum() > 0
+    assert (fast.any(axis=1) & ~fast.all(axis=1)).any()
 
 
 def test_smoothed_means_track_rts_oracle():
