@@ -26,10 +26,16 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], labels, values) -> None:
+    """Write one header line, then per row its label fields and its float values.
+
+    `labels` holds the label columns, each field written with `str`; `values`
+    is the (rows, columns) float block, written with `fmt_float`.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
+    rows = np.asarray(values, dtype=float).tolist()
+    for label, row in zip(zip(*labels, strict=True), rows, strict=True):
+        lines.append(",".join([*map(str, label), *map(fmt_float, row)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -49,6 +55,14 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def read_table(path: Path, n_labels: int) -> tuple[list[list[str]], np.ndarray]:
+    """What `write_csv` wrote: its label columns of str and its (rows, columns) floats."""
+    header, rows = read_csv(path)
+    labels = [[row[k] for row in rows] for k in range(n_labels)]
+    values = np.array([list(map(float, row[n_labels:])) for row in rows])
+    return labels, values.reshape(len(rows), len(header) - n_labels)
+
+
 def _reader(load):
     """Re-raise what `load` cannot parse as a one-line ArtifactError naming the file."""
 
@@ -65,92 +79,58 @@ def _reader(load):
     return checked
 
 
-def save_trajectory(path: Path, traj: Trajectory, prefix: str = "x") -> None:
-    d = traj.dimension
-    header = ["t"] + [f"{prefix}_{k + 1}" for k in range(d)]
-    rows = (
-        [str(t)] + [fmt_float(v) for v in traj.states[t]]
-        for t in range(traj.states.shape[0])
-    )
-    write_csv(path, header, rows)
+def _columns(prefix: str, d: int) -> list[str]:
+    return [f"{prefix}_{k + 1}" for k in range(d)]
+
+
+def save_trajectory(path: Path, traj: Trajectory) -> None:
+    write_csv(path, ["t", *_columns("x", traj.dimension)], [range(len(traj.states))], traj.states)
 
 
 @_reader
 def load_trajectory(path: Path, delta: float) -> Trajectory:
-    _, rows = read_csv(path)
-    states = np.array([[float(v) for v in row[1:]] for row in rows])
-    return Trajectory(states=states, delta=delta)
+    return Trajectory(states=read_table(path, 1)[1], delta=delta)
 
 
 def save_observations(path: Path, observations: np.ndarray) -> None:
-    d = observations.shape[1]
-    header = ["t"] + [f"y_{k + 1}" for k in range(d)]
-    rows = (
-        [str(t)] + [fmt_float(v) for v in observations[t]]
-        for t in range(observations.shape[0])
-    )
-    write_csv(path, header, rows)
+    header = ["t", *_columns("y", observations.shape[1])]
+    write_csv(path, header, [range(len(observations))], observations)
 
 
 @_reader
 def load_observations(path: Path) -> np.ndarray:
-    _, rows = read_csv(path)
-    return np.array([[float(v) for v in row[1:]] for row in rows])
+    return read_table(path, 1)[1]
 
 
 def save_noise_posterior(path: Path, noise: NoisePosterior) -> None:
-    d = noise.dimension
-    header = (
-        ["t"]
-        + [f"mu_{k + 1}" for k in range(d)]
-        + [f"sigma_{k + 1}" for k in range(d)]
-    )
-    rows = (
-        [str(t + 1)]
-        + [fmt_float(v) for v in noise.mu[t]]
-        + [fmt_float(v) for v in noise.sigma[t]]
-        for t in range(noise.horizon)
-    )
-    write_csv(path, header, rows)
+    header = ["t", *_columns("mu", noise.dimension), *_columns("sigma", noise.dimension)]
+    steps = range(1, noise.horizon + 1)
+    write_csv(path, header, [steps], np.hstack([noise.mu, noise.sigma]))
 
 
 @_reader
 def load_noise_posterior(path: Path) -> NoisePosterior:
-    header, rows = read_csv(path)
-    d = (len(header) - 1) // 2
-    data = np.array([[float(v) for v in row[1:]] for row in rows])
+    data = read_table(path, 1)[1]
+    d = data.shape[1] // 2
     return NoisePosterior(mu=data[:, :d], sigma=data[:, d:])
 
 
 def save_ensemble(path: Path, thetas_path: Path, ensemble: CfTrajectorySet,
                   parameter_names: tuple[str, ...]) -> None:
-    d = ensemble.trajectories.shape[2]
-    header = ["t", "traj_id"] + [f"x_{k + 1}" for k in range(d)]
-    rows = (
-        [str(t), str(i)] + [fmt_float(v) for v in ensemble.trajectories[i, t]]
-        for i in range(ensemble.n_trajectories)
-        for t in range(ensemble.horizon + 1)
-    )
-    write_csv(path, header, rows)
-    theta_header = ["traj_id"] + list(parameter_names)
-    theta_rows = (
-        [str(i)] + [fmt_float(v) for v in ensemble.thetas[i]]
-        for i in range(ensemble.n_trajectories)
-    )
-    write_csv(thetas_path, theta_header, theta_rows)
+    n, horizon1, d = ensemble.trajectories.shape
+    steps, ids = np.tile(np.arange(horizon1), n), np.repeat(np.arange(n), horizon1)
+    values = ensemble.trajectories.reshape(n * horizon1, d)
+    write_csv(path, ["t", "traj_id", *_columns("x", d)], [steps, ids], values)
+    write_csv(thetas_path, ["traj_id", *parameter_names], [range(n)], ensemble.thetas)
 
 
 @_reader
-def load_ensemble(
-    path: Path, thetas_path: Path, delta: float, reference: Trajectory | None = None
-) -> CfTrajectorySet:
-    _, rows = read_csv(path)
-    steps = np.array([int(row[0]) for row in rows])
-    ids = np.array([int(row[1]) for row in rows])
-    values = np.array([[float(v) for v in row[2:]] for row in rows])
+def load_ensemble(path: Path, thetas_path: Path, delta: float) -> CfTrajectorySet:
+    labels, values = read_table(path, 2)
+    steps, ids = (np.array([int(v) for v in column], dtype=np.int64) for column in labels)
     # save_ensemble writes the rows trajectory-major with t = 0..T in each.
     n_traj = int(ids.max()) + 1
-    horizon1 = len(rows) // n_traj
+    horizon1 = len(ids) // max(n_traj, 1)
     if not (np.array_equal(ids, np.repeat(np.arange(n_traj), horizon1))
             and np.array_equal(steps, np.tile(np.arange(horizon1), n_traj))):
         raise ArtifactError(
@@ -158,54 +138,37 @@ def load_ensemble(
             f"with t = 0..{horizon1 - 1} in order"
         )
     trajectories = values.reshape(n_traj, horizon1, -1)
-    _, theta_rows = read_csv(thetas_path)
-    thetas = np.array([[float(v) for v in row[1:]] for row in theta_rows])
     bad_steps = ~np.isfinite(trajectories).all(axis=2)
-    failures = np.array(
-        [row.argmax() if row.any() else -1 for row in bad_steps], dtype=np.int64
-    )
+    failures = np.where(bad_steps.any(axis=1), bad_steps.argmax(axis=1), -1)
     return CfTrajectorySet(
         trajectories=trajectories,
-        thetas=thetas,
+        thetas=read_table(thetas_path, 1)[1],
         delta=delta,
-        reference=reference,
         failure_index=failures if (failures >= 0).any() else None,
     )
 
 
 def save_rmse(path: Path, raw: np.ndarray, smoothed: np.ndarray) -> None:
-    header = ["t", "rmse", "rmse_smoothed"]
-    rows = (
-        [str(t), fmt_float(raw[t]), fmt_float(smoothed[t])]
-        for t in range(raw.shape[0])
-    )
-    write_csv(path, header, rows)
+    values = np.column_stack([raw, smoothed])
+    write_csv(path, ["t", "rmse", "rmse_smoothed"], [range(len(raw))], values)
 
 
 @_reader
 def load_rmse(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows = read_csv(path)
-    raw = np.array([float(row[1]) for row in rows])
-    smoothed = np.array([float(row[2]) for row in rows])
-    return raw, smoothed
+    values = read_table(path, 1)[1]
+    return values[:, 0], values[:, 1]
 
 
 def save_theta_estimate(
     path: Path, names: tuple[str, ...], mean: np.ndarray, std: np.ndarray
 ) -> None:
-    header = ["parameter", "mean", "std"]
-    rows = (
-        [names[k], fmt_float(mean[k]), fmt_float(std[k])] for k in range(len(names))
-    )
-    write_csv(path, header, rows)
+    write_csv(path, ["parameter", "mean", "std"], [names], np.column_stack([mean, std]))
 
 
 @_reader
 def load_theta_estimate(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows = read_csv(path)
-    mean = np.array([float(row[1]) for row in rows])
-    std = np.array([float(row[2]) for row in rows])
-    return mean, std
+    values = read_table(path, 1)[1]
+    return values[:, 0], values[:, 1]
 
 
 _NPZ_CHUNK = 1 << 20
@@ -245,7 +208,6 @@ def save_filter_state(path: Path, history: FilterHistory, smoothed: SmoothedWeig
             w_tilde=smoothed.w_tilde,
             v_tilde=smoothed.v_tilde,
             lane_index=smoothed.lane_index,
-            underflow_lane_steps=np.int64(smoothed.underflow_lane_steps),
         ),
     )
 
@@ -267,7 +229,6 @@ def load_filter_state(path: Path) -> tuple[FilterHistory, SmoothedWeights]:
             w_tilde=z["w_tilde"],
             v_tilde=z["v_tilde"],
             lane_index=z["lane_index"],
-            underflow_lane_steps=int(z["underflow_lane_steps"]),
         )
     return history, smoothed
 

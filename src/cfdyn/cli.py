@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages (`simulate`, `filter`, `abduct`,
 `counterfactual`, `metrics`, `plot`), plus `run` for the fused pipeline and
 `grid` for the noise-by-regime cross product. Every stage command runs one
-entry of `experiment.STAGES` and extends the run's manifest.json. Exit codes:
+entry of `experiment.STAGES` and extends the run's manifest.json; `plot`
+loads its inputs through the same `RunDir` shape checks. Exit codes:
 0 success, 2 configuration error, 3 numerical failure, 4 I/O error (also an
 input artifact that is corrupt, truncated or of the wrong shape, and a
 manifest that is missing or written for another config).
@@ -67,9 +68,12 @@ def _cmd_stage(args) -> int:
 
 def _cmd_plot(args) -> int:
     config = _resolve_config(args)
-    out = resolve_out_dir(config, args.out)
-    written = render_plots(out)
-    print(f"plot: wrote {len(written)} SVG files to {out / 'plots'}")
+    run = RunDir(config, resolve_out_dir(config, args.out))
+    plots = run.path / "plots"
+    written = render_plots(
+        run.get("cf_deterministic.csv"), run.get("cf_ensemble.csv"), *run.get("rmse.csv"), plots
+    )
+    print(f"plot: wrote {len(written)} SVG files to {plots}")
     return 0
 
 

@@ -110,7 +110,6 @@ class CfTrajectorySet:
     trajectories: np.ndarray     # (N_cf, T+1, d)
     thetas: np.ndarray           # (N_cf, p)
     delta: float
-    reference: Trajectory | None = None
     failure_index: np.ndarray | None = None
 
     @property
@@ -131,7 +130,6 @@ def generate_cf(
     delta: float,
     n_trajectories: int,
     rng: RngSeed,
-    reference: Trajectory | None = None,
 ) -> CfTrajectorySet:
     """Roll the counterfactual model forward `n_trajectories` times.
 
@@ -170,7 +168,6 @@ def generate_cf(
         trajectories=trajectories,
         thetas=thetas,
         delta=delta,
-        reference=reference,
         failure_index=failures if (failures >= 0).any() else None,
     )
 

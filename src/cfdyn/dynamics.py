@@ -172,23 +172,17 @@ def rhs(system: str | SystemSpec, state: np.ndarray, params: np.ndarray) -> np.n
 def rk4_step(
     system: str | SystemSpec, state: np.ndarray, params: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Advance `state` by one RK4 step of size `delta`.
+    """Advance `state` by one checked `_rk4` step of size `delta`.
 
-    Raises NumericsError naming the first non-finite stage if the step blows up.
+    Raises NumericsError if the step blows up; a non-finite RK4 stage always
+    makes the result non-finite.
     """
     spec = get_system(system)
     state, params = _check_inputs(spec, state, params)
     if delta <= 0:
         raise ValueError(f"step size must be positive, got {delta}")
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rhs(spec, state, params)
-        k2 = _rhs(spec, state + 0.5 * delta * k1, params)
-        k3 = _rhs(spec, state + 0.5 * delta * k2, params)
-        k4 = _rhs(spec, state + delta * k3, params)
-        out = state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    for name, stage in (("k1", k1), ("k2", k2), ("k3", k3), ("k4", k4)):
-        if not np.isfinite(stage).all():
-            raise NumericsError(f"RK4 stage {name} is non-finite for {spec.id} at state {state}")
+        out = _rk4(spec, state, params, delta)
     if not np.isfinite(out).all():
-        raise NumericsError(f"RK4 result is non-finite for {spec.id} at state {state}")
+        raise NumericsError(f"RK4 step is non-finite for {spec.id} at state {state}")
     return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -250,13 +249,6 @@ PRESETS: dict[str, ExperimentConfig] = {
         ((0.0, 1.0), (85.0, 110.0)),
         intervention={"component": 1, "shift": 10.0},
     ),
-    "logistic-table1": _desk(
-        "logistic",
-        (3.9, 1.0),
-        (10.0,),
-        ((2.0, 4.0), (0.8, 1.2)),
-        intervention={"component": 1, "shift": 10.0},
-    ),
 }
 # Unsuffixed aliases resolve the documented default variant per system.
 PRESETS["lorenz"] = PRESETS["lorenz-table1"]
@@ -389,7 +381,6 @@ def stage_counterfactual(
         config.delta,
         config.n_cf,
         seed.child("counterfactual"),
-        reference=reference,
     )
     return reference, ensemble
 
@@ -478,11 +469,12 @@ class RunDir:
             product = io.load_noise_posterior(path)
             shape, expected = product.mu.shape, (config.horizon, series[1])
         elif name == "cf_ensemble.csv":
-            product = io.load_ensemble(
-                path, self.path / "cf_thetas.csv", config.delta, self.get("cf_deterministic.csv")
-            )
+            product = io.load_ensemble(path, self.path / "cf_thetas.csv", config.delta)
             shape = (product.trajectories.shape, product.thetas.shape)
             expected = ((config.n_cf, *series), (config.n_cf, p))
+        elif name in ("rmse.csv", "factual_rmse.csv"):
+            product = io.load_rmse(path)
+            shape, expected = product[0].shape, (config.horizon + 1,)
         else:
             product = io.load_trajectory(path, config.delta)
             shape, expected = product.states.shape, series
@@ -671,21 +663,17 @@ def run_grid(
     out_dir: str | Path,
     workers: int = 1,
 ) -> list[tuple[str, RunArtifacts | Exception]]:
-    """Run each named cell in its own subdirectory; failures stay isolated."""
+    """Run each named cell in its own subdirectory; failures stay isolated.
+
+    Cells run one after another; `workers` goes to each cell's smoother, as
+    in `run_pipeline`.
+    """
     if not cells:
         raise ConfigError("grid is empty")
-    out_dir = Path(out_dir)
-
-    def _one(item):
-        name, cell = item
+    results = []
+    for name, cell in cells:
         try:
-            return name, run_pipeline(cell, out_dir / name, workers=1)
+            results.append((name, run_pipeline(cell, Path(out_dir) / name, workers=workers)))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return name, exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one, cells))
-    else:
-        results = [_one(item) for item in cells]
+            results.append((name, exc))
     return results

@@ -512,7 +512,6 @@ class SmoothedWeights:
     w_tilde: np.ndarray     # (T+1, M, N), joint-normalized per t
     v_tilde: np.ndarray     # (T+1, M)
     lane_index: np.ndarray  # (T+1, M)
-    underflow_lane_steps: int = 0
 
 
 # Rows with gap_n <= 600 sum at most K * e^600 (finite for any K below 1e47).
@@ -621,7 +620,9 @@ def backward_smooth(
     `workers` splits the lanes into at most that many contiguous spans of
     whole ~1 MiB lane chunks, one per thread, without changing results: each
     lane's scores depend only on that lane. Lanes whose weights underflow
-    fall back to their filtered weights and are counted.
+    fall back to their filtered weights and are counted in
+    `history.diagnostics.smoother_underflows`. At process_std 0 the transition
+    density is degenerate and every lane keeps its filtered weights.
     """
     spec = get_system(system)
     t_end = history.horizon
@@ -638,19 +639,6 @@ def backward_smooth(
     v_tilde[t_end] = v_cur
     underflows = 0
 
-    if process_std <= 0 or t_end == 0:
-        # Degenerate transition density: keep filtered weights throughout.
-        for t in range(t_end - 1, -1, -1):
-            w_norm = history.inner_weights[t][lane[t]]
-            w_tilde[t] = v_cur[:, None] * w_norm
-            v_tilde[t] = v_cur
-        return SmoothedWeights(
-            w_tilde=w_tilde,
-            v_tilde=v_tilde,
-            lane_index=lane,
-            underflow_lane_steps=m * t_end if t_end > 0 else 0,
-        )
-
     var = process_std * process_std
     # Lane chunks whose (C, N, N) score block is ~1 MiB of float64, so the
     # kernel's passes over it stay in a core's L2 cache. Each worker walks one
@@ -664,25 +652,29 @@ def backward_smooth(
     pool = ThreadPoolExecutor(max_workers=n_spans) if n_spans > 1 else None
     try:
         for t in range(t_end - 1, -1, -1):
-            x_t = history.states[t][lane[t]]
-            x_next = history.states[t + 1][lane[t + 1]]
-            theta_next = history.thetas[t + 1][lane[t + 1]]
             w_filt = history.inner_weights[t][lane[t]]
+            if process_std > 0:
+                x_t = history.states[t][lane[t]]
+                x_next = history.states[t + 1][lane[t + 1]]
+                theta_next = history.thetas[t + 1][lane[t + 1]]
+                a, b, log_s, fast = _transition_factors(
+                    spec, x_t, x_next, theta_next, _log_nonzero(w_norm), delta, var
+                )
 
-            a, b, log_s, fast = _transition_factors(
-                spec, x_t, x_next, theta_next, _log_nonzero(w_norm), delta, var
-            )
+                def _work(span):
+                    for lo in range(span[0], span[1], chunk):
+                        hi = min(lo + chunk, span[1])
+                        log_s[lo:hi] += _transition_log_scores(a[lo:hi], b[lo:hi], fast[lo:hi])
 
-            def _work(span):
-                for lo in range(span[0], span[1], chunk):
-                    hi = min(lo + chunk, span[1])
-                    log_s[lo:hi] += _transition_log_scores(a[lo:hi], b[lo:hi], fast[lo:hi])
-
-            if pool is not None:
-                list(pool.map(_work, spans))
+                if pool is not None:
+                    list(pool.map(_work, spans))
+                else:
+                    for span in spans:
+                        _work(span)
             else:
-                for span in spans:
-                    _work(span)
+                # Degenerate transition density: every lane is dead below and
+                # keeps its filtered weights, as any underflowed lane does.
+                log_s = np.full((m, n), -np.inf)
 
             log_raw = _log_nonzero(w_filt) + log_s
             log_r = _logsumexp(log_raw, axis=1)
@@ -708,12 +700,7 @@ def backward_smooth(
             pool.shutdown()
 
     history.diagnostics.smoother_underflows += underflows
-    return SmoothedWeights(
-        w_tilde=w_tilde,
-        v_tilde=v_tilde,
-        lane_index=lane,
-        underflow_lane_steps=underflows,
-    )
+    return SmoothedWeights(w_tilde=w_tilde, v_tilde=v_tilde, lane_index=lane)
 
 
 @dataclass(frozen=True)

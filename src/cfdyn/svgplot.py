@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifacts as io
 from .counterfactual import CfTrajectorySet
 from .simulate import Trajectory
 
@@ -129,47 +128,16 @@ def _finite_range(*arrays: np.ndarray) -> tuple[float, float]:
     return float(values.min()), float(values.max())
 
 
-def render_plots(source, out_dir: str | Path | None = None) -> list[Path]:
-    """Write ensemble/reference time series, phase projections, and RMSE plots.
-
-    `source` is either a RunArtifacts or a run directory containing the CSV
-    artifacts; figures land in `<run>/plots/` unless `out_dir` is given.
-    """
-    from .experiment import RunArtifacts
-
-    if isinstance(source, RunArtifacts):
-        run_dir = source.out_dir
-        reference = source.reference
-        ensemble = source.ensemble
-        rmse_raw, rmse_smoothed = source.rmse_raw, source.rmse_smoothed
-    else:
-        run_dir = Path(source)
-        missing = [
-            name
-            for name in ("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv", "rmse.csv")
-            if not (run_dir / name).exists()
-        ]
-        if missing:
-            raise FileNotFoundError(f"missing artifacts in {run_dir}: {missing}")
-        rmse_raw, rmse_smoothed = io.load_rmse(run_dir / "rmse.csv")
-        reference = io.load_trajectory(run_dir / "cf_deterministic.csv", delta=1.0)
-        ensemble = io.load_ensemble(
-            run_dir / "cf_ensemble.csv", run_dir / "cf_thetas.csv", delta=1.0
-        )
-    plots_dir = Path(out_dir) if out_dir is not None else run_dir / "plots"
-    return render_figures(reference, ensemble, rmse_raw, rmse_smoothed, plots_dir)
-
-
-def render_figures(
+def render_plots(
     reference: Trajectory,
     ensemble: CfTrajectorySet,
     rmse_raw: np.ndarray,
     rmse_smoothed: np.ndarray,
     plots_dir: str | Path,
 ) -> list[Path]:
-    """Render the figure set from in-memory artifacts.
+    """Write ensemble/reference time series, phase projections, and RMSE plots.
 
-    Raises on an empty ensemble before writing anything.
+    Returns the written paths. Raises on an empty ensemble before writing anything.
     """
     if ensemble.n_trajectories < 1 or ensemble.trajectories.size == 0:
         raise ValueError("ensemble is empty; nothing to plot")

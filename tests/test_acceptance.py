@@ -158,7 +158,7 @@ def test_criterion_4_divergence_regime_ordering():
                 )
             ensemble = generate_cf(
                 config.system, regime, noise, x0_cf, config.horizon, config.delta,
-                config.n_cf, seed_obj.child("cf", slot), reference=reference,
+                config.n_cf, seed_obj.child("cf", slot),
             )
             per_trajectory = []
             for i in range(ensemble.n_trajectories):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cfdyn.artifacts import load_filter_state, read_csv, save_npz
+from cfdyn.artifacts import load_ensemble, load_filter_state, read_csv, save_npz
 from cfdyn.errors import ArtifactError
 
 
@@ -50,3 +50,11 @@ def test_csv_cut_mid_line_is_artifact_error(tmp_path):
     path.write_text("t,x_1,x_2\n0,1.0,2.0\n1,3.0\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="line 3"):
         read_csv(path)
+
+
+def test_ensemble_without_trajectory_ids_is_artifact_error(tmp_path):
+    path, thetas = tmp_path / "cf_ensemble.csv", tmp_path / "cf_thetas.csv"
+    path.write_text("t,traj_id,x_1\n0,-1,1.0\n1,-1,2.0\n", encoding="utf-8")
+    thetas.write_text("traj_id,r\n0,1.0\n", encoding="utf-8")
+    with pytest.raises(ArtifactError, match="grid"):
+        load_ensemble(path, thetas, 0.05)

@@ -207,3 +207,30 @@ def test_numerical_blowup_is_exit_three(tmp_path):
         intervention={"component": 1, "shift": 0.1},
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "boom")]) == 3
+
+
+def test_zero_process_noise_run_counts_every_lane_step_as_underflow(tmp_path):
+    # With a degenerate transition density every lane keeps its filtered
+    # weights at every step, and the manifest counts each lane-step.
+    config = write_config(tmp_path, process_std=0.0)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    expected = TINY["outer_particles"] * TINY["horizon"]
+    assert manifest["diagnostics"]["smoother_underflows"] == expected
+
+
+def test_plot_of_truncated_rmse_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    # Cut at a line boundary: the file still parses, but covers 19 of 41 steps.
+    path = out / "rmse.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:20]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot", "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "rmse.csv" in err
+    assert err.count("\n") == 1
+    assert not (out / "plots").exists()

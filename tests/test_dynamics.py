@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from cfdyn.dynamics import EXP_DECAY, LOGISTIC, LORENZ, ROSSLER, get_system, rhs, rk4_step
+from cfdyn.dynamics import (
+    EXP_DECAY,
+    LOGISTIC,
+    LORENZ,
+    ROSSLER,
+    SYSTEMS,
+    _rk4,
+    get_system,
+    rhs,
+    rk4_step,
+)
 from cfdyn.errors import NumericsError
 
 from .oracles import euler_rollout
@@ -92,6 +102,18 @@ def test_rk4_blowup_reports_stage():
     # dX/dt = -rate*X with a hugely negative rate explodes within one step
     with pytest.raises(NumericsError):
         rk4_step(EXP_DECAY, np.array([1e300]), np.array([-1e10]), 1e6)
+
+
+def test_checked_step_has_the_bits_of_the_batched_step():
+    # rk4_step is the checked single-state form of the _rk4 block that the
+    # filter, smoother, abduction and rollouts step with.
+    gen = np.random.default_rng(11)
+    for spec in SYSTEMS.values():
+        states = gen.normal(scale=5.0, size=(64, spec.dimension))
+        params = gen.uniform(0.5, 3.0, size=(64, spec.n_params))
+        block = _rk4(spec, states, params, 0.05)
+        for state, theta, expected in zip(states, params, block):
+            assert np.array_equal(rk4_step(spec.id, state, theta, 0.05), expected), spec.id
 
 
 def test_unknown_system_rejected():

@@ -80,7 +80,6 @@ def test_preset_aliases_resolve_documented_variants():
     assert get_preset("rossler") == get_preset("rossler-table1")
     # both prior variants ship
     assert get_preset("lorenz-appendix").prior_bounds == ((5.0, 20.0), (15.0, 50.0), (1.0, 8.0))
-    assert get_preset("logistic-table1").theta_true == (3.9, 1.0)
 
 
 def test_negative_horizon_rejected_by_name():
@@ -226,6 +225,17 @@ def test_grid_produces_twelve_cells(tmp_path):
     assert len(names) == 12
     for u, w in NOISE_GRID:
         assert f"u{u:g}_w{w:g}_true" in names
+
+
+def test_grid_worker_count_does_not_change_files(tmp_path):
+    cells = expand_grid(tiny_config(horizon=16, n_cf=2, rmse_window=5))[:3]
+    for workers in (1, 2):
+        results = run_grid(cells, tmp_path / f"w{workers}", workers=workers)
+        assert not [name for name, result in results if isinstance(result, Exception)]
+    files = [p.relative_to(tmp_path / "w1") for p in (tmp_path / "w1").rglob("*") if p.is_file()]
+    assert len(files) == 3 * (len(ARTIFACT_FILES) + 1)
+    for rel in files:
+        assert (tmp_path / "w2" / rel).read_bytes() == (tmp_path / "w1" / rel).read_bytes(), rel
 
 
 def test_grid_noise_swap_reverses_pairs():

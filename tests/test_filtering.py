@@ -550,7 +550,7 @@ def _smoother_matches_pairwise_oracle(history, process_std) -> int:
     w_tilde, v_tilde, underflows = backward_smooth_pairwise(history, LORENZ, 0.05, process_std)
     np.testing.assert_allclose(smoothed.w_tilde, w_tilde, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(smoothed.v_tilde, v_tilde, rtol=1e-9, atol=0.0)
-    assert smoothed.underflow_lane_steps == underflows
+    assert history.diagnostics.smoother_underflows == underflows
     return underflows
 
 
@@ -635,7 +635,7 @@ def test_lane_alignment_identity_without_resampling_shuffle():
 def test_zero_process_std_smoothing_falls_back_to_filtered():
     _, _, history = _decay_history(32, n_inner=10, horizon=10)
     smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 0.0)
-    assert smoothed.underflow_lane_steps > 0
+    assert history.diagnostics.smoother_underflows > 0
     t_end = history.horizon
     joint = history.outer_weights[t_end][:, None] * history.inner_weights[t_end]
     assert np.allclose(smoothed.w_tilde[t_end], joint)

@@ -6,7 +6,7 @@ import pytest
 
 from cfdyn.counterfactual import CfTrajectorySet
 from cfdyn.simulate import Trajectory
-from cfdyn.svgplot import render_figures
+from cfdyn.svgplot import render_plots
 
 
 def _setup(n_traj=3, horizon=25, d=3, seed=0):
@@ -23,7 +23,7 @@ def _setup(n_traj=3, horizon=25, d=3, seed=0):
 
 def test_figures_are_well_formed_svg(tmp_path):
     reference, ensemble, rmse = _setup()
-    written = render_figures(reference, ensemble, rmse, rmse, tmp_path)
+    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
     assert len(written) == 3 + 3 + 1
     for path in written:
         root = ET.parse(path).getroot()
@@ -32,7 +32,7 @@ def test_figures_are_well_formed_svg(tmp_path):
 
 def test_one_path_per_trajectory_per_panel(tmp_path):
     reference, ensemble, rmse = _setup(n_traj=5)
-    written = render_figures(reference, ensemble, rmse, rmse, tmp_path)
+    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
     for path in written:
         text = path.read_text()
         n_traj_paths = len(re.findall(r'class="trajectory"', text))
@@ -49,7 +49,7 @@ def test_singleton_ensemble_coincides_with_reference(tmp_path):
         thetas=np.zeros((1, 3)),
         delta=0.05,
     )
-    written = render_figures(reference, ensemble, rmse, rmse, tmp_path)
+    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
     series = next(p for p in written if p.name == "cf_timeseries_x1.svg")
     text = series.read_text()
     d_attrs = re.findall(r'class="(trajectory|reference)" d="([^"]+)"', text)
@@ -66,14 +66,14 @@ def test_empty_ensemble_writes_nothing(tmp_path):
     )
     target = tmp_path / "plots"
     with pytest.raises(ValueError):
-        render_figures(reference, empty, rmse, rmse, target)
+        render_plots(reference, empty, rmse, rmse, target)
     assert not target.exists()
 
 
 def test_truncated_trajectories_split_paths(tmp_path):
     reference, ensemble, rmse = _setup(n_traj=2)
     ensemble.trajectories[1, 10:] = np.nan
-    written = render_figures(reference, ensemble, rmse, rmse, tmp_path)
+    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
     series = next(p for p in written if p.name == "cf_timeseries_x1.svg")
     assert 'class="trajectory"' in series.read_text()
 
@@ -81,7 +81,7 @@ def test_truncated_trajectories_split_paths(tmp_path):
 def test_rendering_is_deterministic(tmp_path):
     reference, ensemble, rmse = _setup()
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    a = render_figures(reference, ensemble, rmse, rmse, a_dir)
-    b = render_figures(reference, ensemble, rmse, rmse, b_dir)
+    a = render_plots(reference, ensemble, rmse, rmse, a_dir)
+    b = render_plots(reference, ensemble, rmse, rmse, b_dir)
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
