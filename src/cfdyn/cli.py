@@ -4,10 +4,11 @@ Subcommands mirror the pipeline stages (`simulate`, `filter`, `abduct`,
 `counterfactual`, `metrics`, `plot`), plus `run` for the fused pipeline and
 `grid` for the noise-by-regime cross product. Every stage command runs one
 entry of `experiment.STAGES` and extends the run's manifest.json; `plot`
-loads its inputs through the same `RunDir` shape checks. Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 I/O error (also an
-input artifact that is corrupt, truncated or of the wrong shape, and a
-manifest that is missing or written for another config).
+passes the same manifest check and loads its inputs through the same
+`RunDir` shape checks. Exit codes: 0 success, 2 configuration error,
+3 numerical failure, 4 I/O error (also an input artifact that is corrupt,
+truncated or of the wrong shape, and a manifest that is missing, written for
+another config or not yet listing the command's inputs).
 """
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ def _cmd_stage(args) -> int:
 def _cmd_plot(args) -> int:
     config = _resolve_config(args)
     run = RunDir(config, resolve_out_dir(config, args.out))
+    run.check_manifest(("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv", "rmse.csv"))
     plots = run.path / "plots"
     written = render_plots(
         run.get("cf_deterministic.csv"), run.get("cf_ensemble.csv"), *run.get("rmse.csv"), plots

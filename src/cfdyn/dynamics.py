@@ -3,7 +3,8 @@
 Supported systems: Lorenz, Rossler, logistic growth, plus a linear
 exponential-decay system kept for integrator convergence checks. States and
 parameters are plain float64 arrays; `SystemSpec` fixes dimensions and
-parameter order. All operations are pure.
+parameter order. Every public function is pure and returns a new array;
+`_rk4` works in buffers of its own, which `_rhs` fills in place.
 """
 from __future__ import annotations
 
@@ -45,32 +46,64 @@ def get_system(system: str | SystemSpec) -> SystemSpec:
         raise ValueError(f"unknown system {system!r}; choose from {sorted(SYSTEMS)}") from None
 
 
-def _rhs(system: SystemSpec, state: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Time derivative; `state` (..., d) and `params` (..., p) broadcast together."""
+def _rhs(system: SystemSpec, state: np.ndarray, params: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the time derivative into `out` and return it.
+
+    `state` (..., d) and `params` (..., p) broadcast together to `out`'s
+    shape; `out` must not overlap `state`. Each component is the commented
+    expression, evaluated in its order with its operands in place.
+    """
     if system.id == "lorenz":
         x, y, z = state[..., 0], state[..., 1], state[..., 2]
         sg, rho, beta = params[..., 0], params[..., 1], params[..., 2]
-        return np.stack([sg * (y - x), x * (rho - z) - y, x * y - beta * z], axis=-1)
-    if system.id == "rossler":
+        dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(sg, np.subtract(y, x, out=dx), out=dx)  # sg * (y - x)
+        np.multiply(x, np.subtract(rho, z, out=dy), out=dy)  # x * (rho - z) - y
+        np.subtract(dy, y, out=dy)
+        np.subtract(np.multiply(x, y, out=dz), beta * z, out=dz)  # x * y - beta * z
+    elif system.id == "rossler":
         x, y, z = state[..., 0], state[..., 1], state[..., 2]
         a, b, c = params[..., 0], params[..., 1], params[..., 2]
-        return np.stack([-y - z, x + a * y, b + z * (x - c)], axis=-1)
-    if system.id == "logistic":
+        dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
+        np.subtract(np.negative(y, out=dx), z, out=dx)  # -y - z
+        np.add(x, np.multiply(a, y, out=dy), out=dy)  # x + a * y
+        np.multiply(z, np.subtract(x, c, out=dz), out=dz)  # b + z * (x - c)
+        np.add(b, dz, out=dz)
+    elif system.id == "logistic":
         x = state[..., 0]
         r, cap = params[..., 0], params[..., 1]
-        return np.stack([r * x * (1.0 - x / cap)], axis=-1)
-    if system.id == "exp_decay":
-        return -params[..., 0:1] * state
-    raise ValueError(f"unknown system id {system.id!r}")
+        dx = out[..., 0]
+        np.subtract(1.0, np.divide(x, cap, out=dx), out=dx)  # r * x * (1.0 - x / cap)
+        np.multiply(r * x, dx, out=dx)
+    elif system.id == "exp_decay":
+        np.multiply(-params[..., 0:1], state, out=out)
+    else:
+        raise ValueError(f"unknown system id {system.id!r}")
+    return out
 
 
 def _rk4(system: SystemSpec, state: np.ndarray, params: np.ndarray, delta: float) -> np.ndarray:
-    """One classical RK4 step; batched like `_rhs`, no validity checks."""
-    k1 = _rhs(system, state, params)
-    k2 = _rhs(system, state + 0.5 * delta * k1, params)
-    k3 = _rhs(system, state + 0.5 * delta * k2, params)
-    k4 = _rhs(system, state + delta * k3, params)
-    return state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step into a new array; batched like `_rhs`, no validity checks.
+
+    Evaluates state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) with
+    stage inputs state + (0.5 * delta) * k1, state + (0.5 * delta) * k2 and
+    state + delta * k3, one operation at a time in that order and with the
+    operands in place, through three buffers.
+    """
+    shape = np.broadcast_shapes(state.shape[:-1], params.shape[:-1]) + state.shape[-1:]
+    acc, k, stage = np.empty(shape), np.empty(shape), np.empty(shape)
+    half = 0.5 * delta
+    _rhs(system, state, params, acc)  # k1, then the running sum
+    np.add(state, np.multiply(half, acc, out=stage), out=stage)
+    _rhs(system, stage, params, k)  # k2
+    np.add(state, np.multiply(half, k, out=stage), out=stage)
+    np.add(acc, np.multiply(2.0, k, out=k), out=acc)
+    _rhs(system, stage, params, k)  # k3
+    np.add(state, np.multiply(delta, k, out=stage), out=stage)
+    np.add(acc, np.multiply(2.0, k, out=k), out=acc)
+    _rhs(system, stage, params, k)  # k4
+    np.add(acc, k, out=acc)
+    return np.add(state, np.multiply(delta / 6.0, acc, out=acc), out=acc)
 
 
 def rollout(
@@ -166,7 +199,7 @@ def rhs(system: str | SystemSpec, state: np.ndarray, params: np.ndarray) -> np.n
     """
     spec = get_system(system)
     state, params = _check_inputs(spec, state, params)
-    return _rhs(spec, state, params)
+    return _rhs(spec, state, params, np.empty(spec.dimension))
 
 
 def rk4_step(

@@ -217,6 +217,15 @@ def init_particles(
     )
 
 
+def _lane_normals(rng: RngSeed, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of `shape`; row m is drawn from rng.child("lane", m)."""
+    block = np.empty(shape)
+    drawer = StreamDrawer(rng)
+    for m in range(shape[0]):
+        drawer.generator("lane", m).standard_normal(out=block[m])
+    return block
+
+
 def jitter(cloud: ParticleCloud, kernel: JitterKernel, rng: RngSeed) -> ParticleCloud:
     """Perturb each parameter particle with N(0, diag(scale^2)).
 
@@ -227,11 +236,9 @@ def jitter(cloud: ParticleCloud, kernel: JitterKernel, rng: RngSeed) -> Particle
         raise ValueError(
             f"kernel dimension {kernel.scale.shape[0]} != parameter dimension {cloud.theta.shape[1]}"
         )
-    theta = cloud.theta.copy()
-    drawer = StreamDrawer(rng)
-    for m in range(cloud.num_outer):
-        eps = drawer.generator("lane", m).normal(size=kernel.scale.shape[0])
-        theta[m] = theta[m] + kernel.scale * eps
+    # Lane m adds `normal(size=p)`, which is 0.0 + 1.0 * z.
+    eps = np.add(0.0, _lane_normals(rng, cloud.theta.shape))
+    theta = cloud.theta + kernel.scale * eps
     if kernel.clamp_to_prior:
         theta = _reflect(theta, kernel.low, kernel.high)
     return replace(cloud, theta=theta)
@@ -252,13 +259,11 @@ def propagate(
     spec = get_system(system)
     with np.errstate(over="ignore", invalid="ignore"):
         base = _rk4(spec, cloud.states, cloud.theta[:, None, :], delta)
-    states = np.empty_like(base)
-    drawer = StreamDrawer(rng)
-    for m in range(cloud.num_outer):
-        u = drawer.generator("lane", m).normal(
-            0.0, process_std, size=(cloud.num_inner, spec.dimension)
-        )
-        states[m] = base[m] + u
+    # Lane m adds `normal(0.0, process_std, (N, d))`, which is 0.0 + process_std * z.
+    states = _lane_normals(rng, base.shape)
+    np.multiply(process_std, states, out=states)
+    np.add(0.0, states, out=states)
+    np.add(base, states, out=states)
     invalid = ~np.isfinite(states).all(axis=2)
     if invalid.any():
         states[invalid] = 0.0
@@ -450,10 +455,11 @@ def run_filter(
         outer_w[t] = cloud.outer_weights
 
         if config.inner_resampling:
+            # `random()` is `uniform()` without its exact 0.0 + 1.0 * u.
             drawer = StreamDrawer(step)
-            uniforms = np.array(
-                [drawer.generator("inner_resample", lane).uniform() for lane in range(m)]
-            )
+            uniforms = np.empty(m)
+            for lane in range(m):
+                uniforms[lane] = drawer.generator("inner_resample", lane).random()
             idx = systematic_resample_rows(cloud.inner_weights, uniforms)
             inner_anc[t] = idx
             cloud = replace(

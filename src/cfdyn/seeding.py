@@ -16,13 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_INDEX = struct.Struct("<q")
+
+
+def _prefix(stream_id: int, tag: str) -> hashlib.blake2b:
+    """Hash state after the (stream_id, tag) part of a substream's payload."""
+    payload = struct.pack("<Q", stream_id & _MASK64) + tag.encode("utf-8")
+    return hashlib.blake2b(payload, digest_size=8)
+
+
+def _finish(prefix: hashlib.blake2b, indices: tuple[int, ...]) -> int:
+    """Stream id from a `_prefix` state (which is consumed) and the integer indices."""
+    for ix in indices:
+        prefix.update(_INDEX.pack(ix))
+    return int.from_bytes(prefix.digest(), "little")
 
 
 def _derive(stream_id: int, tag: str, indices: tuple[int, ...]) -> int:
-    payload = struct.pack("<Q", stream_id & _MASK64) + tag.encode("utf-8")
-    for ix in indices:
-        payload += struct.pack("<q", ix)
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+    return _finish(_prefix(stream_id, tag), indices)
 
 
 @dataclass(frozen=True)
@@ -53,29 +64,33 @@ class StreamDrawer:
 
     Re-keys a single Philox instance instead of constructing one per
     substream; draw-for-draw identical to `base.child(tag, *ix).generator()`.
-    Not thread-safe, and the returned generator is only valid until the next
+    Each tag's hash prefix is computed once and copied per substream. Not
+    thread-safe, and the returned generator is only valid until the next
     `generator` call: for serial hot loops.
     """
 
     def __init__(self, base: RngSeed):
         self._base = base
+        self._prefixes: dict[str, hashlib.blake2b] = {}
         self._bitgen = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bitgen)
-        # The state setter copies these values, so one zero block serves every re-key.
-        self._zeros = np.zeros(4, dtype=np.uint64)
-
-    def generator(self, tag: str, *indices: int) -> np.random.Generator:
-        sid = _derive(self._base.stream_id, tag, indices)
-        # A freshly built state is cheaper than reading `.state` back and editing it.
-        self._bitgen.state = {
+        # The state setter copies these values, so one dict serves every re-key;
+        # plain lists are read faster by the setter than uint64 arrays.
+        zeros = [0, 0, 0, 0]
+        self._key = [0, base.seed & _MASK64]
+        self._state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": self._zeros,
-                "key": np.array([sid, self._base.seed & _MASK64], dtype=np.uint64),
-            },
-            "buffer": self._zeros,
+            "state": {"counter": zeros, "key": self._key},
+            "buffer": zeros,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def generator(self, tag: str, *indices: int) -> np.random.Generator:
+        prefix = self._prefixes.get(tag)
+        if prefix is None:
+            prefix = self._prefixes[tag] = _prefix(self._base.stream_id, tag)
+        self._key[0] = _finish(prefix.copy(), indices)
+        self._bitgen.state = self._state
         return self._gen

@@ -62,19 +62,13 @@ class _Panel:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         ok = np.isfinite(x) & np.isfinite(y)
-        px, py = self._sx(x), self._sy(y)
-        parts: list[str] = []
-        pen_down = False
-        for i in range(x.shape[0]):
-            if not ok[i]:
-                pen_down = False
-                continue
-            cmd = "L" if pen_down else "M"
-            parts.append(f"{cmd}{_fmt(px[i])} {_fmt(py[i])}")
-            pen_down = True
-        if not parts:
+        if not ok.any():
             return
-        d = " ".join(parts)
+        # A finite point that is first or follows a non-finite one starts a segment.
+        after_gap = np.concatenate(([True], ~ok[:-1]))
+        cmds = np.where(after_gap, "M", "L")[ok].tolist()
+        px, py = self._sx(x[ok]).tolist(), self._sy(y[ok]).tolist()
+        d = " ".join(map("{}{:.2f} {:.2f}".format, cmds, px, py))
         self.elements.append(
             f'<path class="{css_class}" d="{d}" fill="none" stroke="{color}" '
             f'stroke-width="{width:g}" stroke-opacity="{opacity:g}"/>'

@@ -3,7 +3,10 @@
 These deliberately avoid the package's filtering/smoothing code paths: the
 Kalman filter and RTS smoother are exact closed-form recursions, and the
 bootstrap particle filter is a from-scratch single-layer filter that shares
-only the seed-stream discipline with the package. The pairwise backward
+only the seed-stream discipline with the package. The allocating RK4 builds
+each stage from whole-array expressions, and the per-point SVG path formats
+one point at a time; the in-place kernels must match both bit for bit. The
+pairwise backward
 smoother evaluates each transition density from its own difference vector,
 one (lane, n, k) triple at a time. The loop versions of the
 batched rollout and resampling kernels step one row at a time; the batched
@@ -112,6 +115,51 @@ def euler_rollout(rhs_fn, x0: float, horizon_time: float, n_steps: int) -> float
     for _ in range(n_steps):
         x += h * rhs_fn(x)
     return x
+
+
+def rhs_stacked(system, state: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Time derivative as whole-array expressions stacked into a new array."""
+    if system.id == "lorenz":
+        x, y, z = state[..., 0], state[..., 1], state[..., 2]
+        sg, rho, beta = params[..., 0], params[..., 1], params[..., 2]
+        return np.stack([sg * (y - x), x * (rho - z) - y, x * y - beta * z], axis=-1)
+    if system.id == "rossler":
+        x, y, z = state[..., 0], state[..., 1], state[..., 2]
+        a, b, c = params[..., 0], params[..., 1], params[..., 2]
+        return np.stack([-y - z, x + a * y, b + z * (x - c)], axis=-1)
+    if system.id == "logistic":
+        x = state[..., 0]
+        r, cap = params[..., 0], params[..., 1]
+        return np.stack([r * x * (1.0 - x / cap)], axis=-1)
+    if system.id == "exp_decay":
+        return -params[..., 0:1] * state
+    raise ValueError(f"unknown system id {system.id!r}")
+
+
+def rk4_allocating(system, state: np.ndarray, params: np.ndarray, delta: float) -> np.ndarray:
+    """One classical RK4 step with a new array for every stage and term."""
+    k1 = rhs_stacked(system, state, params)
+    k2 = rhs_stacked(system, state + 0.5 * delta * k1, params)
+    k3 = rhs_stacked(system, state + 0.5 * delta * k2, params)
+    k4 = rhs_stacked(system, state + delta * k3, params)
+    return state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def svg_path_per_point(px: np.ndarray, py: np.ndarray) -> str:
+    """SVG path data from screen coordinates, one point at a time.
+
+    Non-finite points lift the pen; the next finite point starts with M.
+    Returns "" when no point is finite.
+    """
+    parts = []
+    pen_down = False
+    for x, y in zip(px, py):
+        if not (np.isfinite(x) and np.isfinite(y)):
+            pen_down = False
+            continue
+        parts.append(f"{'L' if pen_down else 'M'}{x:.2f} {y:.2f}")
+        pen_down = True
+    return " ".join(parts)
 
 
 def roll_one(spec, x0, theta, horizon, delta, u=None) -> tuple[np.ndarray, int]:

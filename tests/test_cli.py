@@ -178,6 +178,25 @@ def test_stage_needs_a_manifest_of_the_same_config(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+def test_plot_needs_a_manifest_of_the_same_config(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out), "--seed", "77"]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--config", str(config), "--out", str(out), "--seed", "7"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "different config" in err
+    assert err.count("\n") == 1
+    assert not (out / "plots").exists()
+    partial = tmp_path / "partial"
+    assert main(["simulate", "--config", str(config), "--out", str(partial)]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--config", str(config), "--out", str(partial)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "does not list" in err
+    assert not (partial / "plots").exists()
+
+
 def test_partial_run_manifest_lists_written_artifacts(tmp_path):
     # The intervened initial state overflows, so the counterfactual stage fails.
     config = write_config(tmp_path, intervention={"absolute": [1e200, 1.0, 1.0]})

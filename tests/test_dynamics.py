@@ -14,7 +14,7 @@ from cfdyn.dynamics import (
 )
 from cfdyn.errors import NumericsError
 
-from .oracles import euler_rollout
+from .oracles import euler_rollout, rk4_allocating
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 
@@ -114,6 +114,34 @@ def test_checked_step_has_the_bits_of_the_batched_step():
         block = _rk4(spec, states, params, 0.05)
         for state, theta, expected in zip(states, params, block):
             assert np.array_equal(rk4_step(spec.id, state, theta, 0.05), expected), spec.id
+
+
+@pytest.mark.parametrize("spec", list(SYSTEMS.values()), ids=list(SYSTEMS))
+def test_in_place_rk4_has_the_bits_of_the_allocating_oracle(spec):
+    gen = np.random.default_rng(23)
+    d, p = spec.dimension, spec.n_params
+    # Stages of the last block overflow: rows at 1e200 and 1e308, and rows that
+    # start at inf, -inf, NaN and -0.0, so inf, NaN and signed zeros run through.
+    overflow = gen.normal(scale=5.0, size=(6, 5, d))
+    overflow[0] *= 1e200
+    overflow[1] = 1e308
+    overflow[2, :, 0] = np.inf
+    overflow[3, :, -1] = -np.inf
+    overflow[4, ::2] = np.nan
+    overflow[5] = -0.0
+    cases = [
+        (gen.normal(scale=5.0, size=d), gen.uniform(0.5, 3.0, size=p)),
+        (gen.normal(scale=5.0, size=(9, d)), gen.uniform(0.5, 3.0, size=(9, p))),
+        (gen.normal(scale=5.0, size=(4, 7, d)), gen.uniform(0.5, 3.0, size=(4, 1, p))),
+        (overflow, gen.uniform(0.5, 3.0, size=(6, 1, p))),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state, params in cases:
+            got = _rk4(spec, state, params, 0.05)
+            want = rk4_allocating(spec, state, params, 0.05)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (spec.id, state.shape)
+    assert np.isnan(got).any()
 
 
 def test_unknown_system_rejected():

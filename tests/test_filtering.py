@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cfdyn import filtering
-from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
+from cfdyn.dynamics import EXP_DECAY, LOGISTIC, LORENZ, _rk4, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
     JitterKernel,
@@ -152,6 +152,93 @@ def test_propagate_flags_nonfinite_particles():
     out = propagate(cloud, EXP_DECAY, 1e6, 0.0, RngSeed(10, 9))
     assert out.invalid is not None and out.invalid.all()
     assert np.isfinite(out.states).all()
+
+
+# --------------------------------------------------------- per-lane draws
+# jitter, propagate and the inner resampling draw each lane's values from its
+# own substream into one block per step; they must have the bytes of drawing
+# lane by lane with `normal()` and `uniform()` from a fresh child generator.
+
+
+def test_jitter_draws_match_per_lane_child_generators():
+    cloud = init_particles(TABLE1_PRIOR, 7, 2, np.zeros(3), RngSeed(31))
+    kernel = JitterKernel(scale=np.array([0.3, 0.7, 0.05]), clamp_to_prior=False)
+    rng = RngSeed(31, 5)
+    out = jitter(cloud, kernel, rng)
+    want = np.stack([
+        cloud.theta[m] + kernel.scale * rng.child("lane", m).generator().normal(size=3)
+        for m in range(7)
+    ])
+    assert out.theta.tobytes() == want.tobytes()
+
+
+def _per_lane_propagate(cloud, spec, delta, process_std, rng):
+    base = _rk4(spec, cloud.states, cloud.theta[:, None, :], delta)
+    return np.stack([
+        base[m] + rng.child("lane", m).generator().normal(
+            0.0, process_std, size=(cloud.num_inner, spec.dimension)
+        )
+        for m in range(cloud.num_outer)
+    ])
+
+
+@pytest.mark.parametrize("process_std", [1.0, 0.37, 0.0])
+def test_propagate_draws_match_per_lane_child_generators(process_std):
+    cloud = init_particles(TABLE1_PRIOR, 5, 6, np.array([1.0, -2.0, 20.0]), RngSeed(32))
+    rng = RngSeed(32, 7)
+    out = propagate(cloud, LORENZ, 0.05, process_std, rng)
+    assert out.invalid is None
+    assert out.states.tobytes() == _per_lane_propagate(cloud, LORENZ, 0.05, process_std, rng).tobytes()
+
+
+def test_propagate_without_noise_turns_negative_zero_into_zero():
+    # The logistic flow keeps x = -0.0 at -0.0; the per-lane draw adds
+    # 0.0 + 0.0 * z, so every state leaves as +0.0.
+    cloud = ParticleCloud(
+        theta=np.tile([0.5, 100.0], (3, 1)),
+        states=np.full((3, 4, 1), -0.0),
+        inner_weights=np.full((3, 4), 0.25),
+        outer_weights=np.full(3, 1.0 / 3.0),
+    )
+    rng = RngSeed(33, 1)
+    out = propagate(cloud, LOGISTIC, 0.05, 0.0, rng)
+    want = _per_lane_propagate(cloud, LOGISTIC, 0.05, 0.0, rng)
+    assert not np.signbit(want).any()
+    assert out.states.tobytes() == want.tobytes()
+
+
+def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
+    truth = simulate_hidden(
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 6, 0.05, NoiseConfig(1.0, 0.0), RngSeed(34)
+    )
+    obs = observe(truth, 1.0, RngSeed(34, 1))
+    config = FilterConfig(
+        num_outer=4,
+        num_inner=5,
+        delta=0.05,
+        process_std=1.0,
+        observation_std=1.0,
+        kernel=JitterKernel.from_prior(TABLE1_PRIOR, 4),
+    )
+    seen = []
+    batched = filtering.systematic_resample_rows
+
+    def record(weights, uniforms):
+        if weights.shape[0] == config.num_outer:  # the outer resample passes one row
+            seen.append(uniforms.tobytes())
+        return batched(weights, uniforms)
+
+    monkeypatch.setattr(filtering, "systematic_resample_rows", record)
+    rng = RngSeed(35)
+    run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, rng)
+    want = [
+        np.array([
+            rng.child("step", t).child("inner_resample", lane).generator().uniform()
+            for lane in range(config.num_outer)
+        ]).tobytes()
+        for t in range(1, 7)
+    ]
+    assert seen == want
 
 
 # --------------------------------------------------------------- likelihood

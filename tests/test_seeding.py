@@ -51,8 +51,15 @@ def test_stream_drawer_matches_child_generator():
     def draws(gen):
         return gen.integers(0, 1 << 30, size=3, dtype=np.int32), gen.normal(size=5)
 
-    for partial in (lambda g: g.uniform(), lambda g: g.integers(0, 7, dtype=np.int32)):
+    partials = (
+        lambda g: g.uniform(),
+        lambda g: g.integers(0, 7, dtype=np.int32),
+        lambda g: g.standard_normal(out=np.empty(5)),
+        lambda g: g.random(),
+    )
+    for partial in partials:
         partial(drawer.generator("partial", 0))
         got = draws(drawer.generator("lane", 5))
         want = draws(base.child("lane", 5).generator())
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+

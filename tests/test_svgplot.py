@@ -6,7 +6,9 @@ import pytest
 
 from cfdyn.counterfactual import CfTrajectorySet
 from cfdyn.simulate import Trajectory
-from cfdyn.svgplot import render_plots
+from cfdyn.svgplot import _Panel, render_plots
+
+from .oracles import svg_path_per_point
 
 
 def _setup(n_traj=3, horizon=25, d=3, seed=0):
@@ -85,3 +87,29 @@ def test_rendering_is_deterministic(tmp_path):
     b = render_plots(reference, ensemble, rmse, rmse, b_dir)
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_path_data_matches_per_point_oracle():
+    panel = _Panel("t", "x", "y", (0.0, 30.0), (-3.0, 3.0))
+    x = np.arange(31.0)
+    y = np.random.default_rng(5).normal(size=31)
+    # Leading, interior (one with an isolated finite point between) and
+    # trailing non-finite points, in both coordinates.
+    y[[0, 1, 7, 8, 13, 15, 29, 30]] = [np.nan, np.inf, np.nan, -np.inf, np.nan, np.nan, np.nan, np.inf]
+    x[20] = np.nan
+    panel.path(x, y, "#000", "trajectory")
+    d = re.search(r' d="([^"]*)"', panel.elements[-1]).group(1)
+    assert d == svg_path_per_point(panel._sx(x), panel._sy(y))
+    assert d.startswith("M") and d.count("M") == 5
+    panel.path(x[2:7], y[2:7], "#000", "trajectory")
+    d = re.search(r' d="([^"]*)"', panel.elements[-1]).group(1)
+    assert d == svg_path_per_point(panel._sx(x[2:7]), panel._sy(y[2:7]))
+    assert d.count("M") == 1
+
+
+def test_all_non_finite_series_writes_no_path():
+    panel = _Panel("t", "x", "y", (0.0, 4.0), (0.0, 1.0))
+    panel.path(np.arange(5.0), np.full(5, np.nan), "#000", "trajectory")
+    panel.path(np.array([np.inf, 1.0]), np.array([0.5, -np.inf]), "#000", "trajectory")
+    panel.path(np.zeros(0), np.zeros(0), "#000", "trajectory")
+    assert panel.elements == []
