@@ -57,7 +57,6 @@ from .filtering import (
     outer_weights,
     posterior_summary,
     propagate,
-    resample,
     run_filter,
     systematic_resample,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "posterior_summary",
     "propagate",
     "render_plots",
-    "resample",
     "rhs",
     "rk4_step",
     "rmse_t",

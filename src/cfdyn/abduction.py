@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemSpec, _rk4, get_system
-from .filtering import FilterHistory, SmoothedWeights
+from .filtering import FilterHistory, SmoothedWeights, take_particles
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,8 @@ def abduct_noise(
         lane_prev = lane[t - 1]
         x_t = history.states[t][lane_t]                      # (M, N, d)
         theta_t = history.thetas[t][lane_t]                  # (M, p)
-        parents_idx = history.inner_ancestors[t - 1][lane_prev]  # (M, N)
-        parents = np.take_along_axis(
-            history.states[t - 1][lane_prev], parents_idx[:, :, None], axis=1
+        parents = take_particles(
+            history.states[t - 1], lane_prev, history.inner_ancestors[t - 1][lane_prev]
         )
         resid = x_t - _rk4(spec, parents, theta_t[:, None, :], delta)
         w = smoothed.w_tilde[t]

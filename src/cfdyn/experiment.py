@@ -38,6 +38,7 @@ from .filtering import (
     PosteriorSummary,
     SmoothedWeights,
     backward_smooth,
+    lane_alignment,
     posterior_summary,
     run_filter,
 )
@@ -489,6 +490,8 @@ class RunDir:
             # Name only the arrays that do not fit; both sides are {} when all do.
             shape = {key: arrays[key].shape for key in needs if arrays[key].shape != needs[key]}
             expected = {key: needs[key] for key in shape}
+            if not shape:
+                _check_lineage(path, arrays, m, n)
         elif name == "noise_posterior.csv":
             product = io.load_noise_posterior(path)
             shape, expected = product.mu.shape, (config.horizon, series[1])
@@ -505,6 +508,26 @@ class RunDir:
         if shape != expected:
             raise ArtifactError(f"{path} holds shape {shape}, the config needs {expected}")
         return product
+
+
+def _check_lineage(path: Path, arrays: dict, m: int, n: int) -> None:
+    """Raise ArtifactError unless a filter state's index arrays can index its particles.
+
+    Each index array must be of an integer dtype (any width: older runs wrote
+    int64) with values in [0, M) or [0, N), and `lane_index` must be the
+    lineage that `outer_ancestors` traces.
+    """
+    for key, bound in (("outer_ancestors", m), ("inner_ancestors", n), ("lane_index", m)):
+        index = arrays[key]
+        if index.dtype.kind not in "iu":
+            raise ArtifactError(f"{path} array {key} has dtype {index.dtype}, not an integer dtype")
+        if index.min() < 0 or index.max() >= bound:
+            raise ArtifactError(
+                f"{path} array {key} holds values in [{index.min()}, {index.max()}], "
+                f"outside [0, {bound})"
+            )
+    if not np.array_equal(arrays["lane_index"], lane_alignment(arrays["outer_ancestors"])):
+        raise ArtifactError(f"{path} array lane_index does not follow outer_ancestors")
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,9 @@ class FilterHistory:
 
     `thetas[t]` are the jittered parameters that propagated `states[t]`;
     `outer_ancestors[t]` maps post-resample lane m to the pre-resample lane it
-    copied, and `inner_ancestors[t]` does the same within each lane.
+    copied, and `inner_ancestors[t]` does the same within each lane. Both
+    hold the narrowest unsigned dtype that indexes their axis
+    (`index_dtype`).
     """
 
     thetas: np.ndarray          # (T+1, M, p)
@@ -370,20 +372,22 @@ def systematic_resample_rows(weights: np.ndarray, uniforms: np.ndarray) -> np.nd
     return np.minimum(below, n - 1)
 
 
-def resample(cloud: ParticleCloud, rng: RngSeed) -> tuple[ParticleCloud, np.ndarray]:
-    """Resample lanes by outer weight; each survivor carries its whole inner cloud.
+def index_dtype(size: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every index of an axis of `size` >= 1."""
+    return np.min_scalar_type(size - 1)
 
-    Returns the new cloud (outer weights reset to 1/M) and the ancestor indices.
+
+def take_particles(block: np.ndarray, lanes: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """block[lanes[j], inner[j, i]] for every (j, i), as one gather.
+
+    `block` is (M, N, ...); `lanes` (J,) and `inner` (J, K) may hold any
+    integer dtype. The gather is one `np.take` on the flat (M * N, ...) view,
+    with the flat index built in np.intp: a narrow lane index times N would
+    wrap or raise.
     """
-    idx = systematic_resample(cloud.outer_weights, rng.generator())
-    new = ParticleCloud(
-        theta=cloud.theta[idx].copy(),
-        states=cloud.states[idx].copy(),
-        inner_weights=cloud.inner_weights[idx].copy(),
-        outer_weights=np.full(cloud.num_outer, 1.0 / cloud.num_outer),
-        log_mean_lik=None if cloud.log_mean_lik is None else cloud.log_mean_lik[idx].copy(),
-    )
-    return new, idx
+    m, n = block.shape[:2]
+    flat = lanes.astype(np.intp)[:, None] * n + inner.astype(np.intp)
+    return np.take(block.reshape(m * n, *block.shape[2:]), flat, axis=0)
 
 
 def run_filter(
@@ -432,8 +436,8 @@ def run_filter(
     states = np.empty((horizon + 1, m, n, spec.dimension))
     inner_w = np.empty((horizon + 1, m, n))
     outer_w = np.empty((horizon + 1, m))
-    outer_anc = np.empty((horizon + 1, m), dtype=np.int64)
-    inner_anc = np.empty((horizon + 1, m, n), dtype=np.int64)
+    outer_anc = np.empty((horizon + 1, m), dtype=index_dtype(m))
+    inner_anc = np.empty((horizon + 1, m, n), dtype=index_dtype(n))
 
     thetas[0] = cloud.theta
     states[0] = cloud.states
@@ -460,19 +464,23 @@ def run_filter(
             uniforms = np.empty(m)
             for lane in range(m):
                 uniforms[lane] = drawer.generator("inner_resample", lane).random()
-            idx = systematic_resample_rows(cloud.inner_weights, uniforms)
-            inner_anc[t] = idx
-            cloud = replace(
-                cloud,
-                states=np.take_along_axis(cloud.states, idx[:, :, None], axis=1),
-                inner_weights=np.full((m, n), 1.0 / n),
-                invalid=None,
-            )
+            inner_anc[t] = systematic_resample_rows(cloud.inner_weights, uniforms)
+            next_inner_w = np.full((m, n), 1.0 / n)
         else:
             inner_anc[t] = np.arange(n)
+            next_inner_w = cloud.inner_weights
 
-        cloud, anc = resample(cloud, step.child("outer_resample"))
+        # Lanes survive by outer weight, each carrying its resampled inner
+        # cloud: post-resample particle (j, i) is pre-resample particle
+        # (anc[j], inner_anc[t, anc[j], i]), gathered in one pass.
+        anc = systematic_resample(cloud.outer_weights, step.child("outer_resample").generator())
         outer_anc[t] = anc
+        cloud = ParticleCloud(
+            theta=cloud.theta[anc],
+            states=take_particles(cloud.states, anc, inner_anc[t][anc]),
+            inner_weights=next_inner_w[anc],
+            outer_weights=np.full(m, 1.0 / m),
+        )
 
     return FilterHistory(
         thetas=thetas,
@@ -495,11 +503,11 @@ def filtered_means(history: FilterHistory) -> np.ndarray:
 def lane_alignment(outer_ancestors: np.ndarray) -> np.ndarray:
     """Trace final-time lanes back through the outer resampling ancestry.
 
-    Returns lane (T+1, M): lane[t, j] is the pre-resample lane index at time t
-    on the lineage that ends in final lane j.
+    Returns lane (T+1, M) in `index_dtype(M)`: lane[t, j] is the
+    pre-resample lane index at time t on the lineage that ends in final lane j.
     """
     t1, m = outer_ancestors.shape
-    lane = np.empty((t1, m), dtype=np.int64)
+    lane = np.empty((t1, m), dtype=index_dtype(m))
     lane[-1] = np.arange(m)
     for t in range(t1 - 2, -1, -1):
         lane[t] = outer_ancestors[t][lane[t + 1]]
@@ -644,6 +652,8 @@ def backward_smooth(
     w_tilde[t_end] = v_cur[:, None] * w_norm
     v_tilde[t_end] = v_cur
     underflows = 0
+    # Lane-aligned particles at t + 1; each step's x_t is the next step's x_{t+1}.
+    x_next = history.states[t_end][lane[t_end]]
 
     var = process_std * process_std
     # Lane chunks whose (C, N, N) score block is ~1 MiB of float64, so the
@@ -661,7 +671,6 @@ def backward_smooth(
             w_filt = history.inner_weights[t][lane[t]]
             if process_std > 0:
                 x_t = history.states[t][lane[t]]
-                x_next = history.states[t + 1][lane[t + 1]]
                 theta_next = history.thetas[t + 1][lane[t + 1]]
                 a, b, log_s, fast = _transition_factors(
                     spec, x_t, x_next, theta_next, _log_nonzero(w_norm), delta, var
@@ -677,6 +686,7 @@ def backward_smooth(
                 else:
                     for span in spans:
                         _work(span)
+                x_next = x_t
             else:
                 # Degenerate transition density: every lane is dead below and
                 # keeps its filtered weights, as any underflowed lane does.

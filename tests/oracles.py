@@ -12,6 +12,9 @@ one (lane, n, k) triple at a time. The loop versions of the
 batched rollout and resampling kernels step one row at a time; the batched
 kernels must match them bit for bit. The scalar likelihood and residual are
 the one-particle forms of the filter's likelihood and the abduction residual.
+The two-pass particle reorders move particles along the lineage with
+`np.take_along_axis` and int64 fancy indices, one axis at a time; the
+package's one flat gather must match them bit for bit at every index dtype.
 """
 from __future__ import annotations
 
@@ -210,6 +213,41 @@ def systematic_resample_per_row(weights: np.ndarray, uniforms: np.ndarray) -> np
         np.clip(np.searchsorted(np.cumsum(w), (u + np.arange(n)) / n), 0, n - 1)
         for w, u in zip(weights, uniforms)
     ])
+
+
+def reorder_two_pass(states: np.ndarray, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """The filter's post-resample cloud: every lane's inner resampling, then the outer one.
+
+    `states` (M, N, d) are pre-resample; `inner` (M, N) and `outer` (M,) are
+    the step's ancestors in any integer dtype, cast to int64 here.
+    """
+    within = np.take_along_axis(states, inner.astype(np.int64)[:, :, None], axis=1)
+    return within[outer.astype(np.int64)]
+
+
+def abduct_noise_two_pass(history, smoothed, system, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted residual moments per step, each parent block gathered in two passes.
+
+    Lanes are aligned by int64 fancy index, then each lane's parents are
+    picked with `np.take_along_axis`; returns (mu, sigma), each (T, d).
+    """
+    spec = get_system(system)
+    lane = smoothed.lane_index.astype(np.int64)
+    inner = history.inner_ancestors.astype(np.int64)
+    mu, sigma = [], []
+    for t in range(1, history.states.shape[0]):
+        x_t = history.states[t][lane[t]]
+        theta_t = history.thetas[t][lane[t]]
+        parents = np.take_along_axis(
+            history.states[t - 1][lane[t - 1]], inner[t - 1][lane[t - 1]][:, :, None], axis=1
+        )
+        resid = x_t - _rk4(spec, parents, theta_t[:, None, :], delta)
+        w = smoothed.w_tilde[t]
+        total = w.sum()
+        mean = np.einsum("mn,mnd->d", w, resid) / total
+        mu.append(mean)
+        sigma.append(np.einsum("mn,mnd->d", w, (resid - mean) ** 2) / total)
+    return np.array(mu), np.array(sigma)
 
 
 def gaussian_log_likelihood(obs: np.ndarray, state: np.ndarray, observation_std: float) -> float:

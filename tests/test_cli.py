@@ -114,6 +114,61 @@ def test_inconsistent_filter_state_is_io_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_unusable_lineage_in_filter_state_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("simulate", "filter"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    path = out / "filter_state.npz"
+    with np.load(path) as z:
+        original = dict(z)
+
+    def out_of_range(arrays):
+        arrays["inner_ancestors"][3, 0, 0] = 99  # N = 8
+        return "inner_ancestors"
+
+    def negative(arrays):
+        arrays["outer_ancestors"] = arrays["outer_ancestors"].astype(np.int64)
+        arrays["outer_ancestors"][5, 2] = -1
+        return "outer_ancestors"
+
+    def float_lanes(arrays):
+        arrays["lane_index"] = arrays["lane_index"].astype(float)
+        return "lane_index"
+
+    def off_lineage(arrays):
+        arrays["lane_index"][0] = (arrays["lane_index"][0] + 1) % 6
+        return "lane_index"
+
+    for change in (out_of_range, negative, float_lanes, off_lineage):
+        arrays = {key: value.copy() for key, value in original.items()}
+        key = change(arrays)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4, key
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and "filter_state.npz" in err and key in err, err
+        assert err.count("\n") == 1
+
+
+def test_filter_state_stores_narrow_indices_and_reads_int64_ones(tmp_path):
+    config = write_config(tmp_path)
+    fused, staged = tmp_path / "fused", tmp_path / "staged"
+    assert main(["run", "--config", str(config), "--out", str(fused)]) == 0
+    for stage in ("simulate", "filter"):
+        assert main([stage, "--config", str(config), "--out", str(staged)]) == 0
+    path = staged / "filter_state.npz"
+    with np.load(path) as z:
+        arrays = dict(z)
+    for key in ("outer_ancestors", "inner_ancestors", "lane_index"):
+        assert arrays[key].dtype == np.uint8, key  # M = 6, N = 8
+        arrays[key] = arrays[key].astype(np.int64)  # as older runs wrote them
+    np.savez(path, **arrays)
+    assert main(["abduct", "--config", str(config), "--out", str(staged)]) == 0
+    name = "noise_posterior.csv"
+    assert (staged / name).read_bytes() == (fused / name).read_bytes()
+
+
 def test_truncated_observations_are_io_error(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cfdyn import filtering
+from cfdyn.abduction import abduct_noise
 from cfdyn.dynamics import EXP_DECAY, LOGISTIC, LORENZ, _rk4, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
@@ -20,19 +21,21 @@ from cfdyn.filtering import (
     outer_weights,
     posterior_summary,
     propagate,
-    resample,
     run_filter,
     systematic_resample,
     systematic_resample_rows,
+    take_particles,
 )
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
 
 from .oracles import (
+    abduct_noise_two_pass,
     backward_smooth_pairwise,
     bootstrap_particle_filter,
     gaussian_log_likelihood,
     kalman_filter_rts,
+    reorder_two_pass,
     systematic_resample_per_row,
 )
 
@@ -413,12 +416,11 @@ def test_batched_resample_resolves_exact_ties_like_searchsorted_left():
 
 def test_resample_carries_inner_clouds():
     states = np.arange(2 * 3 * 1, dtype=float).reshape(2, 3, 1)
-    cloud = _cloud_from_states(states)
-    cloud.outer_weights = np.array([1.0, 0.0])
-    out, ancestors = resample(cloud, RngSeed(14))
+    ancestors = systematic_resample(np.array([1.0, 0.0]), RngSeed(14).generator())
     assert (ancestors == 0).all()
-    assert np.array_equal(out.states[1], states[0])
-    assert np.allclose(out.outer_weights, 0.5)
+    inner = np.array([[2, 1, 0], [0, 0, 0]], dtype=np.uint8)
+    out = take_particles(states, ancestors, inner[ancestors])
+    assert np.array_equal(out[0], states[0, ::-1]) and np.array_equal(out[1], states[0, ::-1])
 
 
 # --------------------------------------------------------------- run_filter
@@ -606,6 +608,39 @@ def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon):
     return run_filter(
         obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(filter_seed)
     )
+
+
+@pytest.mark.parametrize("m, n", [(3, 255), (3, 256), (3, 257), (300, 300)])
+def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
+    # 255/256 ancestors fit uint8 and 257 need uint16; at M = N = 300 a
+    # uint16 lane * N reaches 89,700 and would wrap past 65,535.
+    history = _lorenz_history(35, 36, m, n, 3)
+    assert history.outer_ancestors.dtype == np.min_scalar_type(m - 1)
+    assert history.inner_ancestors.dtype == np.min_scalar_type(n - 1)
+    # Step t + 1 propagates the two-pass reorder of step t plus its replayed noise.
+    for t in range(1, history.horizon):
+        post = reorder_two_pass(
+            history.states[t], history.inner_ancestors[t], history.outer_ancestors[t]
+        )
+        base = _rk4(LORENZ, post, history.thetas[t + 1][:, None, :], 0.05)
+        z = filtering._lane_normals(RngSeed(36).child("step", t + 1).child("propagate"), post.shape)
+        assert np.array_equal(history.states[t + 1], base + np.add(0.0, 1.0 * z))
+
+    smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
+    assert smoothed.lane_index.dtype == history.outer_ancestors.dtype
+    wide = replace(
+        history,
+        outer_ancestors=history.outer_ancestors.astype(np.int64),
+        inner_ancestors=history.inner_ancestors.astype(np.int64),
+    )
+    oracle = backward_smooth(wide, LORENZ, 0.05, 1.0)
+    assert np.array_equal(smoothed.w_tilde, oracle.w_tilde)
+    assert np.array_equal(smoothed.v_tilde, oracle.v_tilde)
+    assert np.array_equal(smoothed.lane_index, oracle.lane_index)
+
+    noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+    mu, sigma = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
+    assert np.array_equal(noise.mu, mu) and np.array_equal(noise.sigma, sigma)
 
 
 def test_smoother_worker_count_does_not_change_results(monkeypatch):
