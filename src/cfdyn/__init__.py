@@ -32,7 +32,7 @@ from .experiment import (
     NOISE_GRID,
     PRESETS,
     ExperimentConfig,
-    RunArtifacts,
+    RunDir,
     config_hash,
     expand_grid,
     get_preset,
@@ -62,7 +62,7 @@ from .filtering import (
 )
 from .metrics import divergence_onset, factual_rmse, moving_average, phase_distance, rmse_t
 from .seeding import RngSeed
-from .simulate import NoiseConfig, Trajectory, observe, simulate_hidden
+from .simulate import observe, simulate_hidden
 from .svgplot import render_plots
 
 __version__ = "0.1.0"
@@ -81,7 +81,6 @@ __all__ = [
     "LOGISTIC",
     "LORENZ",
     "NOISE_GRID",
-    "NoiseConfig",
     "NoisePosterior",
     "NumericsError",
     "PRESETS",
@@ -90,12 +89,11 @@ __all__ = [
     "PosteriorSummary",
     "ROSSLER",
     "RngSeed",
-    "RunArtifacts",
+    "RunDir",
     "SYSTEMS",
     "SmoothedWeights",
     "SystemSpec",
     "ThetaRegime",
-    "Trajectory",
     "abduct_noise",
     "backward_smooth",
     "config_hash",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemSpec, _rk4, get_system
-from .filtering import FilterHistory, SmoothedWeights, take_particles
+from .filtering import FilterHistory, SmoothedWeights, lane_alignment, take_particles
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def abduct_noise(
     """
     spec = get_system(system)
     t_end = history.horizon
-    lane = smoothed.lane_index
+    lane = lane_alignment(history.outer_ancestors)
     mu = np.empty((t_end, spec.dimension))
     sigma = np.empty((t_end, spec.dimension))
     for t in range(1, t_end + 1):

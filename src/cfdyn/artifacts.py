@@ -17,8 +17,7 @@ import numpy as np
 from .abduction import NoisePosterior
 from .counterfactual import CfTrajectorySet
 from .errors import ArtifactError
-from .filtering import FilterDiagnostics, FilterHistory, SmoothedWeights
-from .simulate import Trajectory
+from .filtering import FilterHistory, SmoothedWeights
 
 
 def fmt_float(x: float) -> str:
@@ -83,13 +82,13 @@ def _columns(prefix: str, d: int) -> list[str]:
     return [f"{prefix}_{k + 1}" for k in range(d)]
 
 
-def save_trajectory(path: Path, traj: Trajectory) -> None:
-    write_csv(path, ["t", *_columns("x", traj.dimension)], [range(len(traj.states))], traj.states)
+def save_trajectory(path: Path, states: np.ndarray) -> None:
+    write_csv(path, ["t", *_columns("x", states.shape[1])], [range(len(states))], states)
 
 
 @_reader
-def load_trajectory(path: Path, delta: float) -> Trajectory:
-    return Trajectory(states=read_table(path, 1)[1], delta=delta)
+def load_trajectory(path: Path) -> np.ndarray:
+    return read_table(path, 1)[1]
 
 
 def save_observations(path: Path, observations: np.ndarray) -> None:
@@ -125,7 +124,7 @@ def save_ensemble(path: Path, thetas_path: Path, ensemble: CfTrajectorySet,
 
 
 @_reader
-def load_ensemble(path: Path, thetas_path: Path, delta: float) -> CfTrajectorySet:
+def load_ensemble(path: Path, thetas_path: Path) -> CfTrajectorySet:
     labels, values = read_table(path, 2)
     steps, ids = (np.array([int(v) for v in column], dtype=np.int64) for column in labels)
     # save_ensemble writes the rows trajectory-major with t = 0..T in each.
@@ -137,14 +136,9 @@ def load_ensemble(path: Path, thetas_path: Path, delta: float) -> CfTrajectorySe
             f"{path} rows do not form the (traj_id, t) grid of {n_traj} trajectories "
             f"with t = 0..{horizon1 - 1} in order"
         )
-    trajectories = values.reshape(n_traj, horizon1, -1)
-    bad_steps = ~np.isfinite(trajectories).all(axis=2)
-    failures = np.where(bad_steps.any(axis=1), bad_steps.argmax(axis=1), -1)
     return CfTrajectorySet(
-        trajectories=trajectories,
+        trajectories=values.reshape(n_traj, horizon1, -1),
         thetas=read_table(thetas_path, 1)[1],
-        delta=delta,
-        failure_index=failures if (failures >= 0).any() else None,
     )
 
 
@@ -204,10 +198,8 @@ def save_filter_state(path: Path, history: FilterHistory, smoothed: SmoothedWeig
             outer_weights=history.outer_weights,
             outer_ancestors=history.outer_ancestors,
             inner_ancestors=history.inner_ancestors,
-            delta=np.float64(history.delta),
             w_tilde=smoothed.w_tilde,
             v_tilde=smoothed.v_tilde,
-            lane_index=smoothed.lane_index,
         ),
     )
 
@@ -222,14 +214,8 @@ def load_filter_state(path: Path) -> tuple[FilterHistory, SmoothedWeights]:
             outer_weights=z["outer_weights"],
             outer_ancestors=z["outer_ancestors"],
             inner_ancestors=z["inner_ancestors"],
-            delta=float(z["delta"]),
-            diagnostics=FilterDiagnostics(),
         )
-        smoothed = SmoothedWeights(
-            w_tilde=z["w_tilde"],
-            v_tilde=z["v_tilde"],
-            lane_index=z["lane_index"],
-        )
+        smoothed = SmoothedWeights(w_tilde=z["w_tilde"], v_tilde=z["v_tilde"])
     return history, smoothed
 
 

@@ -7,8 +7,9 @@ entry of `experiment.STAGES` and extends the run's manifest.json; `plot`
 passes the same manifest check and loads its inputs through the same
 `RunDir` shape checks. Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 I/O error (also an input artifact that is corrupt,
-truncated or of the wrong shape, and a manifest that is missing, written for
-another config or not yet listing the command's inputs).
+truncated, of the wrong shape or no longer of the sha256 the manifest lists,
+and a manifest that is missing, written for another config or not yet listing
+the command's inputs).
 """
 from __future__ import annotations
 
@@ -81,8 +82,8 @@ def _cmd_plot(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
-    artifacts = run_pipeline(config, args.out, workers=args.threads)
-    print(f"run: wrote artifacts and manifest.json to {artifacts.out_dir}")
+    run = run_pipeline(config, args.out, workers=args.threads)
+    print(f"run: wrote artifacts and manifest.json to {run.path}")
     return 0
 
 

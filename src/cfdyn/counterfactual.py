@@ -15,7 +15,6 @@ from .abduction import NoisePosterior
 from .dynamics import SystemSpec, get_system, rollout
 from .errors import NumericsError
 from .seeding import RngSeed
-from .simulate import Trajectory
 
 REGIME_TRUE = "true"
 REGIME_POINT = "point"
@@ -103,14 +102,11 @@ def sample_theta(regime: ThetaRegime, rng: RngSeed) -> np.ndarray:
 class CfTrajectorySet:
     """Ensemble of generated counterfactual trajectories.
 
-    `failure_index[i]` is -1 for a clean trajectory, otherwise the first step
-    whose state went non-finite (entries from there on are NaN).
+    A trajectory that went non-finite holds NaN from its first failing step on.
     """
 
     trajectories: np.ndarray     # (N_cf, T+1, d)
     thetas: np.ndarray           # (N_cf, p)
-    delta: float
-    failure_index: np.ndarray | None = None
 
     @property
     def n_trajectories(self) -> int:
@@ -119,6 +115,12 @@ class CfTrajectorySet:
     @property
     def horizon(self) -> int:
         return self.trajectories.shape[1] - 1
+
+    @property
+    def failure_index(self) -> np.ndarray:
+        """(N_cf,) first non-finite step per trajectory, -1 where it stayed finite."""
+        bad = ~np.isfinite(self.trajectories).all(axis=2)
+        return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
 
 
 def generate_cf(
@@ -162,14 +164,8 @@ def generate_cf(
             size=(horizon, spec.dimension)
         )
     x0_rows = np.broadcast_to(x0_cf, (n_trajectories, spec.dimension))
-    trajectories, failures = rollout(spec, x0_rows, thetas, horizon, delta, u)
-
-    return CfTrajectorySet(
-        trajectories=trajectories,
-        thetas=thetas,
-        delta=delta,
-        failure_index=failures if (failures >= 0).any() else None,
-    )
+    trajectories, _ = rollout(spec, x0_rows, thetas, horizon, delta, u)
+    return CfTrajectorySet(trajectories=trajectories, thetas=thetas)
 
 
 def deterministic_cf(
@@ -178,8 +174,8 @@ def deterministic_cf(
     x0_cf: np.ndarray,
     horizon: int,
     delta: float,
-) -> Trajectory:
-    """Noise-free rollout from the intervened initial state under true
+) -> np.ndarray:
+    """Noise-free (T+1, d) rollout from the intervened initial state under true
     parameters; the reference the generated ensembles are judged against."""
     spec = get_system(system)
     theta_true = np.asarray(theta_true, dtype=float)
@@ -190,4 +186,4 @@ def deterministic_cf(
     if failure[0] >= 0:
         t = int(failure[0])
         raise NumericsError(f"deterministic rollout became non-finite at step {t}", index=t)
-    return Trajectory(states=states[0], delta=delta)
+    return states[0]

@@ -20,17 +20,16 @@ class SystemSpec:
     id: str
     dimension: int
     parameter_names: tuple[str, ...]
-    note: str = ""
 
     @property
     def n_params(self) -> int:
         return len(self.parameter_names)
 
 
-LORENZ = SystemSpec("lorenz", 3, ("sigma", "rho", "beta"), "chaotic for rho >~ 24.74")
-ROSSLER = SystemSpec("rossler", 3, ("a", "b", "c"), "chaotic for c >~ 5.7")
-LOGISTIC = SystemSpec("logistic", 1, ("r", "K"), "non-chaotic baseline")
-EXP_DECAY = SystemSpec("exp_decay", 1, ("rate",), "linear test system dX/dt = -rate*X")
+LORENZ = SystemSpec("lorenz", 3, ("sigma", "rho", "beta"))  # chaotic for rho >~ 24.74
+ROSSLER = SystemSpec("rossler", 3, ("a", "b", "c"))  # chaotic for c >~ 5.7
+LOGISTIC = SystemSpec("logistic", 1, ("r", "K"))  # non-chaotic baseline
+EXP_DECAY = SystemSpec("exp_decay", 1, ("rate",))  # linear test system dX/dt = -rate*X
 
 SYSTEMS: dict[str, SystemSpec] = {
     s.id: s for s in (LORENZ, ROSSLER, LOGISTIC, EXP_DECAY)

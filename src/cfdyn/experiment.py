@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -38,13 +39,12 @@ from .filtering import (
     PosteriorSummary,
     SmoothedWeights,
     backward_smooth,
-    lane_alignment,
     posterior_summary,
     run_filter,
 )
 from .metrics import factual_rmse, moving_average, rmse_t
 from .seeding import RngSeed
-from .simulate import NoiseConfig, Trajectory, observe, simulate_hidden
+from .simulate import observe, simulate_hidden
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -75,6 +75,8 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = tuple(ExperimentConfig.__dataclass_fields__)
+_INT_FIELDS = ("horizon", "outer_particles", "inner_particles", "n_cf", "rmse_window", "master_seed")
+_REAL_FIELDS = ("delta", "process_std", "observation_std", "jitter_scale")
 _INTERVENTION_KEYS = {"component", "shift", "absolute"}
 
 
@@ -82,8 +84,51 @@ def _fail(field: str, message: str) -> None:
     raise ConfigError(f"config field '{field}': {message}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A JSON number (not a bool) that is a finite float64."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _reals(field: str, values) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)) or not all(map(_is_real, values)):
+        _fail(field, f"must be a list of finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
+def _check_types(config: ExperimentConfig) -> None:
+    """Raise ConfigError naming the first field whose JSON type is wrong."""
+    if not isinstance(config.system, str):
+        _fail("system", f"must be a string, got {config.system!r}")
+    for name in _INT_FIELDS:
+        if not _is_int(getattr(config, name)):
+            _fail(name, f"must be an integer, got {getattr(config, name)!r}")
+    for name in _REAL_FIELDS:
+        if not _is_real(getattr(config, name)):
+            _fail(name, f"must be a finite number, got {getattr(config, name)!r}")
+    _reals("theta_true", config.theta_true)
+    _reals("x0", config.x0)
+    if not isinstance(config.prior_bounds, (list, tuple)):
+        _fail("prior_bounds", "must be a list of (low, high) pairs")
+    for pair in config.prior_bounds:
+        _reals("prior_bounds", pair)
+    if not isinstance(config.inner_resampling, bool):
+        _fail("inner_resampling", f"must be true or false, got {config.inner_resampling!r}")
+    if not isinstance(config.intervention, dict):
+        _fail("intervention", f"must be an object, got {config.intervention!r}")
+    if not (config.output_dir is None or isinstance(config.output_dir, str)):
+        _fail("output_dir", "must be a string")
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Check every field against the model it references; raise ConfigError."""
+    """Check every field's type, then its value against the model it references;
+    raise ConfigError naming the field."""
+    _check_types(config)
     try:
         spec = get_system(config.system)
     except ValueError as exc:
@@ -118,14 +163,16 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if "absolute" in keys:
         if keys != {"absolute"}:
             _fail("intervention", "absolute replacement excludes component/shift")
-        if len(config.intervention["absolute"]) != spec.dimension:
+        if len(_reals("intervention", config.intervention["absolute"])) != spec.dimension:
             _fail("intervention", f"absolute state needs {spec.dimension} values")
     else:
         if keys != {"component", "shift"}:
             _fail("intervention", "additive intervention needs component and shift")
         j = config.intervention["component"]
-        if not isinstance(j, int) or not 1 <= j <= spec.dimension:
+        if not _is_int(j) or not 1 <= j <= spec.dimension:
             _fail("intervention", f"component must be an integer in [1, {spec.dimension}]")
+        if not _is_real(config.intervention["shift"]):
+            _fail("intervention", "shift must be a finite number")
     if config.theta_regime not in REGIMES:
         _fail("theta_regime", f"must be one of {REGIMES}")
     if config.n_cf < 1:
@@ -148,16 +195,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     kwargs = dict(data)
-    try:
-        kwargs["theta_true"] = tuple(float(v) for v in data["theta_true"])
-        kwargs["x0"] = tuple(float(v) for v in data["x0"])
-        kwargs["prior_bounds"] = tuple(
-            (float(lo), float(hi)) for lo, hi in data["prior_bounds"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed numeric list in config: {exc}") from None
-    config = ExperimentConfig(**kwargs)
-    return validate_config(config)
+    kwargs["theta_true"] = _reals("theta_true", data["theta_true"])
+    kwargs["x0"] = _reals("x0", data["x0"])
+    if not isinstance(data["prior_bounds"], list):
+        _fail("prior_bounds", "must be a list of (low, high) pairs")
+    kwargs["prior_bounds"] = tuple(_reals("prior_bounds", pair) for pair in data["prior_bounds"])
+    return validate_config(ExperimentConfig(**kwargs))
 
 
 def config_to_dict(config: ExperimentConfig, include_output: bool = True) -> dict:
@@ -270,26 +313,6 @@ def get_preset(name: str) -> ExperimentConfig:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-@dataclass
-class RunArtifacts:
-    """In-memory products of one pipeline run plus where they were written."""
-
-    config: ExperimentConfig
-    out_dir: Path
-    truth: Trajectory
-    observations: np.ndarray
-    summary: PosteriorSummary
-    noise: NoisePosterior
-    reference: Trajectory
-    ensemble: CfTrajectorySet
-    rmse_raw: np.ndarray
-    rmse_smoothed: np.ndarray
-    factual_raw: np.ndarray
-    factual_smoothed: np.ndarray
-    diagnostics: dict
-    manifest: dict
-
-
 def build_prior(config: ExperimentConfig) -> ParameterPrior:
     bounds = np.asarray(config.prior_bounds, dtype=float)
     return ParameterPrior(low=bounds[:, 0], high=bounds[:, 1])
@@ -328,16 +351,15 @@ def build_regime(
     return ThetaRegime(mode=config.theta_regime, theta_hat=theta_mean, theta_std=theta_std)
 
 
-def stage_simulate(config: ExperimentConfig) -> tuple[Trajectory, np.ndarray]:
+def stage_simulate(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     seed = RngSeed(config.master_seed)
-    noise = NoiseConfig(config.process_std, config.observation_std)
     truth = simulate_hidden(
         config.system,
         np.asarray(config.theta_true),
         np.asarray(config.x0),
         config.horizon,
         config.delta,
-        noise,
+        config.process_std,
         seed.child("simulate"),
     )
     observations = observe(truth, config.observation_std, seed.child("observe"))
@@ -373,7 +395,7 @@ def stage_counterfactual(
     config: ExperimentConfig,
     theta: tuple[np.ndarray, np.ndarray] | None,
     noise: NoisePosterior,
-) -> tuple[Trajectory, CfTrajectorySet]:
+) -> tuple[np.ndarray, CfTrajectorySet]:
     seed = RngSeed(config.master_seed)
     x0_cf = intervene(np.asarray(config.x0), build_intervention(config))
     reference = deterministic_cf(
@@ -417,7 +439,8 @@ class RunDir:
     `put` writes a product to its file and keeps it; `get` returns a kept
     product, or loads it from its file and raises ArtifactError if its shape
     does not fit the config. Products are named by their file (the ensemble
-    by cf_ensemble.csv; its thetas go to cf_thetas.csv alongside).
+    by cf_ensemble.csv; its thetas go to cf_thetas.csv alongside). A state
+    series (truth, estimate, reference) is a (T+1, d) array.
     """
 
     def __init__(self, config: ExperimentConfig, path: str | Path, workers: int = 1):
@@ -450,7 +473,8 @@ class RunDir:
         """Load manifest.json unless it is held, and check it before any input is read.
 
         Raises ArtifactError if the file is missing, names another config's
-        hash, or does not list every one of `inputs`.
+        hash, or does not list every one of `inputs`, or if an input that is
+        not kept in memory no longer has the sha256 the manifest lists.
         """
         path = self.path / "manifest.json"
         if self.manifest is None:
@@ -460,9 +484,16 @@ class RunDir:
             if manifest.get("config_hash") != config_hash(self.config):
                 raise ArtifactError(f"{path} was written for a different config")
             self.manifest = manifest
-        missing = [name for name in inputs if name not in self.manifest["artifacts"]]
+        listed = self.manifest["artifacts"]
+        missing = [name for name in inputs if name not in listed]
         if missing:
             raise ArtifactError(f"{path} does not list {', '.join(missing)}")
+        for name in inputs:
+            kept = "cf_ensemble.csv" if name == "cf_thetas.csv" else name
+            if kept not in self.products and io.sha256_file(self.path / name) != listed[name]:
+                raise ArtifactError(
+                    f"{self.path / name} does not have the sha256 that {path} lists"
+                )
 
     def get(self, name: str):
         if name not in self.products:
@@ -484,7 +515,7 @@ class RunDir:
             needs = {"thetas": (t1, m, p), "states": (t1, m, n, series[1])}
             for key in ("inner_weights", "inner_ancestors", "w_tilde"):
                 needs[key] = (t1, m, n)
-            for key in ("outer_weights", "outer_ancestors", "v_tilde", "lane_index"):
+            for key in ("outer_weights", "outer_ancestors", "v_tilde"):
                 needs[key] = (t1, m)
             arrays = {**vars(product[0]), **vars(product[1])}
             # Name only the arrays that do not fit; both sides are {} when all do.
@@ -496,15 +527,15 @@ class RunDir:
             product = io.load_noise_posterior(path)
             shape, expected = product.mu.shape, (config.horizon, series[1])
         elif name == "cf_ensemble.csv":
-            product = io.load_ensemble(path, self.path / "cf_thetas.csv", config.delta)
+            product = io.load_ensemble(path, self.path / "cf_thetas.csv")
             shape = (product.trajectories.shape, product.thetas.shape)
             expected = ((config.n_cf, *series), (config.n_cf, p))
         elif name in ("rmse.csv", "factual_rmse.csv"):
             product = io.load_rmse(path)
             shape, expected = product[0].shape, (config.horizon + 1,)
         else:
-            product = io.load_trajectory(path, config.delta)
-            shape, expected = product.states.shape, series
+            product = io.load_trajectory(path)
+            shape, expected = product.shape, series
         if shape != expected:
             raise ArtifactError(f"{path} holds shape {shape}, the config needs {expected}")
         return product
@@ -514,10 +545,9 @@ def _check_lineage(path: Path, arrays: dict, m: int, n: int) -> None:
     """Raise ArtifactError unless a filter state's index arrays can index its particles.
 
     Each index array must be of an integer dtype (any width: older runs wrote
-    int64) with values in [0, M) or [0, N), and `lane_index` must be the
-    lineage that `outer_ancestors` traces.
+    int64) with values in [0, M) or [0, N).
     """
-    for key, bound in (("outer_ancestors", m), ("inner_ancestors", n), ("lane_index", m)):
+    for key, bound in (("outer_ancestors", m), ("inner_ancestors", n)):
         index = arrays[key]
         if index.dtype.kind not in "iu":
             raise ArtifactError(f"{path} array {key} has dtype {index.dtype}, not an integer dtype")
@@ -526,8 +556,6 @@ def _check_lineage(path: Path, arrays: dict, m: int, n: int) -> None:
                 f"{path} array {key} holds values in [{index.min()}, {index.max()}], "
                 f"outside [0, {bound})"
             )
-    if not np.array_equal(arrays["lane_index"], lane_alignment(arrays["outer_ancestors"])):
-        raise ArtifactError(f"{path} array lane_index does not follow outer_ancestors")
 
 
 @dataclass(frozen=True)
@@ -571,8 +599,7 @@ def _counterfactual(run: RunDir) -> dict:
     reference, ensemble = stage_counterfactual(run.config, theta, run.get("noise_posterior.csv"))
     run.put("cf_deterministic.csv", reference)
     run.put("cf_ensemble.csv", ensemble)
-    failures = ensemble.failure_index
-    return {"cf_truncated_trajectories": 0 if failures is None else int((failures >= 0).sum())}
+    return {"cf_truncated_trajectories": int((ensemble.failure_index >= 0).sum())}
 
 
 def _metrics(run: RunDir) -> dict:
@@ -633,8 +660,9 @@ def run_pipeline(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
     workers: int = 1,
-) -> RunArtifacts:
-    """Run every stage in causal order into one directory.
+) -> RunDir:
+    """Run every stage in causal order into one directory; return it with
+    every product kept in `products` and the final `manifest`.
 
     The filter runs under every theta regime (it supplies the noise posterior
     even when the counterfactual parameters are pinned to their true values).
@@ -644,23 +672,7 @@ def run_pipeline(
     run = RunDir(config, resolve_out_dir(config, out_dir), workers)
     for stage in STAGES:
         run_stage(stage, run)
-    products = run.products
-    return RunArtifacts(
-        config=config,
-        out_dir=run.path,
-        truth=products["truth.csv"],
-        observations=products["observations.csv"],
-        summary=PosteriorSummary(products["state_estimate.csv"], *products["theta_estimate.csv"]),
-        noise=products["noise_posterior.csv"],
-        reference=products["cf_deterministic.csv"],
-        ensemble=products["cf_ensemble.csv"],
-        rmse_raw=products["rmse.csv"][0],
-        rmse_smoothed=products["rmse.csv"][1],
-        factual_raw=products["factual_rmse.csv"][0],
-        factual_smoothed=products["factual_rmse.csv"][1],
-        diagnostics=run.manifest["diagnostics"],
-        manifest=run.manifest,
-    )
+    return run
 
 
 def _cell_seed(master_seed: int, index: int) -> int:
@@ -701,7 +713,7 @@ def run_grid(
     cells: list[tuple[str, ExperimentConfig]],
     out_dir: str | Path,
     workers: int = 1,
-) -> list[tuple[str, RunArtifacts | Exception]]:
+) -> list[tuple[str, RunDir | Exception]]:
     """Run each named cell in its own subdirectory; failures stay isolated.
 
     Cells run one after another; `workers` goes to each cell's smoother, as

@@ -19,7 +19,6 @@ import numpy as np
 
 from .dynamics import SystemSpec, _rk4, get_system
 from .seeding import RngSeed, StreamDrawer
-from .simulate import Trajectory
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -175,7 +174,6 @@ class FilterHistory:
     outer_weights: np.ndarray   # (T+1, M)
     outer_ancestors: np.ndarray  # (T+1, M)
     inner_ancestors: np.ndarray  # (T+1, M, N)
-    delta: float
     diagnostics: FilterDiagnostics = field(default_factory=FilterDiagnostics)
 
     @property
@@ -489,7 +487,6 @@ def run_filter(
         outer_weights=outer_w,
         outer_ancestors=outer_anc,
         inner_ancestors=inner_anc,
-        delta=config.delta,
         diagnostics=diagnostics,
     )
 
@@ -518,14 +515,13 @@ def lane_alignment(outer_ancestors: np.ndarray) -> np.ndarray:
 class SmoothedWeights:
     """Backward-smoothed weights, aligned to final-time outer lanes.
 
-    `w_tilde[t, j, n]` weights particle `states[t, lane_index[t, j], n]` and is
-    jointly normalized over (j, n) at each t; `v_tilde[t]` are the smoothed
-    lane weights.
+    With lane = `lane_alignment(history.outer_ancestors)`, `w_tilde[t, j, n]`
+    weights particle `states[t, lane[t, j], n]` and is jointly normalized over
+    (j, n) at each t; `v_tilde[t]` are the smoothed lane weights.
     """
 
     w_tilde: np.ndarray     # (T+1, M, N), joint-normalized per t
     v_tilde: np.ndarray     # (T+1, M)
-    lane_index: np.ndarray  # (T+1, M)
 
 
 # Rows with gap_n <= 600 sum at most K * e^600 (finite for any K below 1e47).
@@ -716,14 +712,14 @@ def backward_smooth(
             pool.shutdown()
 
     history.diagnostics.smoother_underflows += underflows
-    return SmoothedWeights(w_tilde=w_tilde, v_tilde=v_tilde, lane_index=lane)
+    return SmoothedWeights(w_tilde=w_tilde, v_tilde=v_tilde)
 
 
 @dataclass(frozen=True)
 class PosteriorSummary:
     """Smoothed point estimates: state trajectory, parameter mean and spread."""
 
-    state_mean: Trajectory
+    state_mean: np.ndarray  # (T+1, d)
     theta_mean: np.ndarray
     theta_std: np.ndarray
 
@@ -739,20 +735,17 @@ def posterior_summary(
     weights.
     """
     t_end = history.horizon
+    lane = lane_alignment(history.outer_ancestors)
     x_hat = np.empty((t_end + 1, history.dimension))
     for t in range(t_end + 1):
-        aligned = history.states[t][smoothed.lane_index[t]]
+        aligned = history.states[t][lane[t]]
         x_hat[t] = np.einsum("mn,mnd->d", smoothed.w_tilde[t], aligned)
     x_hat_sum = smoothed.w_tilde.sum(axis=(1, 2))
     x_hat /= x_hat_sum[:, None]
 
-    theta = history.thetas[t_end][smoothed.lane_index[t_end]]
+    theta = history.thetas[t_end][lane[t_end]]
     v = smoothed.v_tilde[min(1, t_end)]
     theta_mean = v @ theta
     theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))
 
-    return PosteriorSummary(
-        state_mean=Trajectory(states=x_hat, delta=history.delta),
-        theta_mean=theta_mean,
-        theta_std=theta_std,
-    )
+    return PosteriorSummary(state_mean=x_hat, theta_mean=theta_mean, theta_std=theta_std)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 from .counterfactual import CfTrajectorySet
-from .simulate import Trajectory
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -16,16 +15,16 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def rmse_t(ensemble: CfTrajectorySet, reference: Trajectory) -> np.ndarray:
-    """Root mean square of ensemble-to-reference phase distances, per step."""
+def rmse_t(ensemble: CfTrajectorySet, reference: np.ndarray) -> np.ndarray:
+    """Root mean square of ensemble-to-reference (T+1, d) phase distances, per step."""
     if ensemble.n_trajectories < 1:
         raise ValueError("ensemble is empty")
-    if ensemble.trajectories.shape[1:] != reference.states.shape:
+    if ensemble.trajectories.shape[1:] != reference.shape:
         raise ValueError(
             f"ensemble shape {ensemble.trajectories.shape[1:]} does not match "
-            f"reference {reference.states.shape}"
+            f"reference {reference.shape}"
         )
-    diff = ensemble.trajectories - reference.states[None, :, :]
+    diff = ensemble.trajectories - reference[None, :, :]
     dist_sq = np.einsum("itd,itd->it", diff, diff)
     return np.sqrt(dist_sq.mean(axis=0))
 
@@ -54,11 +53,9 @@ def divergence_onset(series: np.ndarray, threshold: float) -> int | None:
     return int(np.argmax(above))
 
 
-def factual_rmse(estimate: Trajectory, truth: Trajectory) -> np.ndarray:
-    """Per-step phase distance between an estimated and a true trajectory."""
-    if estimate.states.shape != truth.states.shape:
-        raise ValueError(
-            f"shape mismatch: {estimate.states.shape} vs {truth.states.shape}"
-        )
-    diff = estimate.states - truth.states
+def factual_rmse(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per-step phase distance between an estimated and a true (T+1, d) trajectory."""
+    if estimate.shape != truth.shape:
+        raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
+    diff = estimate - truth
     return np.sqrt(np.einsum("td,td->t", diff, diff))

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from .counterfactual import CfTrajectorySet
-from .simulate import Trajectory
 
 _WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 34, 48
@@ -123,13 +122,15 @@ def _finite_range(*arrays: np.ndarray) -> tuple[float, float]:
 
 
 def render_plots(
-    reference: Trajectory,
+    reference: np.ndarray,
     ensemble: CfTrajectorySet,
     rmse_raw: np.ndarray,
     rmse_smoothed: np.ndarray,
     plots_dir: str | Path,
 ) -> list[Path]:
     """Write ensemble/reference time series, phase projections, and RMSE plots.
+
+    `reference` is the (T+1, d) deterministic counterfactual.
 
     Returns the written paths. Raises on an empty ensemble before writing anything.
     """
@@ -139,8 +140,8 @@ def render_plots(
     plots_dir = Path(plots_dir)
     plots_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    d = reference.dimension
-    steps = np.arange(reference.states.shape[0])
+    d = reference.shape[1]
+    steps = np.arange(reference.shape[0])
 
     for k in range(d):
         panel = _Panel(
@@ -148,12 +149,12 @@ def render_plots(
             xlabel="time step",
             ylabel=f"x_{k + 1}",
             xlim=(0.0, float(steps[-1])),
-            ylim=_finite_range(ensemble.trajectories[:, :, k], reference.states[:, k]),
+            ylim=_finite_range(ensemble.trajectories[:, :, k], reference[:, k]),
         )
         for i in range(ensemble.n_trajectories):
             panel.path(steps, ensemble.trajectories[i, :, k], ENSEMBLE_COLOR,
                        "trajectory", width=0.7, opacity=0.45)
-        panel.path(steps, reference.states[:, k], REFERENCE_COLOR, "reference", width=1.6)
+        panel.path(steps, reference[:, k], REFERENCE_COLOR, "reference", width=1.6)
         path = plots_dir / f"cf_timeseries_x{k + 1}.svg"
         path.write_text(panel.render(), encoding="utf-8")
         written.append(path)
@@ -164,13 +165,13 @@ def render_plots(
                 title=f"phase projection x_{a + 1} vs x_{b + 1}",
                 xlabel=f"x_{a + 1}",
                 ylabel=f"x_{b + 1}",
-                xlim=_finite_range(ensemble.trajectories[:, :, a], reference.states[:, a]),
-                ylim=_finite_range(ensemble.trajectories[:, :, b], reference.states[:, b]),
+                xlim=_finite_range(ensemble.trajectories[:, :, a], reference[:, a]),
+                ylim=_finite_range(ensemble.trajectories[:, :, b], reference[:, b]),
             )
             for i in range(ensemble.n_trajectories):
                 panel.path(ensemble.trajectories[i, :, a], ensemble.trajectories[i, :, b],
                            ENSEMBLE_COLOR, "trajectory", width=0.7, opacity=0.45)
-            panel.path(reference.states[:, a], reference.states[:, b],
+            panel.path(reference[:, a], reference[:, b],
                        REFERENCE_COLOR, "reference", width=1.6)
             path = plots_dir / f"phase_x{a + 1}_x{b + 1}.svg"
             path.write_text(panel.render(), encoding="utf-8")

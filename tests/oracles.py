@@ -228,11 +228,16 @@ def reorder_two_pass(states: np.ndarray, inner: np.ndarray, outer: np.ndarray) -
 def abduct_noise_two_pass(history, smoothed, system, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Weighted residual moments per step, each parent block gathered in two passes.
 
-    Lanes are aligned by int64 fancy index, then each lane's parents are
-    picked with `np.take_along_axis`; returns (mu, sigma), each (T, d).
+    Lanes are traced back through `outer_ancestors` and aligned by int64
+    fancy index, then each lane's parents are picked with
+    `np.take_along_axis`; returns (mu, sigma), each (T, d).
     """
     spec = get_system(system)
-    lane = smoothed.lane_index.astype(np.int64)
+    t_end, m = history.outer_ancestors.shape[0] - 1, history.outer_ancestors.shape[1]
+    lane = np.empty((t_end + 1, m), dtype=np.int64)
+    lane[-1] = np.arange(m)
+    for t in range(t_end - 1, -1, -1):
+        lane[t] = history.outer_ancestors[t][lane[t + 1]]
     inner = history.inner_ancestors.astype(np.int64)
     mu, sigma = [], []
     for t in range(1, history.states.shape[0]):

@@ -13,7 +13,7 @@ from cfdyn.filtering import (
     run_filter,
 )
 from cfdyn.seeding import RngSeed
-from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
+from cfdyn.simulate import observe, simulate_hidden
 
 from .oracles import particle_residual
 
@@ -38,16 +38,16 @@ def test_residual_recovers_additive_offset():
 
 
 def test_residuals_replay_simulator_noise():
-    traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 40, 0.05, NoiseConfig(1.0, 0.0), RngSeed(40))
+    traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 40, 0.05, 1.0, RngSeed(40))
     recorded = RngSeed(40).generator().normal(0.0, 1.0, size=(40, 3))
     for t in range(1, 41):
-        resid = particle_residual(traj.states[t], traj.states[t - 1], LORENZ_THETA, LORENZ, 0.05)
+        resid = particle_residual(traj[t], traj[t - 1], LORENZ_THETA, LORENZ, 0.05)
         assert np.allclose(resid, recorded[t - 1], rtol=0, atol=1e-10)
 
 
 def _degenerate_history(horizon=12):
     prior = ParameterPrior(low=LORENZ_THETA, high=LORENZ_THETA + 1e-12)
-    truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, horizon, 0.05, NoiseConfig(1.0, 0.0), RngSeed(41))
+    truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, horizon, 0.05, 1.0, RngSeed(41))
     obs = observe(truth, 1.0, RngSeed(41, 1))
     config = FilterConfig(
         num_outer=1,
@@ -95,13 +95,11 @@ def _manual_history(residuals, weights):
         outer_weights=np.ones((2, 1)),
         outer_ancestors=np.zeros((2, 1), dtype=np.int64),
         inner_ancestors=np.zeros((2, 1, 2), dtype=np.int64),
-        delta=0.05,
     )
     w = np.asarray(weights, dtype=float)
     smoothed = SmoothedWeights(
         w_tilde=np.stack([w[None, :], w[None, :]]),
         v_tilde=np.ones((2, 1)),
-        lane_index=np.zeros((2, 1), dtype=np.int64),
     )
     return history, smoothed
 
@@ -143,7 +141,7 @@ def test_variance_matches_two_pass_oracle():
 
 def test_noiseless_truth_yields_small_abducted_mean():
     prior = ParameterPrior(low=LORENZ_THETA - 1e-9, high=LORENZ_THETA + 1e-9)
-    truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, 150, 0.05, NoiseConfig(0.0, 0.0), RngSeed(43))
+    truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, 150, 0.05, 0.0, RngSeed(43))
     obs = observe(truth, 0.01, RngSeed(43, 1))
     config = FilterConfig(
         num_outer=10,

@@ -35,7 +35,7 @@ from cfdyn.filtering import (
 )
 from cfdyn.metrics import divergence_onset, factual_rmse, moving_average, rmse_t
 from cfdyn.seeding import RngSeed
-from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
+from cfdyn.simulate import observe, simulate_hidden
 
 from .oracles import kalman_filter_rts, particle_residual
 from .test_experiment import TINY
@@ -82,7 +82,7 @@ def test_criterion_2_kalman_rts_oracle():
         root = RngSeed(5000 + seed)
         truth = simulate_hidden(
             EXP_DECAY, np.array([1.0]), np.array([0.0]), 200, DECAY_DELTA,
-            NoiseConfig(1.0, 1.0), root.child("sim"),
+            1.0, root.child("sim"),
         )
         ys = observe(truth, 1.0, root.child("obs"))
         history = run_filter(ys, EXP_DECAY, prior, np.array([0.0]), config, root.child("filter"))
@@ -90,7 +90,7 @@ def test_criterion_2_kalman_rts_oracle():
         summary = posterior_summary(history, smoothed)
         kf, rts = kalman_filter_rts(ys[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         mads_filtered.append(np.abs(filtered_means(history)[:, 0] - kf).mean())
-        mads_smoothed.append(np.abs(summary.state_mean.states[:, 0] - rts).mean())
+        mads_smoothed.append(np.abs(summary.state_mean[:, 0] - rts).mean())
     elapsed = time.perf_counter() - start
     assert max(mads_filtered) < 0.15, f"filtered MAD {max(mads_filtered):.4f}"
     assert max(mads_smoothed) < 0.15, f"smoothed MAD {max(mads_smoothed):.4f}"
@@ -145,7 +145,7 @@ def test_criterion_4_divergence_regime_ordering():
         reference = deterministic_cf(
             config.system, np.asarray(config.theta_true), x0_cf, config.horizon, config.delta
         )
-        span = reference.states.max(axis=0) - reference.states.min(axis=0)
+        span = reference.max(axis=0) - reference.min(axis=0)
         threshold = 0.10 * float(np.linalg.norm(span))
         seed_obj = RngSeed(config.master_seed)
         onsets = {}
@@ -163,7 +163,7 @@ def test_criterion_4_divergence_regime_ordering():
             per_trajectory = []
             for i in range(ensemble.n_trajectories):
                 distances = np.sqrt(
-                    ((ensemble.trajectories[i] - reference.states) ** 2).sum(axis=1)
+                    ((ensemble.trajectories[i] - reference) ** 2).sum(axis=1)
                 )
                 onset = divergence_onset(moving_average(distances, config.rmse_window), threshold)
                 per_trajectory.append(config.horizon + 1 if onset is None else onset)
@@ -219,10 +219,10 @@ def test_criterion_5_logistic_baseline():
 def test_criterion_6_identity_counterfactual():
     theta = np.array([10.0, 28.0, 8.0 / 3.0])
     x0 = np.array([1.0, 1.0, 1.0])
-    truth = simulate_hidden(LORENZ, theta, x0, 300, 0.05, NoiseConfig(1.0, 0.0), RngSeed(6000))
+    truth = simulate_hidden(LORENZ, theta, x0, 300, 0.05, 1.0, RngSeed(6000))
     mu = np.array(
         [
-            particle_residual(truth.states[t], truth.states[t - 1], theta, LORENZ, 0.05)
+            particle_residual(truth[t], truth[t - 1], theta, LORENZ, 0.05)
             for t in range(1, 301)
         ]
     )
@@ -231,7 +231,7 @@ def test_criterion_6_identity_counterfactual():
     recorded = NoisePosterior(mu=mu, sigma=np.zeros_like(mu))
     regime = ThetaRegime(mode="true", theta_true=theta)
     ensemble = generate_cf(LORENZ, regime, recorded, x0, 300, 0.05, 2, RngSeed(6001))
-    worst = np.abs(ensemble.trajectories - truth.states[None]).max()
+    worst = np.abs(ensemble.trajectories - truth[None]).max()
     assert worst < 1e-9
     report(6, "identity counterfactual", f"max per-component error {worst:.2e} < 1e-9")
 
@@ -274,21 +274,14 @@ def test_criterion_7_weight_and_moment_invariants():
 
     # closed-form RMSE examples
     from cfdyn.counterfactual import CfTrajectorySet
-    from cfdyn.simulate import Trajectory
 
-    ref = Trajectory(states=np.zeros((1, 1)), delta=0.05)
-    ens = CfTrajectorySet(
-        trajectories=np.array([[[3.0]], [[4.0]]]), thetas=np.zeros((2, 1)), delta=0.05
-    )
+    ref = np.zeros((1, 1))
+    ens = CfTrajectorySet(trajectories=np.array([[[3.0]], [[4.0]]]), thetas=np.zeros((2, 1)))
     assert abs(rmse_t(ens, ref)[0] - np.sqrt(12.5)) < 1e-12
-    offset = CfTrajectorySet(
-        trajectories=np.full((1, 4, 3), 2.0), thetas=np.zeros((1, 1)), delta=0.05
-    )
-    ref3 = Trajectory(states=np.zeros((4, 3)), delta=0.05)
+    offset = CfTrajectorySet(trajectories=np.full((1, 4, 3), 2.0), thetas=np.zeros((1, 1)))
+    ref3 = np.zeros((4, 3))
     assert np.allclose(rmse_t(offset, ref3), 2.0 * np.sqrt(3.0), rtol=1e-14)
-    copies = CfTrajectorySet(
-        trajectories=np.zeros((3, 4, 3)), thetas=np.zeros((3, 1)), delta=0.05
-    )
+    copies = CfTrajectorySet(trajectories=np.zeros((3, 4, 3)), thetas=np.zeros((3, 1)))
     assert np.array_equal(rmse_t(copies, ref3), np.zeros(4))
     cases += 3
 

@@ -57,4 +57,4 @@ def test_ensemble_without_trajectory_ids_is_artifact_error(tmp_path):
     path.write_text("t,traj_id,x_1\n0,-1,1.0\n1,-1,2.0\n", encoding="utf-8")
     thetas.write_text("traj_id,r\n0,1.0\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="grid"):
-        load_ensemble(path, thetas, 0.05)
+        load_ensemble(path, thetas)

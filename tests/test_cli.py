@@ -1,10 +1,13 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cfdyn.cli import main
 from cfdyn.experiment import ARTIFACT_FILES
+from cfdyn.filtering import lane_alignment
 
 from .test_experiment import TINY
 
@@ -15,6 +18,14 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+def relist(out, name):
+    """List `name`'s current sha256 in manifest.json, so the next stage parses the edited file."""
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["artifacts"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def test_run_subcommand_writes_artifacts(tmp_path):
@@ -90,6 +101,7 @@ def test_corrupt_filter_state_is_io_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     (out / "filter_state.npz").write_bytes(b"garbage, not a zip archive\n" * 20)
+    relist(out, "filter_state.npz")
     capsys.readouterr()
     assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -107,6 +119,7 @@ def test_inconsistent_filter_state_is_io_error(tmp_path, capsys):
     # A valid archive whose smoothed weights cover 3 of the config's 6 lanes.
     arrays["w_tilde"] = arrays["w_tilde"][:, :3]
     np.savez(path, **arrays)
+    relist(out, "filter_state.npz")
     capsys.readouterr()
     assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -133,17 +146,14 @@ def test_unusable_lineage_in_filter_state_is_io_error(tmp_path, capsys):
         return "outer_ancestors"
 
     def float_lanes(arrays):
-        arrays["lane_index"] = arrays["lane_index"].astype(float)
-        return "lane_index"
+        arrays["outer_ancestors"] = arrays["outer_ancestors"].astype(float)
+        return "outer_ancestors"
 
-    def off_lineage(arrays):
-        arrays["lane_index"][0] = (arrays["lane_index"][0] + 1) % 6
-        return "lane_index"
-
-    for change in (out_of_range, negative, float_lanes, off_lineage):
+    for change in (out_of_range, negative, float_lanes):
         arrays = {key: value.copy() for key, value in original.items()}
         key = change(arrays)
         np.savez(path, **arrays)
+        relist(out, "filter_state.npz")
         capsys.readouterr()
         assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4, key
         err = capsys.readouterr().err
@@ -160,10 +170,15 @@ def test_filter_state_stores_narrow_indices_and_reads_int64_ones(tmp_path):
     path = staged / "filter_state.npz"
     with np.load(path) as z:
         arrays = dict(z)
-    for key in ("outer_ancestors", "inner_ancestors", "lane_index"):
+    assert "lane_index" not in arrays and "delta" not in arrays
+    for key in ("outer_ancestors", "inner_ancestors"):
         assert arrays[key].dtype == np.uint8, key  # M = 6, N = 8
         arrays[key] = arrays[key].astype(np.int64)  # as older runs wrote them
+    # Older runs also stored the lineage and the step size; both are ignored.
+    arrays["lane_index"] = lane_alignment(arrays["outer_ancestors"]).astype(np.int64)
+    arrays["delta"] = np.float64(TINY["delta"])
     np.savez(path, **arrays)
+    relist(staged, "filter_state.npz")
     assert main(["abduct", "--config", str(config), "--out", str(staged)]) == 0
     name = "noise_posterior.csv"
     assert (staged / name).read_bytes() == (fused / name).read_bytes()
@@ -177,6 +192,7 @@ def test_truncated_observations_are_io_error(tmp_path, capsys):
     text = path.read_text(encoding="utf-8")
     for cut in (text[: len(text) // 2], text[: text.rindex("\n", 0, len(text) // 2) + 1]):
         path.write_text(cut, encoding="utf-8")
+        relist(out, "observations.csv")
         capsys.readouterr()
         assert main(["filter", "--config", str(config), "--out", str(out)]) == 4
         err = capsys.readouterr().err
@@ -195,6 +211,7 @@ def test_misordered_ensemble_rows_are_io_error(tmp_path, capsys):
     assert lines[6].startswith("5,0,") and lines[31].startswith("30,0,")
     lines[6], lines[31] = lines[31], lines[6]
     path.write_text("".join(lines), encoding="utf-8")
+    relist(out, "cf_ensemble.csv")
     capsys.readouterr()
     assert main(["metrics", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -211,12 +228,14 @@ def test_wrong_shape_inputs_are_io_errors(tmp_path, capsys):
         path = out / name
         original = path.read_text(encoding="utf-8")
         path.write_text("".join(original.splitlines(keepends=True)[:lines]), encoding="utf-8")
+        relist(out, name)
         capsys.readouterr()
         assert main(["counterfactual", "--config", str(config), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("I/O error:") and name in err
         assert err.count("\n") == 1
         path.write_text(original, encoding="utf-8")
+        relist(out, name)
 
 
 def test_stage_needs_a_manifest_of_the_same_config(tmp_path, capsys):
@@ -302,9 +321,77 @@ def test_plot_of_truncated_rmse_is_io_error(tmp_path, capsys):
     path = out / "rmse.csv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:20]), encoding="utf-8")
+    relist(out, "rmse.csv")
     capsys.readouterr()
     assert main(["plot", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and "rmse.csv" in err
     assert err.count("\n") == 1
     assert not (out / "plots").exists()
+
+
+def _change_one_value(path):
+    """Change one stored value of an artifact without changing its shape."""
+    if path.suffix == ".npz":
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["w_tilde"][1, 0, 0] *= 0.5
+        np.savez(path, **arrays)
+    else:
+        text = path.read_text(encoding="utf-8")
+        digit = next(i for i in range(len(text) - 1, 0, -1) if text[i] in "123456789")
+        path.write_text(text[:digit] + str(int(text[digit]) - 1) + text[digit + 1:], encoding="utf-8")
+
+
+def test_input_changed_since_the_manifest_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    for name, command in (
+        ("observations.csv", "filter"),
+        ("filter_state.npz", "abduct"),
+        ("noise_posterior.csv", "counterfactual"),
+        ("cf_ensemble.csv", "metrics"),
+        ("cf_thetas.csv", "plot"),
+    ):
+        path = out / name
+        original = path.read_bytes()
+        _change_one_value(path)
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 4, name
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and name in err and "sha256" in err, err
+        assert err.count("\n") == 1
+        assert (out / "manifest.json").read_bytes() == manifest
+        path.write_bytes(original)
+    assert not (out / "plots").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", "5"),
+        ("horizon", 5.5),
+        ("outer_particles", True),
+        ("intervention", ["component", "shift"]),
+        ("intervention", 5),
+        ("intervention", {"component": 1, "shift": "x"}),
+        ("delta", None),
+        ("process_std", float("inf")),
+        ("observation_std", float("nan")),
+        ("system", ["lorenz"]),
+        ("theta_true", [10.0, "28", 2.5]),
+        ("n_cf", 2.0),
+        ("master_seed", "42"),
+        ("rmse_window", 2.5),
+        ("inner_resampling", "no"),
+    ],
+)
+def test_wrongly_typed_config_field_is_config_error(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, **{field: value})
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"'{field}'" in err, err
+    assert not out.exists()

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfdyn.counterfactual import ThetaRegime, generate_cf
+from cfdyn.counterfactual import CfTrajectorySet, ThetaRegime, generate_cf
 from cfdyn.errors import ConfigError, NumericsError
 from cfdyn.experiment import (
     ARTIFACT_FILES,
     NOISE_GRID,
     PRESETS,
+    RunDir,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -93,7 +94,7 @@ def test_every_preset_simulates_at_seeds_0_to_9():
                     stage_simulate(seeded)
                 continue
             truth, observations = stage_simulate(seeded)
-            assert np.isfinite(truth.states).all(), (name, seed)
+            assert np.isfinite(truth).all(), (name, seed)
             assert np.isfinite(observations).all(), (name, seed)
 
 
@@ -177,10 +178,10 @@ def test_logistic_pipeline_row_count(tmp_path):
             "intervention": {"component": 1, "shift": 10.0},
         }
     )
-    artifacts = run_pipeline(config, tmp_path / "run")
+    run = run_pipeline(config, tmp_path / "run")
     rmse_lines = (tmp_path / "run" / "rmse.csv").read_text().strip().split("\n")
     assert len(rmse_lines) == 202  # header + T+1 rows
-    assert artifacts.rmse_raw.shape == (201,)
+    assert run.products["rmse.csv"][0].shape == (201,)
     for name in ARTIFACT_FILES + ("manifest.json",):
         assert (tmp_path / "run" / name).exists()
 
@@ -217,10 +218,51 @@ def test_posterior_regime_with_zero_spread_matches_point(tmp_path):
     assert np.array_equal(a.trajectories, b.trajectories)
 
 
+def _arrays(product) -> list[np.ndarray]:
+    """Every array a product holds, derived ones included, in a fixed order."""
+    if isinstance(product, np.ndarray):
+        return [product]
+    if isinstance(product, tuple):
+        return [array for part in product for array in _arrays(part)]
+    held = [value for value in vars(product).values() if isinstance(value, np.ndarray)]
+    if isinstance(product, CfTrajectorySet):
+        held.append(product.failure_index)
+    return held
+
+
+def test_products_round_trip_through_their_files(tmp_path):
+    # The filter's rate estimate is negative, so the counterfactual rows grow
+    # from the absolute state 2e307 past the float64 limit at different steps
+    # (7 of the 8 end truncated), while the reference under the true rate 0.2
+    # decays.
+    config = tiny_config(
+        system="exp_decay",
+        theta_true=[0.2],
+        x0=[1.0],
+        prior_bounds=[[-1.0, 1.0]],
+        intervention={"absolute": [2e307]},
+        n_cf=8,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = run_pipeline(config, tmp_path / "run")
+    failures = fused.products["cf_ensemble.csv"].failure_index
+    assert 0 < (failures >= 0).sum() < config.n_cf
+    fresh = RunDir(config, tmp_path / "run")
+    fresh.check_manifest(ARTIFACT_FILES)
+    # cf_thetas.csv is held with the ensemble, under cf_ensemble.csv.
+    names = [name for name in ARTIFACT_FILES if name != "cf_thetas.csv"]
+    assert sorted(fused.products) == sorted(names)
+    for name in names:
+        put, loaded = _arrays(fused.products[name]), _arrays(fresh.get(name))
+        assert len(put) == len(loaded), name
+        for a, b in zip(put, loaded):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+
+
 def test_true_regime_still_runs_filter_and_abduction(tmp_path):
     config = tiny_config(theta_regime="true")
-    artifacts = run_pipeline(config, tmp_path / "run")
-    assert artifacts.noise.mu.shape == (config.horizon, 3)
+    run = run_pipeline(config, tmp_path / "run")
+    assert run.products["noise_posterior.csv"].mu.shape == (config.horizon, 3)
     assert (tmp_path / "run" / "theta_estimate.csv").exists()
 
 

@@ -27,7 +27,7 @@ from cfdyn.filtering import (
     take_particles,
 )
 from cfdyn.seeding import RngSeed
-from cfdyn.simulate import NoiseConfig, observe, simulate_hidden
+from cfdyn.simulate import observe, simulate_hidden
 
 from .oracles import (
     abduct_noise_two_pass,
@@ -212,7 +212,7 @@ def test_propagate_without_noise_turns_negative_zero_into_zero():
 
 def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 6, 0.05, NoiseConfig(1.0, 0.0), RngSeed(34)
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 6, 0.05, 1.0, RngSeed(34)
     )
     obs = observe(truth, 1.0, RngSeed(34, 1))
     config = FilterConfig(
@@ -433,7 +433,7 @@ def test_degenerate_filter_recovers_noiseless_truth():
     filter_seed = RngSeed(16)
     drawn = init_particles(prior, 1, 1, np.array([1.0]), filter_seed.child("init")).theta[0]
     truth = simulate_hidden(
-        EXP_DECAY, drawn, np.array([1.0]), 30, 0.1, NoiseConfig(0.0, 0.0), RngSeed(15)
+        EXP_DECAY, drawn, np.array([1.0]), 30, 0.1, 0.0, RngSeed(15)
     )
     obs = observe(truth, 0.0, RngSeed(15, 1))
     config = FilterConfig(
@@ -445,7 +445,7 @@ def test_degenerate_filter_recovers_noiseless_truth():
         kernel=JitterKernel(scale=[0.0], clamp_to_prior=False),
     )
     history = run_filter(obs, EXP_DECAY, prior, np.array([1.0]), config, filter_seed)
-    assert np.array_equal(filtered_means(history), truth.states)
+    assert np.array_equal(filtered_means(history), truth)
 
 
 def test_filter_matches_independent_bootstrap_pf():
@@ -455,7 +455,7 @@ def test_filter_matches_independent_bootstrap_pf():
     theta = np.array([1.0])
     root = RngSeed(17)
     truth = simulate_hidden(
-        EXP_DECAY, theta, np.array([0.0]), 40, DECAY_DELTA, NoiseConfig(1.0, 0.0), root.child("sim")
+        EXP_DECAY, theta, np.array([0.0]), 40, DECAY_DELTA, 1.0, root.child("sim")
     )
     obs = observe(truth, 1.0, root.child("obs"))
     prior = _point_prior(theta)
@@ -479,7 +479,7 @@ def test_filter_matches_independent_bootstrap_pf():
 
 def test_filter_weights_normalized_every_step():
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 25, 0.05, NoiseConfig(1.0, 0.0), RngSeed(18)
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 25, 0.05, 1.0, RngSeed(18)
     )
     obs = observe(truth, 1.0, RngSeed(18, 1))
     config = FilterConfig(
@@ -500,7 +500,7 @@ def test_filter_weights_normalized_every_step():
 
 def test_filter_seed_determinism():
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 15, 0.05, NoiseConfig(1.0, 0.0), RngSeed(20)
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 15, 0.05, 1.0, RngSeed(20)
     )
     obs = observe(truth, 1.0, RngSeed(20, 1))
     config = FilterConfig(
@@ -520,7 +520,7 @@ def test_filter_seed_determinism():
 
 def test_filter_without_inner_resampling_accumulates_weights():
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 20, 0.05, NoiseConfig(1.0, 0.0), RngSeed(50)
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 20, 0.05, 1.0, RngSeed(50)
     )
     obs = observe(truth, 1.0, RngSeed(50, 1))
     config = FilterConfig(
@@ -543,7 +543,7 @@ def test_filter_without_inner_resampling_accumulates_weights():
 
 def test_lorenz_theta_estimate_within_prior_support():
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 120, 0.05, NoiseConfig(1.0, 0.0), RngSeed(22)
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 120, 0.05, 1.0, RngSeed(22)
     )
     obs = observe(truth, 1.0, RngSeed(22, 1))
     config = FilterConfig(
@@ -568,7 +568,7 @@ def _decay_history(seed, n_inner=50, horizon=40):
     theta = np.array([1.0])
     root = RngSeed(seed)
     truth = simulate_hidden(
-        EXP_DECAY, theta, np.array([0.0]), horizon, DECAY_DELTA, NoiseConfig(1.0, 0.0), root.child("sim")
+        EXP_DECAY, theta, np.array([0.0]), horizon, DECAY_DELTA, 1.0, root.child("sim")
     )
     obs = observe(truth, 1.0, root.child("obs"))
     history = run_filter(
@@ -593,7 +593,7 @@ def test_single_inner_particle_smoothing_is_identity():
 
 def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon):
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), horizon, 0.05, NoiseConfig(1.0, 0.0),
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), horizon, 0.05, 1.0,
         RngSeed(sim_seed),
     )
     obs = observe(truth, 1.0, RngSeed(sim_seed, 1))
@@ -627,7 +627,7 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
         assert np.array_equal(history.states[t + 1], base + np.add(0.0, 1.0 * z))
 
     smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
-    assert smoothed.lane_index.dtype == history.outer_ancestors.dtype
+    assert lane_alignment(history.outer_ancestors).dtype == history.outer_ancestors.dtype
     wide = replace(
         history,
         outer_ancestors=history.outer_ancestors.astype(np.int64),
@@ -636,7 +636,6 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
     oracle = backward_smooth(wide, LORENZ, 0.05, 1.0)
     assert np.array_equal(smoothed.w_tilde, oracle.w_tilde)
     assert np.array_equal(smoothed.v_tilde, oracle.v_tilde)
-    assert np.array_equal(smoothed.lane_index, oracle.lane_index)
 
     noise = abduct_noise(history, smoothed, LORENZ, 0.05)
     mu, sigma = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
@@ -745,7 +744,7 @@ def test_smoothed_means_track_rts_oracle():
         summary = posterior_summary(history, smoothed)
         kf, rts = kalman_filter_rts(obs[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         assert np.abs(filtered_means(history)[:, 0] - kf).mean() < 0.15
-        assert np.abs(summary.state_mean.states[:, 0] - rts).mean() < 0.15
+        assert np.abs(summary.state_mean[:, 0] - rts).mean() < 0.15
 
 
 def test_lane_alignment_identity_without_resampling_shuffle():
@@ -770,7 +769,7 @@ def test_posterior_summary_single_particle():
     _, _, history = _decay_history(33, n_inner=1, horizon=10)
     smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
     summary = posterior_summary(history, smoothed)
-    assert np.array_equal(summary.state_mean.states, history.states[:, 0, 0, :])
+    assert np.array_equal(summary.state_mean, history.states[:, 0, 0, :])
     assert summary.theta_std[0] == 0.0
 
 
@@ -792,17 +791,15 @@ def test_posterior_summary_two_particle_closed_form():
         outer_weights=np.full((2, 3), 1.0 / 3.0),
         outer_ancestors=np.tile(np.arange(3), (2, 1)),
         inner_ancestors=np.zeros((2, 3, 1), dtype=np.int64),
-        delta=0.1,
     )
     v = np.array([0.25, 0.25, 0.5])
     smoothed = SmoothedWeights(
         w_tilde=np.stack([v[:, None], v[:, None]]),
         v_tilde=np.stack([v, v]),
-        lane_index=np.tile(np.arange(3), (2, 1)),
     )
     summary = posterior_summary(history, smoothed)
     # weighted mean of states 1,1,5 and thetas 2,2,6 under (0.25,0.25,0.5)
-    assert abs(summary.state_mean.states[1, 0] - 3.0) < 1e-12
+    assert abs(summary.state_mean[1, 0] - 3.0) < 1e-12
     assert abs(summary.theta_mean[0] - 4.0) < 1e-12
     assert abs(summary.theta_std[0] - 2.0) < 1e-12
 
@@ -815,7 +812,6 @@ def test_posterior_summary_uniform_weights_plain_average():
     smoothed = SmoothedWeights(
         w_tilde=np.full((t1, m, n), 1.0 / (m * n)),
         v_tilde=np.full((t1, m), 1.0 / m),
-        lane_index=np.tile(np.arange(m), (t1, 1)),
     )
     summary = posterior_summary(history, smoothed)
-    assert np.allclose(summary.state_mean.states, history.states.mean(axis=(1, 2)))
+    assert np.allclose(summary.state_mean, history.states.mean(axis=(1, 2)))

@@ -9,7 +9,6 @@ from cfdyn.metrics import (
     phase_distance,
     rmse_t,
 )
-from cfdyn.simulate import Trajectory
 
 
 def _ensemble(trajectories):
@@ -17,12 +16,7 @@ def _ensemble(trajectories):
     return CfTrajectorySet(
         trajectories=trajectories,
         thetas=np.zeros((trajectories.shape[0], 1)),
-        delta=0.05,
     )
-
-
-def _traj(states):
-    return Trajectory(states=np.asarray(states, dtype=float), delta=0.05)
 
 
 # ------------------------------------------------------------ phase_distance
@@ -62,26 +56,26 @@ def test_phase_distance_dimension_mismatch():
 
 
 def test_rmse_zero_for_copies_of_reference():
-    ref = _traj(np.arange(12, dtype=float).reshape(4, 3))
-    ens = _ensemble(np.stack([ref.states, ref.states]))
+    ref = np.arange(12, dtype=float).reshape(4, 3)
+    ens = _ensemble(np.stack([ref, ref]))
     assert np.array_equal(rmse_t(ens, ref), np.zeros(4))
 
 
 def test_rmse_constant_offset_single_trajectory():
-    ref = _traj(np.zeros((6, 3)))
+    ref = np.zeros((6, 3))
     ens = _ensemble((np.zeros((6, 3)) + 2.0)[None])
     assert np.allclose(rmse_t(ens, ref), 2.0 * np.sqrt(3.0), rtol=1e-14)
 
 
 def test_rmse_two_trajectory_closed_form():
-    ref = _traj(np.zeros((1, 1)))
+    ref = np.zeros((1, 1))
     ens = _ensemble(np.array([[[3.0]], [[4.0]]]))
     assert abs(rmse_t(ens, ref)[0] - np.sqrt(12.5)) < 1e-12
 
 
 def test_rmse_permutation_invariant():
     rng = np.random.default_rng(3)
-    ref = _traj(rng.normal(size=(10, 3)))
+    ref = rng.normal(size=(10, 3))
     trajs = rng.normal(size=(5, 10, 3))
     a = rmse_t(_ensemble(trajs), ref)
     b = rmse_t(_ensemble(trajs[::-1]), ref)
@@ -90,7 +84,7 @@ def test_rmse_permutation_invariant():
 
 def test_rmse_monotone_when_adding_farther_trajectory():
     rng = np.random.default_rng(4)
-    ref = _traj(np.zeros((8, 2)))
+    ref = np.zeros((8, 2))
     trajs = rng.normal(size=(4, 8, 2))
     base = rmse_t(_ensemble(trajs), ref)
     far = base.max() * 10.0 + 1.0
@@ -100,7 +94,7 @@ def test_rmse_monotone_when_adding_farther_trajectory():
 
 
 def test_rmse_shape_mismatch_rejected():
-    ref = _traj(np.zeros((5, 3)))
+    ref = np.zeros((5, 3))
     ens = _ensemble(np.zeros((2, 4, 3)))
     with pytest.raises(ValueError):
         rmse_t(ens, ref)
@@ -172,24 +166,24 @@ def test_onset_requires_positive_threshold():
 
 def test_factual_rmse_zero_for_identical():
     states = np.random.default_rng(7).normal(size=(9, 3))
-    assert np.array_equal(factual_rmse(_traj(states), _traj(states.copy())), np.zeros(9))
+    assert np.array_equal(factual_rmse(states, states.copy()), np.zeros(9))
 
 
 def test_factual_rmse_constant_offset():
-    truth = _traj(np.zeros((7, 3)))
-    est = _traj(np.zeros((7, 3)) + 1.5)
+    truth = np.zeros((7, 3))
+    est = np.zeros((7, 3)) + 1.5
     assert np.allclose(factual_rmse(est, truth), 1.5 * np.sqrt(3.0), rtol=1e-14)
 
 
 def test_factual_rmse_equals_singleton_ensemble_rmse():
     rng = np.random.default_rng(8)
-    truth = _traj(rng.normal(size=(12, 3)))
+    truth = rng.normal(size=(12, 3))
     est_states = rng.normal(size=(12, 3))
-    direct = factual_rmse(_traj(est_states), truth)
+    direct = factual_rmse(est_states, truth)
     via_ensemble = rmse_t(_ensemble(est_states[None]), truth)
     assert np.allclose(direct, via_ensemble, rtol=1e-14)
 
 
 def test_factual_rmse_shape_mismatch():
     with pytest.raises(ValueError):
-        factual_rmse(_traj(np.zeros((5, 3))), _traj(np.zeros((6, 3))))
+        factual_rmse(np.zeros((5, 3)), np.zeros((6, 3)))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cfdyn.counterfactual import CfTrajectorySet
-from cfdyn.simulate import Trajectory
 from cfdyn.svgplot import _Panel, render_plots
 
 from .oracles import svg_path_per_point
@@ -13,11 +12,10 @@ from .oracles import svg_path_per_point
 
 def _setup(n_traj=3, horizon=25, d=3, seed=0):
     rng = np.random.default_rng(seed)
-    reference = Trajectory(states=rng.normal(size=(horizon + 1, d)), delta=0.05)
+    reference = rng.normal(size=(horizon + 1, d))
     ensemble = CfTrajectorySet(
         trajectories=rng.normal(size=(n_traj, horizon + 1, d)),
         thetas=rng.normal(size=(n_traj, 3)),
-        delta=0.05,
     )
     rmse = rng.uniform(size=horizon + 1)
     return reference, ensemble, rmse
@@ -47,9 +45,8 @@ def test_one_path_per_trajectory_per_panel(tmp_path):
 def test_singleton_ensemble_coincides_with_reference(tmp_path):
     reference, _, rmse = _setup(d=1)
     ensemble = CfTrajectorySet(
-        trajectories=reference.states[None].copy(),
+        trajectories=reference[None].copy(),
         thetas=np.zeros((1, 3)),
-        delta=0.05,
     )
     written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
     series = next(p for p in written if p.name == "cf_timeseries_x1.svg")
@@ -64,7 +61,6 @@ def test_empty_ensemble_writes_nothing(tmp_path):
     empty = CfTrajectorySet(
         trajectories=np.zeros((0, 26, 3)),
         thetas=np.zeros((0, 3)),
-        delta=0.05,
     )
     target = tmp_path / "plots"
     with pytest.raises(ValueError):
