@@ -56,7 +56,10 @@ def abduct_noise(
     mu_t is the smoothed-weight average of the particle residuals; sigma_t is
     their weighted population variance, both componentwise. Residual pairs
     follow the recorded resampling lineage, so each particle is differenced
-    against the parent that actually produced it.
+    against the parent that actually produced it. Final lanes that share a
+    lane at t share its residuals, so RK4 runs once per distinct lane and the
+    residuals are gathered back to the M final lanes; the moments sum over
+    all M lanes, as if each had its own.
     """
     spec = get_system(system)
     t_end = history.horizon
@@ -64,14 +67,11 @@ def abduct_noise(
     mu = np.empty((t_end, spec.dimension))
     sigma = np.empty((t_end, spec.dimension))
     for t in range(1, t_end + 1):
-        lane_t = lane[t]
-        lane_prev = lane[t - 1]
-        x_t = history.states[t][lane_t]                      # (M, N, d)
-        theta_t = history.thetas[t][lane_t]                  # (M, p)
-        parents = take_particles(
-            history.states[t - 1], lane_prev, history.inner_ancestors[t - 1][lane_prev]
-        )
-        resid = x_t - _rk4(spec, parents, theta_t[:, None, :], delta)
+        distinct, inverse = np.unique(lane[t], return_inverse=True)
+        prev = history.outer_ancestors[t - 1][distinct]  # lane[t - 1] of each
+        parents = take_particles(history.states[t - 1], prev, history.inner_ancestors[t - 1][prev])
+        pred = _rk4(spec, parents, history.thetas[t][distinct][:, None, :], delta)
+        resid = (history.states[t][distinct] - pred)[inverse]  # (M, N, d)
         w = smoothed.w_tilde[t]
         total = w.sum()
         mean = np.einsum("mn,mnd->d", w, resid) / total

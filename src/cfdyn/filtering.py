@@ -526,6 +526,84 @@ class SmoothedWeights:
 
 # Rows with gap_n <= 600 sum at most K * e^600 (finite for any K below 1e47).
 _GAP_BOUND = 600.0
+# A row sum of N products that each lose at most 2^-1074 to underflow is exact
+# to ~1e-70 relative when it is at least this; smaller sums are recomputed.
+_TRUST_FLOOR = 1e-250
+
+
+def _centred_factors(
+    spec: SystemSpec,
+    x_from: np.ndarray,       # (C, N, d)
+    x_to: np.ndarray,         # (C, K, d)
+    theta_to: np.ndarray,     # (C, p)
+    centre: np.ndarray,       # (C,) index into K
+    delta: float,
+    var: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Matmul factors of the transition kernel, centred on x_c = x_to[c, centre[c]].
+
+    With mu'_n = rk4_step(x_from[n], theta) - x_c and x'_k = x_to[k] - x_c,
+        -|x_k - mu_n|^2 / 2var = mu'_n . x'_k / var - |x'_k|^2 / 2var - gap_n,
+        gap_n = |mu'_n|^2 / 2var.
+    Returns `a` = [mu' / var, 1] (C, N, d+1), `b` (C, d+1, K) holding x'^T in
+    its first d rows (the caller fills the last), |x'|^2 / 2var (C, K) and
+    gap (C, N). Centring leaves |x - mu| unchanged and removes the
+    cancellation of |x|^2 / var terms that the raw origin suffers.
+    """
+    c, n, d = x_from.shape
+    anchor = x_to[np.arange(c), centre][:, None, :]
+    mu = _rk4(spec, x_from, theta_to[:, None, :], delta)
+    mu -= anchor
+    a = np.empty((c, n, d + 1))
+    np.divide(mu, var, out=a[:, :, :d])
+    a[:, :, d] = 1.0
+    b = np.empty((c, d + 1, x_to.shape[1]))
+    x_rel = b[:, :d]
+    np.subtract(np.swapaxes(x_to, 1, 2), np.swapaxes(anchor, 1, 2), out=x_rel)
+    half_sq = (0.5 / var) * np.einsum("cdk,cdk->ck", x_rel, x_rel)
+    with np.errstate(over="ignore"):
+        gap = (0.5 / var) * np.einsum("cnd,cnd->cn", mu, mu)
+    return a, b, half_sq, gap
+
+
+def _group_factors(
+    spec: SystemSpec,
+    x_from: np.ndarray,       # (C, N, d)
+    x_to: np.ndarray,         # (C, K, d)
+    theta_to: np.ndarray,     # (C, p)
+    centre: np.ndarray,       # (C,) index into K
+    delta: float,
+    var: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Matmul factors of the kernel exponents of C lineage groups.
+
+    Centred as in `_centred_factors`,
+        log N(x_k; mu_n, var I) = e[n, k] - gap_n + log_norm,
+        e[n, k] = mu'_n . x'_k / var - |x'_k|^2 / 2var,
+    and each group's (N, K) block e is `a @ b`, with `b` = [x'^T ; -|x'|^2 / 2var].
+
+    Every e[n, k] lies in [-R^2 - 2 R sqrt(G), G], with G = max_n gap_n and
+    R^2 = max_k |x'_k|^2 / 2var (Cauchy-Schwarz on mu'_n . x'_k). `fast` (C,)
+    marks the groups where that interval lies within [-600, 600]: there
+    exp(e) neither overflows nor underflows, so the block needs no row shift.
+    A non-finite bound leaves the group unmarked. Returns a, b, gap (C, N)
+    and fast.
+    """
+    a, b, half_sq, gap = _centred_factors(spec, x_from, x_to, theta_to, centre, delta, var)
+    np.negative(half_sq, out=b[:, -1])
+    g_max = gap.max(axis=1)
+    r_sq = half_sq.max(axis=1)
+    fast = (g_max <= _GAP_BOUND) & (r_sq + 2.0 * np.sqrt(r_sq * g_max) <= _GAP_BOUND)
+    return a, b, gap, fast
+
+
+def _exact_rows(a_rows: np.ndarray, b: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """LSE_k((a_rows @ b)[i, k] + log_w[i, k]) for P (row, lane) pairs of one group, (P,).
+
+    Each pair is shifted by its own max of exponent plus log weight, so no
+    term its sum needs can underflow; all -inf pairs stay -inf.
+    """
+    return _logsumexp(a_rows @ b + log_w, axis=1)
 
 
 def _transition_factors(
@@ -539,17 +617,16 @@ def _transition_factors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factors of log sum_k p(x_to[k] | x_from[n], theta) w_next[k] for each lane.
 
-    Each lane is centred on its heaviest next-step particle k* (L = log w_k*;
-    a non-finite L counts as 0): with mu'_n = rk4_step(x_from[n], theta) - x_k*
-    and x'_k = x_k - x_k*, the norm expansion
+    This is the exact per-lane path of `_lineage_log_scores`, taken only by
+    the lanes whose group block or gap is not finite. Each lane is
+    centred (`_centred_factors`) on its heaviest next-step particle k*
+    (L = log w_k*; a non-finite L counts as 0), and
         log sum_k w_k N(x_k; mu_n, var I)
-          = LSE_k(mu'_n.x'_k / var + log w_k - L - |x'_k|^2 / 2var) + L - gap_n + log_norm,
-        gap_n = |mu'_n|^2 / 2var,
-    puts every exponent into one matmul of `a` = [mu' / var, 1] (M, N, d+1)
-    with `b` = [x'^T ; log w - L - |x'|^2 / 2var] (M, d+1, K). A zero weight
+          = LSE_k(mu'_n.x'_k / var + log w_k - L - |x'_k|^2 / 2var) + L - gap_n + log_norm
+    puts every exponent into one matmul of `a` with
+    `b` = [x'^T ; log w - L - |x'|^2 / 2var] (M, d+1, K). A zero weight
     enters as -inf and gives a -inf exponent. `row` (M, N) is the term added
-    after the log-sum-exp. Centring leaves |x - mu| unchanged and removes the
-    cancellation of |x|^2 / var terms that the raw origin suffers.
+    after the log-sum-exp.
 
     Every exponent equals gap_n - |x'_k - mu'_n|^2 / 2var + log w_k - L, so it
     is at most gap_n, and the one at k* is exactly 0. `fast` (M,) marks the
@@ -557,24 +634,12 @@ def _transition_factors(
     overflow and their row sums are at least 1, so the log-sum-exp needs no
     shift there. A non-finite gap leaves the lane on the row-max branch.
     """
-    m, n, d = x_from.shape
-    lanes = np.arange(m)
     heaviest = np.argmax(log_w_next, axis=1)
-    top = log_w_next[lanes, heaviest]
+    top = log_w_next[np.arange(log_w_next.shape[0]), heaviest]
     top = np.where(np.isfinite(top), top, 0.0)
-    centre = x_to[lanes, heaviest][:, None, :]
-    mu = _rk4(spec, x_from, theta_to[:, None, :], delta)
-    mu -= centre
-    a = np.empty((m, n, d + 1))
-    np.divide(mu, var, out=a[:, :, :d])
-    a[:, :, d] = 1.0
-    b = np.empty((m, d + 1, x_to.shape[1]))
-    x_rel = b[:, :d]
-    np.subtract(np.swapaxes(x_to, 1, 2), np.swapaxes(centre, 1, 2), out=x_rel)
-    b[:, d] = log_w_next - top[:, None] - (0.5 / var) * np.einsum("mdk,mdk->mk", x_rel, x_rel)
-    with np.errstate(over="ignore"):
-        gap = (0.5 / var) * np.einsum("mnd,mnd->mn", mu, mu)
-    log_norm = -0.5 * d * (_LOG_2PI + np.log(var))
+    a, b, half_sq, gap = _centred_factors(spec, x_from, x_to, theta_to, heaviest, delta, var)
+    b[:, -1] = log_w_next - top[:, None] - half_sq
+    log_norm = -0.5 * x_from.shape[2] * (_LOG_2PI + np.log(var))
     row = log_norm + top[:, None] - gap
     fast = (gap <= _GAP_BOUND).all(axis=1)
     return a, b, row, fast
@@ -604,6 +669,110 @@ def _transition_log_scores(a: np.ndarray, b: np.ndarray, fast: np.ndarray) -> np
     return out
 
 
+def _lineage_log_scores(
+    spec: SystemSpec,
+    history: FilterHistory,
+    lane: np.ndarray,
+    t: int,
+    w_next: np.ndarray,
+    delta: float,
+    var: float,
+    chunk: int,
+    workers: int,
+    pool: ThreadPoolExecutor | None,
+) -> np.ndarray:
+    """log sum_k p(x_{t+1}(k) | x_t(n), theta) w_next[j, k] for every final lane j, (M, N).
+
+    Lanes j that share u = lane[t + 1, j] form one group: x_t, x_{t+1} and
+    theta_{t+1} depend only on u, and only the backward weights `w_next[j]`
+    differ. Each group's block comes from `_group_factors`, centred on the
+    group's filter-heaviest next-step particle; it is exponentiated unshifted
+    where its bound allows and shifted by each row's max otherwise, and every
+    member's row sums come from one matmul with the members' weights.
+
+    A row sum below `_TRUST_FLOOR` (the lane's weight sits where the shifted
+    row underflows) is recomputed for that (row, lane) by `_exact_rows`. A
+    member whose row sums are not finite, or whose group has a non-finite gap
+    or shift, takes the exact per-lane path instead: `_transition_factors`
+    centres it on its own heaviest particle and `_transition_log_scores`
+    shifts by the max of exponent plus log weight.
+
+    The groups, in order of u, are cut into a fixed grid of `chunk`-group
+    chunks, and at most `workers` threads of `pool` each take one contiguous
+    span of whole chunks; a group's result depends only on that group.
+    """
+    m, n = w_next.shape[0], history.num_inner
+    # Final lanes ordered by u; group g holds members[starts[g]:starts[g + 1]].
+    members = np.argsort(lane[t + 1], kind="stable")
+    counts = np.bincount(lane[t + 1])
+    groups = np.flatnonzero(counts)
+    starts = np.concatenate([[0], np.cumsum(counts[groups])])
+    x_from = history.states[t][history.outer_ancestors[t][groups]]
+    x_to = history.states[t + 1][groups]
+    theta_to = history.thetas[t + 1][groups]
+    centre = np.argmax(history.inner_weights[t + 1][groups], axis=1)
+    log_norm = -0.5 * spec.dimension * (_LOG_2PI + np.log(var))
+    log_s = np.empty((m, n))
+    trusted = np.empty(m, dtype=bool)
+
+    def _work(span):
+        for lo in range(span[0], span[1], chunk):
+            hi = min(lo + chunk, span[1])
+            # Non-finite values and log(0) are caught below: small sums are
+            # recomputed by `_exact_rows`, non-finite ones mark the lane untrusted.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                a, b, gap, fast = _group_factors(
+                    spec, x_from[lo:hi], x_to[lo:hi], theta_to[lo:hi], centre[lo:hi], delta, var
+                )
+                e = np.matmul(a, b)
+                row = log_norm - gap
+                if not fast.all():
+                    shift = np.where(fast[:, None, None], 0.0, np.max(e, axis=2, keepdims=True))
+                    e -= shift
+                    row += shift[:, :, 0]
+                np.exp(e, out=e)
+                row_ok = np.isfinite(row).all(axis=1)
+                for c in range(hi - lo):
+                    lanes = members[starts[lo + c]:starts[lo + c + 1]]
+                    sums = e[c] @ w_next[lanes].T
+                    log_s[lanes] = (np.log(sums) + row[c, :, None]).T
+                    # NaN compares False, so a NaN sum marks its lane untrusted.
+                    trusted[lanes] = row_ok[c] & (sums < np.inf).all(axis=0)
+                    rows, cols = np.nonzero(sums < _TRUST_FLOOR)
+                    if rows.size:
+                        log_w = _log_nonzero(w_next[lanes[cols]])
+                        exact = _exact_rows(a[c, rows], b[c], log_w)
+                        log_s[lanes[cols], rows] = exact + (log_norm - gap[c, rows])
+
+    n_chunks = -(-groups.size // chunk)
+    n_spans = min(workers, n_chunks)
+    edges = [min(groups.size, chunk * (n_chunks * i // n_spans)) for i in range(n_spans + 1)]
+    spans = list(zip(edges[:-1], edges[1:]))
+    if n_spans > 1:
+        list(pool.map(_work, spans))
+    else:
+        _work(spans[0])
+
+    fallback = np.flatnonzero(~trusted)
+    if fallback.size:
+        lanes_t, lanes_next = lane[t][fallback], lane[t + 1][fallback]
+        a, b, exact, fast = _transition_factors(
+            spec,
+            history.states[t][lanes_t],
+            history.states[t + 1][lanes_next],
+            history.thetas[t + 1][lanes_next],
+            _log_nonzero(w_next[fallback]),
+            delta,
+            var,
+        )
+        for lo in range(0, fallback.size, chunk):
+            exact[lo:lo + chunk] += _transition_log_scores(
+                a[lo:lo + chunk], b[lo:lo + chunk], fast[lo:lo + chunk]
+            )
+        log_s[fallback] = exact
+    return log_s
+
+
 def backward_smooth(
     history: FilterHistory,
     system: str | SystemSpec,
@@ -620,16 +789,16 @@ def backward_smooth(
     normalized each step; lane masses accumulate into smoothed outer weights,
     and the joint (outer x inner) weights are normalized per time step.
 
-    Each step's pair sums come from `_transition_factors`, which centres each
-    lane on its heaviest next-step particle, and `_transition_log_scores`,
-    which skips the row max for the lanes whose centred gap bound shows the
-    exponentials cannot overflow (see both). The branch is chosen per lane,
-    and the shift of 0 on the fast branch is exact, so a lane's weights do
-    not depend on the other lanes of its chunk.
+    The final lanes' lineages coalesce going backward, so at step t only the
+    U_t = |unique(lane[t + 1])| distinct lanes need RK4 and an (N, N) kernel
+    block: `_lineage_log_scores` builds one per distinct lane and shares it
+    among the final lanes on it, recomputing exactly the few row sums the
+    shared block cannot carry (see there).
+    The cost is O(sum_t U_t * N^2) rather than O(T * M * N^2).
 
-    `workers` splits the lanes into at most that many contiguous spans of
-    whole ~1 MiB lane chunks, one per thread, without changing results: each
-    lane's scores depend only on that lane. Lanes whose weights underflow
+    `workers` splits each step's distinct lanes, cut into a fixed grid of
+    ~1 MiB chunks, into at most that many contiguous spans of whole chunks,
+    one per thread, without changing results. Lanes whose weights underflow
     fall back to their filtered weights and are counted in
     `history.diagnostics.smoother_underflows`. At process_std 0 the transition
     density is degenerate and every lane keeps its filtered weights.
@@ -648,41 +817,20 @@ def backward_smooth(
     w_tilde[t_end] = v_cur[:, None] * w_norm
     v_tilde[t_end] = v_cur
     underflows = 0
-    # Lane-aligned particles at t + 1; each step's x_t is the next step's x_{t+1}.
-    x_next = history.states[t_end][lane[t_end]]
 
     var = process_std * process_std
-    # Lane chunks whose (C, N, N) score block is ~1 MiB of float64, so the
-    # kernel's passes over it stay in a core's L2 cache. Each worker walks one
-    # contiguous span of whole chunks, so the chunk grid does not depend on
-    # the worker count.
+    # Chunks of groups (or of fallback lanes) whose (C, N, N) block is ~1 MiB
+    # of float64, so the kernel's passes over it stay in a core's L2 cache.
     chunk = max(1, 131_072 // (n * n))
-    n_chunks = -(-m // chunk)
-    n_spans = max(1, min(workers, n_chunks))
-    edges = [min(m, chunk * (n_chunks * i // n_spans)) for i in range(n_spans + 1)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    pool = ThreadPoolExecutor(max_workers=n_spans) if n_spans > 1 else None
+    workers = max(1, min(workers, -(-m // chunk)))
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for t in range(t_end - 1, -1, -1):
             w_filt = history.inner_weights[t][lane[t]]
             if process_std > 0:
-                x_t = history.states[t][lane[t]]
-                theta_next = history.thetas[t + 1][lane[t + 1]]
-                a, b, log_s, fast = _transition_factors(
-                    spec, x_t, x_next, theta_next, _log_nonzero(w_norm), delta, var
+                log_s = _lineage_log_scores(
+                    spec, history, lane, t, w_norm, delta, var, chunk, workers, pool
                 )
-
-                def _work(span):
-                    for lo in range(span[0], span[1], chunk):
-                        hi = min(lo + chunk, span[1])
-                        log_s[lo:hi] += _transition_log_scores(a[lo:hi], b[lo:hi], fast[lo:hi])
-
-                if pool is not None:
-                    list(pool.map(_work, spans))
-                else:
-                    for span in spans:
-                        _work(span)
-                x_next = x_t
             else:
                 # Degenerate transition density: every lane is dead below and
                 # keeps its filtered weights, as any underflowed lane does.

@@ -16,7 +16,13 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def rmse_t(ensemble: CfTrajectorySet, reference: np.ndarray) -> np.ndarray:
-    """Root mean square of ensemble-to-reference (T+1, d) phase distances, per step."""
+    """Root mean square of ensemble-to-reference (T+1, d) phase distances, per step.
+
+    Each step averages over the trajectories still finite there (a truncated
+    one holds NaN from its failing step on); it is NaN only where none is.
+    Where the plain sum of squared distances overflows, the step's distances
+    are first divided by its largest coordinate distance.
+    """
     if ensemble.n_trajectories < 1:
         raise ValueError("ensemble is empty")
     if ensemble.trajectories.shape[1:] != reference.shape:
@@ -24,13 +30,33 @@ def rmse_t(ensemble: CfTrajectorySet, reference: np.ndarray) -> np.ndarray:
             f"ensemble shape {ensemble.trajectories.shape[1:]} does not match "
             f"reference {reference.shape}"
         )
-    diff = ensemble.trajectories - reference[None, :, :]
-    dist_sq = np.einsum("itd,itd->it", diff, diff)
-    return np.sqrt(dist_sq.mean(axis=0))
+    finite = np.isfinite(ensemble.trajectories).all(axis=2)
+    count = finite.sum(axis=0)
+    with np.errstate(over="ignore"):
+        diff = ensemble.trajectories - reference[None, :, :]
+        total = np.where(finite, np.einsum("itd,itd->it", diff, diff), 0.0).sum(axis=0)
+    out = np.full(total.shape, np.nan)
+    some = count > 0
+    out[some] = np.sqrt(total[some] / count[some])
+    over = some & np.isinf(total)
+    if over.any():
+        part = np.where(finite[:, over, None], diff[:, over], 0.0)
+        scale = np.abs(part).max(axis=(0, 2))
+        with np.errstate(invalid="ignore"):
+            part /= scale[:, None]
+            rescaled = scale * np.sqrt(np.einsum("isd,isd->s", part, part) / count[over])
+        # A coordinate distance past the float64 range is itself inf.
+        out[over] = np.where(np.isinf(scale), np.inf, rescaled)
+    return out
 
 
 def moving_average(series: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with shrinking windows at the boundaries."""
+    """Centered moving average with shrinking windows at the boundaries.
+
+    Each window averages its finite values; it is NaN where it holds none.
+    Windows whose running sums overflow are averaged directly, divided by
+    their largest magnitude first.
+    """
     series = np.asarray(series, dtype=float)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -38,8 +64,21 @@ def moving_average(series: np.ndarray, window: int) -> np.ndarray:
     idx = np.arange(n)
     lo = np.clip(idx - (window - 1) // 2, 0, None)
     hi = np.clip(idx + window // 2, None, n - 1)
-    csum = np.concatenate([[0.0], np.cumsum(series)])
-    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    finite = np.isfinite(series)
+    values = np.where(finite, series, 0.0)
+    counts = np.concatenate([[0], np.cumsum(finite)])
+    count = counts[hi + 1] - counts[lo]
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.concatenate([[0.0], np.cumsum(values)])
+        total = csum[hi + 1] - csum[lo]
+    out = np.full(n, np.nan)
+    some = count > 0
+    out[some] = total[some] / count[some]
+    for i in np.flatnonzero(some & ~np.isfinite(out)):
+        part = series[lo[i]:hi[i] + 1][finite[lo[i]:hi[i] + 1]]
+        scale = np.abs(part).max()
+        out[i] = scale * np.mean(part / scale)
+    return out
 
 
 def divergence_onset(series: np.ndarray, threshold: float) -> int | None:

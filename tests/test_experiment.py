@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from cfdyn.experiment import (
     stage_filter,
     stage_simulate,
 )
+from cfdyn.metrics import moving_average, rmse_t
 from cfdyn.seeding import RngSeed
 
 TINY = {
@@ -257,6 +259,36 @@ def test_products_round_trip_through_their_files(tmp_path):
         assert len(put) == len(loaded), name
         for a, b in zip(put, loaded):
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+
+
+@pytest.mark.filterwarnings("error")
+def test_metrics_of_a_truncated_ensemble_average_its_finite_rows(tmp_path):
+    # The round-trip config above: row 4 stays finite, the other 7 are
+    # truncated between steps 15 and 36, and every distance is ~1e306-1e307,
+    # so squared distances overflow.
+    config = tiny_config(
+        system="exp_decay",
+        theta_true=[0.2],
+        x0=[1.0],
+        prior_bounds=[[-1.0, 1.0]],
+        intervention={"absolute": [2e307]},
+        n_cf=8,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the rollouts overflow
+        run = run_pipeline(config, tmp_path / "run")
+    ensemble, reference = run.products["cf_ensemble.csv"], run.products["cf_deterministic.csv"]
+    assert list(ensemble.failure_index) == [15, 26, 30, 34, -1, 31, 30, 36]
+    raw = rmse_t(ensemble, reference)
+    smoothed = moving_average(raw, config.rmse_window)
+    stored = run.products["rmse.csv"]
+    assert np.array_equal(raw, stored[0]) and np.array_equal(smoothed, stored[1])
+    finite = np.isfinite(ensemble.trajectories).all(axis=2)
+    for t in range(config.horizon + 1):
+        distances = np.abs(ensemble.trajectories[finite[:, t], t, 0] - reference[t, 0])
+        # hypot scales internally, so it does not overflow.
+        expected = math.hypot(*distances) / math.sqrt(distances.size)
+        assert math.isclose(raw[t], expected, rel_tol=1e-13), t
+    assert np.isfinite(smoothed).all()
 
 
 def test_true_regime_still_runs_filter_and_abduction(tmp_path):

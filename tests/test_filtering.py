@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -591,9 +592,9 @@ def test_single_inner_particle_smoothing_is_identity():
     assert np.allclose(smoothed.w_tilde, history.inner_weights[:, :, :], atol=1e-12)
 
 
-def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon):
+def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon, process_std=1.0):
     truth = simulate_hidden(
-        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), horizon, 0.05, 1.0,
+        LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), horizon, 0.05, process_std,
         RngSeed(sim_seed),
     )
     obs = observe(truth, 1.0, RngSeed(sim_seed, 1))
@@ -601,7 +602,7 @@ def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon):
         num_outer=num_outer,
         num_inner=num_inner,
         delta=0.05,
-        process_std=1.0,
+        process_std=process_std,
         observation_std=1.0,
         kernel=JitterKernel.from_prior(TABLE1_PRIOR, num_outer),
     )
@@ -642,6 +643,12 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
     assert np.array_equal(noise.mu, mu) and np.array_equal(noise.sigma, sigma)
 
 
+def _distinct_next_lanes(history) -> np.ndarray:
+    """U_t = |unique(lane[t + 1])| for t = T-1 down to 0, the smoother's step order."""
+    lane = lane_alignment(history.outer_ancestors)
+    return np.array([np.unique(lane[t + 1]).size for t in range(history.horizon - 1, -1, -1)])
+
+
 def test_smoother_worker_count_does_not_change_results(monkeypatch):
     pool_spans = []
 
@@ -651,18 +658,28 @@ def test_smoother_worker_count_does_not_change_results(monkeypatch):
             return super().map(fn, spans)
 
     monkeypatch.setattr(filtering, "ThreadPoolExecutor", CountingPool)
-    # At N=10 all 12 lanes fit in one chunk and the pool stays idle; at N=200
-    # a chunk holds 131072 // 200**2 = 3 lanes, so 9 lanes make 3 chunks.
-    for seeds, m, n, horizon in (((26, 27), 12, 10, 30), ((28, 29), 9, 200, 4)):
-        history = _lorenz_history(*seeds, m, n, horizon)
-        a = backward_smooth(history, LORENZ, 0.05, 1.0, workers=1)
-        for workers in (2, 8):
-            b = backward_smooth(history, LORENZ, 0.05, 1.0, workers=workers)
-            assert np.array_equal(a.w_tilde, b.w_tilde)
-            assert np.array_equal(a.v_tilde, b.v_tilde)
-    # One map per step (T=4): 2 spans of whole chunks with workers 2, one span
-    # per chunk (3) with workers 8.
-    assert pool_spans == [2] * 4 + [3] * 4
+    # At N=10 a chunk holds 1310 lineage groups, so all 12 lanes fit in one and
+    # no pool starts; at N=200 a chunk holds 131072 // 200**2 = 3 groups.
+    # Workers write disjoint rows of shared arrays; a short switch interval
+    # interleaves them as often as it can.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seeds, m, n, horizon in (((26, 27), 12, 10, 30), ((28, 29), 9, 200, 4)):
+            history = _lorenz_history(*seeds, m, n, horizon)
+            a = backward_smooth(history, LORENZ, 0.05, 1.0, workers=1)
+            for workers in (2, 8):
+                b = backward_smooth(history, LORENZ, 0.05, 1.0, workers=workers)
+                assert np.array_equal(a.w_tilde, b.w_tilde)
+                assert np.array_equal(a.v_tilde, b.v_tilde)
+    finally:
+        sys.setswitchinterval(interval)
+    # A step maps min(workers, chunks) spans of whole chunks over its U_t
+    # groups when that is more than one. Here each of the T=4 steps has 7-9
+    # distinct lanes, so 3 chunks: 2 spans with workers 2, 3 with workers 8.
+    chunks = -(-_distinct_next_lanes(history) // 3)
+    expected = [min(w, c) for w in (2, 8) for c in chunks if min(w, c) > 1]
+    assert pool_spans == expected == [2] * 4 + [3] * 4
 
 
 def _smoother_matches_pairwise_oracle(history, process_std) -> int:
@@ -692,15 +709,19 @@ def test_smoother_matches_pairwise_oracle_with_zero_inner_weights():
     assert _smoother_matches_pairwise_oracle(replace(history, inner_weights=weights), 1.0) == 0
 
 
-def test_smoother_matches_pairwise_oracle_when_a_lane_underflows():
+def test_smoother_matches_pairwise_oracle_when_a_lane_underflows(monkeypatch):
     # With process_std 1e-150 every exponent |x_k - b_n|^2 / 2 var is ~1e300 or
     # larger but finite, except in lane 2, whose final particles sit 1e5 away
     # from their predictions: there it overflows for every pair, so the lane's
     # sum is -inf at t = T - 1 and it keeps its filtered weights.
+    calls = _record_kernel_paths(monkeypatch)
     history = _lorenz_history(65, 66, 6, 20, 15)
     states = history.states.copy()
     states[-1, 2] += 1e5
     assert _smoother_matches_pairwise_oracle(replace(history, states=states), 1e-150) == 1
+    # Lane 2's group gap overflows, so at t = T - 1 it alone takes the
+    # per-lane kernel.
+    assert calls[1] == ("exact", 1)
 
 
 def test_smoother_matches_pairwise_oracle_at_small_process_noise():
@@ -717,22 +738,101 @@ def test_smoother_matches_pairwise_oracle_at_tiny_process_noise():
     assert _smoother_matches_pairwise_oracle(history, 1e-153) == 0
 
 
+def _record_kernel_paths(monkeypatch) -> list:
+    """Record ("group", fast) per `_group_factors` call, ("rows", pairs) per
+    `_exact_rows` call and ("exact", lanes) per `_transition_factors` call,
+    in call order."""
+    calls = []
+    group_factors = filtering._group_factors
+    exact_rows = filtering._exact_rows
+    transition_factors = filtering._transition_factors
+
+    def recording_group_factors(*args):
+        a, b, gap, fast = group_factors(*args)
+        calls.append(("group", fast.copy()))
+        return a, b, gap, fast
+
+    def recording_exact_rows(a_rows, b, log_w):
+        calls.append(("rows", a_rows.shape[0]))
+        return exact_rows(a_rows, b, log_w)
+
+    def recording_transition_factors(spec, x_from, *args):
+        calls.append(("exact", x_from.shape[0]))
+        return transition_factors(spec, x_from, *args)
+
+    monkeypatch.setattr(filtering, "_group_factors", recording_group_factors)
+    monkeypatch.setattr(filtering, "_exact_rows", recording_exact_rows)
+    monkeypatch.setattr(filtering, "_transition_factors", recording_transition_factors)
+    return calls
+
+
 def test_smoother_mixes_fast_and_max_lanes_in_one_call(monkeypatch):
-    lanes = []
-    kernel = filtering._transition_log_scores
-
-    def counting_kernel(a, b, fast):
-        lanes.append(fast.copy())
-        return kernel(a, b, fast)
-
-    monkeypatch.setattr(filtering, "_transition_log_scores", counting_kernel)
+    calls = _record_kernel_paths(monkeypatch)
     history = _lorenz_history(60, 61, 6, 20, 15)
     assert _smoother_matches_pairwise_oracle(history, 0.3) == 0
-    fast = np.array(lanes)
-    # One 6-lane chunk per step; some steps mix both branches in one chunk.
-    assert fast.shape == (15, 6)
-    assert fast.sum() > 0 and (~fast).sum() > 0
-    assert (fast.any(axis=1) & ~fast.all(axis=1)).any()
+    # One chunk per step, one group per distinct lane; no lane needs the
+    # exact path, and some steps mix unshifted and row-shifted groups.
+    assert [kind for kind, _ in calls] == ["group"] * 15
+    fast = [flags for _, flags in calls]
+    assert [flags.size for flags in fast] == list(_distinct_next_lanes(history))
+    assert any(flags.any() and not flags.all() for flags in fast)
+
+
+def test_smoother_step_mixes_unshifted_shifted_and_exact_rows(monkeypatch):
+    calls = _record_kernel_paths(monkeypatch)
+    history = _lorenz_history(80, 81, 12, 30, 20)
+    # Lane 0's last filtered mass sits on one particle moved 30 units off its
+    # cloud. Every row of its shifted block underflows there (the gap to the
+    # nearest particle is ~5000 at process_std 0.3), so at t = T - 1 all 30
+    # of its row sums fall below the trust floor and are recomputed exactly.
+    states, weights = history.states.copy(), history.inner_weights.copy()
+    states[-1, 0, 0] += 30.0
+    weights[-1, 0] = 0.0
+    weights[-1, 0, 0] = 1.0
+    history = replace(history, states=states, inner_weights=weights)
+    assert _smoother_matches_pairwise_oracle(history, 0.3) == 0
+    (kind, fast), rows = calls[0], calls[1]
+    # Step T - 1 has 12 distinct lanes, so 12 one-lane groups.
+    assert kind == "group" and fast.size == 12
+    assert not fast[0] and fast.sum() >= 1 and (~fast).sum() >= 3
+    assert rows == ("rows", 30)
+    assert [call for call in calls[2:] if call[0] != "group"] == []
+
+
+@pytest.mark.parametrize("process_std", [1.0, 0.1, 0.01])
+def test_grouped_smoother_matches_pairwise_oracle(monkeypatch, process_std):
+    # Filtered at the smoother's process noise, the lineages coalesce to a few
+    # groups (here U_t is 1 for most of the 20 steps), and every lane takes
+    # the shared kernel; only at the small noise levels do some groups need
+    # the row shift.
+    calls = _record_kernel_paths(monkeypatch)
+    history = _lorenz_history(80, 81, 12, 30, 20, process_std)
+    distinct = _distinct_next_lanes(history)
+    assert distinct.mean() < 12 / 2
+    assert _smoother_matches_pairwise_oracle(history, process_std) == 0
+    assert [kind for kind, _ in calls] == ["group"] * 20
+    shifted = sum((~flags).sum() for _, flags in calls)
+    assert (shifted > 0) == (process_std < 1.0)
+
+
+def test_smoother_builds_one_kernel_block_per_distinct_lane(monkeypatch):
+    calls = _record_kernel_paths(monkeypatch)
+    history = _lorenz_history(80, 81, 12, 30, 20)
+    backward_smooth(history, LORENZ, 0.05, 1.0)
+    built = sum(flags.size for kind, flags in calls if kind == "group")
+    # sum_t |unique(lane[t + 1])| = 64 blocks, not M * T = 240.
+    assert built == _distinct_next_lanes(history).sum() == 64
+
+
+def test_abduction_on_coalesced_lineages_matches_two_pass_oracle():
+    history = _lorenz_history(80, 81, 12, 30, 20)
+    lane = lane_alignment(history.outer_ancestors)
+    # Below t = T every step has fewer distinct lanes than final lanes.
+    assert all(np.unique(lane[t]).size < 12 for t in range(history.horizon))
+    smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
+    noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+    mu, sigma = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
+    assert np.array_equal(noise.mu, mu) and np.array_equal(noise.sigma, sigma)
 
 
 def test_smoothed_means_track_rts_oracle():

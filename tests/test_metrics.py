@@ -100,6 +100,28 @@ def test_rmse_shape_mismatch_rejected():
         rmse_t(ens, ref)
 
 
+@pytest.mark.filterwarnings("error")
+def test_rmse_averages_the_rows_still_finite_at_each_step():
+    ref = np.zeros((4, 2))
+    rows = np.array([
+        [[3.0, 4.0], [3.0, 4.0], [np.nan, np.nan], [np.nan, np.nan]],
+        [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [np.nan, np.nan]],
+    ])
+    out = rmse_t(_ensemble(rows), ref)
+    expected = [np.sqrt(13.0), np.sqrt(14.5), 3.0, np.nan]
+    assert np.allclose(out, expected, rtol=1e-15, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rmse_rescales_steps_whose_sum_of_squares_overflows():
+    # Distances of 3e200 and 4e200 square past the float64 range.
+    ref = np.zeros((2, 1))
+    rows = np.array([[[0.0], [3e200]], [[0.0], [4e200]]])
+    out = rmse_t(_ensemble(rows), ref)
+    assert out[0] == 0.0
+    assert abs(out[1] / (np.sqrt(12.5) * 1e200) - 1.0) < 1e-14
+
+
 # ----------------------------------------------------------- moving_average
 
 
@@ -129,6 +151,20 @@ def test_moving_average_never_negative_on_nonnegative_input():
     rng = np.random.default_rng(6)
     series = rng.uniform(size=60)
     assert (moving_average(series, 9) >= 0).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_moving_average_skips_nonfinite_values():
+    series = np.array([1.0, np.nan, 3.0, np.inf, np.nan, np.nan, 5.0])
+    out = moving_average(series, 3)
+    assert np.allclose(out, [1.0, 2.0, 3.0, 3.0, np.nan, 5.0, 5.0], rtol=1e-15, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_moving_average_of_values_whose_running_sum_overflows():
+    series = np.array([1e308, 1e308, 1e308, 1.0])
+    out = moving_average(series, 3)
+    assert np.allclose(out, [1e308, 1e308, 1e308 * (2.0 / 3.0), 0.5e308], rtol=1e-15)
 
 
 def test_moving_average_rejects_bad_window():
