@@ -41,6 +41,7 @@ from .experiment import (
     run_pipeline,
 )
 from .filtering import (
+    AncestralHistory,
     FilterConfig,
     FilterDiagnostics,
     FilterHistory,
@@ -54,6 +55,7 @@ from .filtering import (
     init_particles,
     inner_weights,
     jitter,
+    keep_ancestral,
     outer_weights,
     posterior_summary,
     propagate,
@@ -109,6 +111,7 @@ __all__ = [
     "inner_weights",
     "intervene",
     "jitter",
+    "keep_ancestral",
     "load_config",
     "moving_average",
     "observe",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemSpec, _rk4, get_system
-from .filtering import FilterHistory, SmoothedWeights, lane_alignment, take_particles
+from .filtering import AncestralHistory, SmoothedWeights, take_particles
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class NoisePosterior:
 
 
 def abduct_noise(
-    history: FilterHistory,
+    history: AncestralHistory,
     smoothed: SmoothedWeights,
     system: str | SystemSpec,
     delta: float,
@@ -56,22 +56,24 @@ def abduct_noise(
     mu_t is the smoothed-weight average of the particle residuals; sigma_t is
     their weighted population variance, both componentwise. Residual pairs
     follow the recorded resampling lineage, so each particle is differenced
-    against the parent that actually produced it. Final lanes that share a
-    lane at t share its residuals, so RK4 runs once per distinct lane and the
-    residuals are gathered back to the M final lanes; the moments sum over
-    all M lanes, as if each had its own.
+    against the parent that actually produced it; both lie on the final
+    lanes' lineages, the rows an `AncestralHistory` keeps. Final lanes that
+    share a lane at t share its residuals, so RK4 runs once per distinct lane
+    and the residuals are gathered back to the M final lanes; the moments sum
+    over all M lanes, as if each had its own.
     """
     spec = get_system(system)
     t_end = history.horizon
-    lane = lane_alignment(history.outer_ancestors)
+    lane, row = history.lane, history.row
     mu = np.empty((t_end, spec.dimension))
     sigma = np.empty((t_end, spec.dimension))
     for t in range(1, t_end + 1):
         distinct, inverse = np.unique(lane[t], return_inverse=True)
-        prev = history.outer_ancestors[t - 1][distinct]  # lane[t - 1] of each
-        parents = take_particles(history.states[t - 1], prev, history.inner_ancestors[t - 1][prev])
-        pred = _rk4(spec, parents, history.thetas[t][distinct][:, None, :], delta)
-        resid = (history.states[t][distinct] - pred)[inverse]  # (M, N, d)
+        prev = row[t - 1, history.outer_ancestors[t - 1][distinct]]  # rows of lane[t - 1]
+        parents = take_particles(history.states, prev, history.inner_ancestors[prev])
+        at = row[t, distinct]
+        pred = _rk4(spec, parents, history.thetas[at][:, None, :], delta)
+        resid = (history.states[at] - pred)[inverse]  # (M, N, d)
         w = smoothed.w_tilde[t]
         total = w.sum()
         mean = np.einsum("mn,mnd->d", w, resid) / total

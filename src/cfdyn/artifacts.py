@@ -17,7 +17,7 @@ import numpy as np
 from .abduction import NoisePosterior
 from .counterfactual import CfTrajectorySet
 from .errors import ArtifactError
-from .filtering import FilterHistory, SmoothedWeights
+from .filtering import AncestralHistory, SmoothedWeights
 
 
 def fmt_float(x: float) -> str:
@@ -188,7 +188,8 @@ def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
                     entry.write(data[start : start + _NPZ_CHUNK])
 
 
-def save_filter_state(path: Path, history: FilterHistory, smoothed: SmoothedWeights) -> None:
+def save_filter_state(path: Path, history: AncestralHistory, smoothed: SmoothedWeights) -> None:
+    """Write the ancestral history and the smoothed weights; `lane` and `row` are derived, not stored."""
     save_npz(
         path,
         dict(
@@ -205,15 +206,15 @@ def save_filter_state(path: Path, history: FilterHistory, smoothed: SmoothedWeig
 
 
 @_reader
-def load_filter_state(path: Path) -> tuple[FilterHistory, SmoothedWeights]:
+def load_filter_state(path: Path) -> tuple[AncestralHistory, SmoothedWeights]:
     with np.load(path, allow_pickle=False) as z:
-        history = FilterHistory(
+        history = AncestralHistory(
             thetas=z["thetas"],
             states=z["states"],
             inner_weights=z["inner_weights"],
+            inner_ancestors=z["inner_ancestors"],
             outer_weights=z["outer_weights"],
             outer_ancestors=z["outer_ancestors"],
-            inner_ancestors=z["inner_ancestors"],
         )
         smoothed = SmoothedWeights(w_tilde=z["w_tilde"], v_tilde=z["v_tilde"])
     return history, smoothed

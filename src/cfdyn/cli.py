@@ -42,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="built-in configuration")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    parser.add_argument("--threads", type=int, default=1, help="ignored: every stage runs in one thread")
 
 
 def _resolve_config(args: argparse.Namespace):
@@ -62,7 +62,7 @@ def _resolve_config(args: argparse.Namespace):
 def _cmd_stage(args) -> int:
     config = _resolve_config(args)
     stage = next(stage for stage in STAGES if stage.name == args.command)
-    run = RunDir(config, resolve_out_dir(config, args.out), workers=args.threads)
+    run = RunDir(config, resolve_out_dir(config, args.out))
     run_stage(stage, run)
     print(f"{stage.name}: wrote {', '.join(stage.outputs)} and manifest.json to {run.path}")
     return 0

@@ -29,16 +29,17 @@ from .counterfactual import (
     generate_cf,
     intervene,
 )
-from .dynamics import get_system
+from .dynamics import SystemSpec, get_system
 from .errors import ArtifactError, ConfigError
 from .filtering import (
+    AncestralHistory,
     FilterConfig,
-    FilterHistory,
     JitterKernel,
     ParameterPrior,
     PosteriorSummary,
     SmoothedWeights,
     backward_smooth,
+    keep_ancestral,
     posterior_summary,
     run_filter,
 )
@@ -367,26 +368,29 @@ def stage_simulate(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stage_filter(
-    config: ExperimentConfig, observations: np.ndarray, workers: int = 1
-) -> tuple[FilterHistory, SmoothedWeights, PosteriorSummary]:
+    config: ExperimentConfig, observations: np.ndarray
+) -> tuple[AncestralHistory, SmoothedWeights, PosteriorSummary]:
+    """Filter, keep the final lanes' lineages, smooth and summarise.
+
+    The full `run_filter` history is dropped before the smoother runs; only
+    its ancestral lane-steps are kept and returned.
+    """
     seed = RngSeed(config.master_seed)
-    history = run_filter(
+    history = keep_ancestral(run_filter(
         observations,
         config.system,
         build_prior(config),
         np.asarray(config.x0),
         build_filter_config(config),
         seed.child("filter"),
-    )
-    smoothed = backward_smooth(
-        history, config.system, config.delta, config.process_std, workers=workers
-    )
+    ))
+    smoothed = backward_smooth(history, config.system, config.delta, config.process_std)
     summary = posterior_summary(history, smoothed)
     return history, smoothed, summary
 
 
 def stage_abduct(
-    config: ExperimentConfig, history: FilterHistory, smoothed: SmoothedWeights
+    config: ExperimentConfig, history: AncestralHistory, smoothed: SmoothedWeights
 ) -> NoisePosterior:
     return abduct_noise(history, smoothed, config.system, config.delta)
 
@@ -443,10 +447,9 @@ class RunDir:
     series (truth, estimate, reference) is a (T+1, d) array.
     """
 
-    def __init__(self, config: ExperimentConfig, path: str | Path, workers: int = 1):
+    def __init__(self, config: ExperimentConfig, path: str | Path):
         self.config = config
         self.path = Path(path)
-        self.workers = workers
         self.spec = get_system(config.system)
         self.products: dict[str, object] = {}
         self.manifest: dict | None = None
@@ -511,18 +514,7 @@ class RunDir:
             shape, expected = product[0].shape, (p,)
         elif name == "filter_state.npz":
             product = io.load_filter_state(path)
-            t1, m, n = series[0], config.outer_particles, config.inner_particles
-            needs = {"thetas": (t1, m, p), "states": (t1, m, n, series[1])}
-            for key in ("inner_weights", "inner_ancestors", "w_tilde"):
-                needs[key] = (t1, m, n)
-            for key in ("outer_weights", "outer_ancestors", "v_tilde"):
-                needs[key] = (t1, m)
-            arrays = {**vars(product[0]), **vars(product[1])}
-            # Name only the arrays that do not fit; both sides are {} when all do.
-            shape = {key: arrays[key].shape for key in needs if arrays[key].shape != needs[key]}
-            expected = {key: needs[key] for key in shape}
-            if not shape:
-                _check_lineage(path, arrays, m, n)
+            shape, expected = _check_filter_state(path, *product, config, self.spec)
         elif name == "noise_posterior.csv":
             product = io.load_noise_posterior(path)
             shape, expected = product.mu.shape, (config.horizon, series[1])
@@ -541,21 +533,54 @@ class RunDir:
         return product
 
 
-def _check_lineage(path: Path, arrays: dict, m: int, n: int) -> None:
-    """Raise ArtifactError unless a filter state's index arrays can index its particles.
+def _misfits(arrays: dict, needs: dict) -> tuple[dict, dict]:
+    """The shapes of the arrays that do not have the shape `needs` names, and
+    the shapes they need; both are {} when every array fits."""
+    shape = {key: arrays[key].shape for key in needs if arrays[key].shape != needs[key]}
+    return shape, {key: needs[key] for key in shape}
 
-    Each index array must be of an integer dtype (any width: older runs wrote
-    int64) with values in [0, M) or [0, N).
+
+def _check_index(path: Path, key: str, index: np.ndarray, bound: int) -> None:
+    """Raise ArtifactError unless `index` has an integer dtype (any width:
+    narrow or int64) and values in [0, bound)."""
+    if index.dtype.kind not in "iu":
+        raise ArtifactError(f"{path} array {key} has dtype {index.dtype}, not an integer dtype")
+    if index.min() < 0 or index.max() >= bound:
+        raise ArtifactError(
+            f"{path} array {key} holds values in [{index.min()}, {index.max()}], "
+            f"outside [0, {bound})"
+        )
+
+
+def _check_filter_state(
+    path: Path,
+    history: AncestralHistory,
+    smoothed: SmoothedWeights,
+    config: ExperimentConfig,
+    spec: SystemSpec,
+) -> tuple[dict, dict]:
+    """Check a loaded filter state against the config, in the order its arrays depend on
+    each other; return the misfit shapes, as `_misfits` does.
+
+    The lane arrays come first: `outer_ancestors` must index M lanes before the
+    row count S is derived from it. Then every compact member must have S rows,
+    `inner_ancestors` must index N particles, and last the smoothed weights
+    must cover every (t, lane). An index failure raises ArtifactError itself.
     """
-    for key, bound in (("outer_ancestors", m), ("inner_ancestors", n)):
-        index = arrays[key]
-        if index.dtype.kind not in "iu":
-            raise ArtifactError(f"{path} array {key} has dtype {index.dtype}, not an integer dtype")
-        if index.min() < 0 or index.max() >= bound:
-            raise ArtifactError(
-                f"{path} array {key} holds values in [{index.min()}, {index.max()}], "
-                f"outside [0, {bound})"
-            )
+    t1, m, n = config.horizon + 1, config.outer_particles, config.inner_particles
+    arrays = {**vars(history), **vars(smoothed)}
+    found = _misfits(arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
+    if found[0]:
+        return found
+    _check_index(path, "outer_ancestors", history.outer_ancestors, m)
+    s, p, d = int(history.row.max()) + 1, spec.n_params, spec.dimension
+    found = _misfits(arrays, {
+        "thetas": (s, p), "states": (s, n, d), "inner_weights": (s, n), "inner_ancestors": (s, n),
+    })
+    if found[0]:
+        return found
+    _check_index(path, "inner_ancestors", history.inner_ancestors, n)
+    return _misfits(arrays, {"w_tilde": (t1, m, n), "v_tilde": (t1, m)})
 
 
 @dataclass(frozen=True)
@@ -580,9 +605,7 @@ def _simulate(run: RunDir) -> dict:
 
 
 def _filter(run: RunDir) -> dict:
-    history, smoothed, summary = stage_filter(
-        run.config, run.get("observations.csv"), workers=run.workers
-    )
+    history, smoothed, summary = stage_filter(run.config, run.get("observations.csv"))
     run.put("state_estimate.csv", summary.state_mean)
     run.put("theta_estimate.csv", (summary.theta_mean, summary.theta_std))
     run.put("filter_state.npz", (history, smoothed))
@@ -667,9 +690,11 @@ def run_pipeline(
     The filter runs under every theta regime (it supplies the noise posterior
     even when the counterfactual parameters are pinned to their true values).
     A failing stage leaves the manifest listing what the earlier ones wrote.
+    Every stage runs in one thread: `workers` (the CLI's `--threads`) is
+    accepted and reaches nothing, so it cannot change a byte.
     """
     validate_config(config)
-    run = RunDir(config, resolve_out_dir(config, out_dir), workers)
+    run = RunDir(config, resolve_out_dir(config, out_dir))
     for stage in STAGES:
         run_stage(stage, run)
     return run
@@ -716,8 +741,8 @@ def run_grid(
 ) -> list[tuple[str, RunDir | Exception]]:
     """Run each named cell in its own subdirectory; failures stay isolated.
 
-    Cells run one after another; `workers` goes to each cell's smoother, as
-    in `run_pipeline`.
+    Cells run one after another; `workers` goes to each `run_pipeline`,
+    where it reaches nothing.
     """
     if not cells:
         raise ConfigError("grid is empty")

@@ -12,8 +12,8 @@ or worker count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -378,8 +378,9 @@ def index_dtype(size: int) -> np.dtype:
 def take_particles(block: np.ndarray, lanes: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """block[lanes[j], inner[j, i]] for every (j, i), as one gather.
 
-    `block` is (M, N, ...); `lanes` (J,) and `inner` (J, K) may hold any
-    integer dtype. The gather is one `np.take` on the flat (M * N, ...) view,
+    `block` is (R, N, ...): the M lanes of one step, or the rows of an
+    `AncestralHistory`; `lanes` (J,) and `inner` (J, K) may hold any
+    integer dtype. The gather is one `np.take` on the flat (R * N, ...) view,
     with the flat index built in np.intp: a narrow lane index times N would
     wrap or raise.
     """
@@ -511,13 +512,90 @@ def lane_alignment(outer_ancestors: np.ndarray) -> np.ndarray:
     return lane
 
 
+def ancestral_rows(lane: np.ndarray) -> np.ndarray:
+    """Row map (T+1, M) of the lane-steps on the final lanes' lineages.
+
+    (t, u) is kept when u is in lane[t]. Kept lane-steps are numbered in step
+    order and, within a step, in lane order; row[t, u] is that number, or -1
+    for a lane-step that is not kept. The count of kept lane-steps, S, is
+    row.max() + 1.
+    """
+    kept = np.zeros(lane.shape, dtype=bool)
+    kept[np.arange(lane.shape[0])[:, None], lane] = True
+    return np.where(kept, np.cumsum(kept).reshape(kept.shape) - 1, -1)
+
+
+@dataclass
+class AncestralHistory:
+    """The filter history kept only along the final lanes' lineages.
+
+    The compact members hold, in the row order of `ancestral_rows`, the
+    lane-steps (t, u) with u in lane[t]: `states[row[t, u]]` is the
+    `FilterHistory`'s `states[t][u]`, and likewise for `thetas`,
+    `inner_weights` and `inner_ancestors`. `outer_weights` and
+    `outer_ancestors` keep every lane. `lane` and `row` are derived from
+    `outer_ancestors` on first use and are not stored.
+    """
+
+    thetas: np.ndarray           # (S, p)
+    states: np.ndarray           # (S, N, d)
+    inner_weights: np.ndarray    # (S, N)
+    inner_ancestors: np.ndarray  # (S, N)
+    outer_weights: np.ndarray    # (T+1, M)
+    outer_ancestors: np.ndarray  # (T+1, M)
+    diagnostics: FilterDiagnostics = field(default_factory=FilterDiagnostics)
+
+    @cached_property
+    def lane(self) -> np.ndarray:
+        return lane_alignment(self.outer_ancestors)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        return ancestral_rows(self.lane)
+
+    @property
+    def horizon(self) -> int:
+        return self.outer_weights.shape[0] - 1
+
+    @property
+    def num_outer(self) -> int:
+        return self.outer_weights.shape[1]
+
+    @property
+    def num_inner(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def dimension(self) -> int:
+        return self.states.shape[2]
+
+
+def keep_ancestral(history: FilterHistory) -> AncestralHistory:
+    """Gather the lane-steps on the final lanes' lineages into an AncestralHistory.
+
+    The smoother, the abduction and the posterior summary read the history
+    only along those lineages, which coalesce going backward; every other
+    lane-step is dropped. The result shares `history.diagnostics`.
+    """
+    steps, lanes = np.nonzero(ancestral_rows(lane_alignment(history.outer_ancestors)) >= 0)
+    return AncestralHistory(
+        thetas=history.thetas[steps, lanes],
+        states=history.states[steps, lanes],
+        inner_weights=history.inner_weights[steps, lanes],
+        inner_ancestors=history.inner_ancestors[steps, lanes],
+        outer_weights=history.outer_weights,
+        outer_ancestors=history.outer_ancestors,
+        diagnostics=history.diagnostics,
+    )
+
+
 @dataclass
 class SmoothedWeights:
     """Backward-smoothed weights, aligned to final-time outer lanes.
 
     With lane = `lane_alignment(history.outer_ancestors)`, `w_tilde[t, j, n]`
-    weights particle `states[t, lane[t, j], n]` and is jointly normalized over
-    (j, n) at each t; `v_tilde[t]` are the smoothed lane weights.
+    weights particle n of lane lane[t, j] at step t and is jointly normalized
+    over (j, n) at each t; `v_tilde[t]` are the smoothed lane weights.
     """
 
     w_tilde: np.ndarray     # (T+1, M, N), joint-normalized per t
@@ -531,7 +609,7 @@ _GAP_BOUND = 600.0
 _TRUST_FLOOR = 1e-250
 
 
-def _centred_factors(
+def _group_factors(
     spec: SystemSpec,
     x_from: np.ndarray,       # (C, N, d)
     x_to: np.ndarray,         # (C, K, d)
@@ -540,15 +618,24 @@ def _centred_factors(
     delta: float,
     var: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Matmul factors of the transition kernel, centred on x_c = x_to[c, centre[c]].
+    """Matmul factors of the kernel exponents of C lineage groups.
 
-    With mu'_n = rk4_step(x_from[n], theta) - x_c and x'_k = x_to[k] - x_c,
-        -|x_k - mu_n|^2 / 2var = mu'_n . x'_k / var - |x'_k|^2 / 2var - gap_n,
-        gap_n = |mu'_n|^2 / 2var.
-    Returns `a` = [mu' / var, 1] (C, N, d+1), `b` (C, d+1, K) holding x'^T in
-    its first d rows (the caller fills the last), |x'|^2 / 2var (C, K) and
-    gap (C, N). Centring leaves |x - mu| unchanged and removes the
-    cancellation of |x|^2 / var terms that the raw origin suffers.
+    Each group is centred on x_c = x_to[c, centre[c]]: with
+    mu'_n = rk4_step(x_from[n], theta) - x_c and x'_k = x_to[k] - x_c,
+        log N(x_k; mu_n, var I) = e[n, k] - gap_n + log_norm,
+        e[n, k] = mu'_n . x'_k / var - |x'_k|^2 / 2var,
+        gap_n = |mu'_n|^2 / 2var,
+    and each group's (N, K) block e is `a @ b`, with `a` = [mu' / var, 1]
+    (C, N, d+1) and `b` = [x'^T ; -|x'|^2 / 2var] (C, d+1, K). Centring
+    leaves |x - mu| unchanged and removes the cancellation of |x|^2 / var
+    terms that the raw origin suffers.
+
+    Every e[n, k] lies in [-R^2 - 2 R sqrt(G), G], with G = max_n gap_n and
+    R^2 = max_k |x'_k|^2 / 2var (Cauchy-Schwarz on mu'_n . x'_k). `fast` (C,)
+    marks the groups where that interval lies within [-600, 600]: there
+    exp(e) neither overflows nor underflows, so the block needs no row shift.
+    A non-finite bound leaves the group unmarked. Returns a, b, gap (C, N)
+    and fast.
     """
     c, n, d = x_from.shape
     anchor = x_to[np.arange(c), centre][:, None, :]
@@ -561,36 +648,8 @@ def _centred_factors(
     x_rel = b[:, :d]
     np.subtract(np.swapaxes(x_to, 1, 2), np.swapaxes(anchor, 1, 2), out=x_rel)
     half_sq = (0.5 / var) * np.einsum("cdk,cdk->ck", x_rel, x_rel)
-    with np.errstate(over="ignore"):
-        gap = (0.5 / var) * np.einsum("cnd,cnd->cn", mu, mu)
-    return a, b, half_sq, gap
-
-
-def _group_factors(
-    spec: SystemSpec,
-    x_from: np.ndarray,       # (C, N, d)
-    x_to: np.ndarray,         # (C, K, d)
-    theta_to: np.ndarray,     # (C, p)
-    centre: np.ndarray,       # (C,) index into K
-    delta: float,
-    var: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Matmul factors of the kernel exponents of C lineage groups.
-
-    Centred as in `_centred_factors`,
-        log N(x_k; mu_n, var I) = e[n, k] - gap_n + log_norm,
-        e[n, k] = mu'_n . x'_k / var - |x'_k|^2 / 2var,
-    and each group's (N, K) block e is `a @ b`, with `b` = [x'^T ; -|x'|^2 / 2var].
-
-    Every e[n, k] lies in [-R^2 - 2 R sqrt(G), G], with G = max_n gap_n and
-    R^2 = max_k |x'_k|^2 / 2var (Cauchy-Schwarz on mu'_n . x'_k). `fast` (C,)
-    marks the groups where that interval lies within [-600, 600]: there
-    exp(e) neither overflows nor underflows, so the block needs no row shift.
-    A non-finite bound leaves the group unmarked. Returns a, b, gap (C, N)
-    and fast.
-    """
-    a, b, half_sq, gap = _centred_factors(spec, x_from, x_to, theta_to, centre, delta, var)
-    np.negative(half_sq, out=b[:, -1])
+    np.negative(half_sq, out=b[:, d])
+    gap = (0.5 / var) * np.einsum("cnd,cnd->cn", mu, mu)
     g_max = gap.max(axis=1)
     r_sq = half_sq.max(axis=1)
     fast = (g_max <= _GAP_BOUND) & (r_sq + 2.0 * np.sqrt(r_sq * g_max) <= _GAP_BOUND)
@@ -606,80 +665,14 @@ def _exact_rows(a_rows: np.ndarray, b: np.ndarray, log_w: np.ndarray) -> np.ndar
     return _logsumexp(a_rows @ b + log_w, axis=1)
 
 
-def _transition_factors(
-    spec: SystemSpec,
-    x_from: np.ndarray,       # (M, N, d)
-    x_to: np.ndarray,         # (M, K, d)
-    theta_to: np.ndarray,     # (M, p)
-    log_w_next: np.ndarray,   # (M, K)
-    delta: float,
-    var: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factors of log sum_k p(x_to[k] | x_from[n], theta) w_next[k] for each lane.
-
-    This is the exact per-lane path of `_lineage_log_scores`, taken only by
-    the lanes whose group block or gap is not finite. Each lane is centred
-    (`_centred_factors`) on its heaviest next-step particle k* (L = log w_k*;
-    a non-finite L counts as 0), and the expansion
-        log sum_k w_k N(x_k; mu_n, var I)
-          = LSE_k(mu'_n.x'_k / var + log w_k - L - |x'_k|^2 / 2var) + L - gap_n + log_norm
-    puts every exponent into one matmul of `a` with
-    `b` = [x'^T ; log w - L - |x'|^2 / 2var] (M, d+1, K). A zero weight
-    enters as -inf and gives a -inf exponent. `row` (M, N) is the term added
-    after the log-sum-exp.
-
-    Every exponent equals gap_n - |x'_k - mu'_n|^2 / 2var + log w_k - L, so it
-    is at most gap_n, and the one at k* is exactly 0. `fast` (M,) marks the
-    lanes whose rows all have gap_n <= _GAP_BOUND: their exponentials cannot
-    overflow and their row sums are at least 1, so the log-sum-exp needs no
-    shift there. A non-finite gap leaves the lane on the row-max branch.
-    """
-    heaviest = np.argmax(log_w_next, axis=1)
-    top = log_w_next[np.arange(log_w_next.shape[0]), heaviest]
-    top = np.where(np.isfinite(top), top, 0.0)
-    a, b, half_sq, gap = _centred_factors(spec, x_from, x_to, theta_to, heaviest, delta, var)
-    b[:, -1] = log_w_next - top[:, None] - half_sq
-    log_norm = -0.5 * x_from.shape[2] * (_LOG_2PI + np.log(var))
-    row = log_norm + top[:, None] - gap
-    fast = (gap <= _GAP_BOUND).all(axis=1)
-    return a, b, row, fast
-
-
-def _transition_log_scores(a: np.ndarray, b: np.ndarray, fast: np.ndarray) -> np.ndarray:
-    """LSE_k (a @ b)[c, n, k] for each lane row, (C, N); all -inf rows stay -inf.
-
-    One matmul, then exp and sum on the (C, N, K) block, whose k axis is
-    contiguous; both work in place, since fresh ~1 MiB temporaries per chunk
-    cost more than the passes themselves. Lanes not marked `fast` (C,) are
-    shifted by their row max first; `fast` lanes are shifted by exactly 0, so
-    a lane's result does not depend on the other lanes of its chunk, and when
-    every lane is `fast` the max and subtract passes are skipped.
-    """
-    scores = np.matmul(a, b)
-    shift = None
-    if not fast.all():
-        mx = np.max(scores, axis=2, keepdims=True)
-        shift = np.where(np.isfinite(mx) & ~fast[:, None, None], mx, 0.0)
-        scores -= shift
-    np.exp(scores, out=scores)
-    with np.errstate(divide="ignore"):
-        out = np.log(scores.sum(axis=2))
-    if shift is not None:
-        out += np.squeeze(shift, 2)
-    return out
-
-
 def _lineage_log_scores(
     spec: SystemSpec,
-    history: FilterHistory,
-    lane: np.ndarray,
+    history: AncestralHistory,
     t: int,
     w_next: np.ndarray,
     delta: float,
     var: float,
     chunk: int,
-    workers: int,
-    pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
     """log sum_k p(x_{t+1}(k) | x_t(n), theta) w_next[j, k] for every final lane j, (M, N).
 
@@ -690,99 +683,66 @@ def _lineage_log_scores(
     where its bound allows and shifted by each row's max otherwise, and every
     member's row sums come from one matmul with the members' weights.
 
-    A row sum below `_TRUST_FLOOR` (the lane's weight sits where the shifted
-    row underflows) is recomputed for that (row, lane) by `_exact_rows`. A
-    member whose row sums are not finite, or whose group has a non-finite gap
-    or shift, takes the exact per-lane path instead: `_transition_factors`
-    centres it on its own heaviest particle and `_transition_log_scores`
-    shifts by the max of exponent plus log weight.
-
-    The groups, in order of u, are cut into a fixed grid of `chunk`-group
-    chunks, and at most `workers` threads of `pool` each take one contiguous
-    span of whole chunks; a group's result depends only on that group.
+    A (row, lane) pair whose sum is below `_TRUST_FLOOR` (the lane's weight
+    sits where the shifted row underflows) or not finite, or whose row term
+    (gap and shift) is not finite, is recomputed by `_exact_rows` from the
+    group's own factors. The groups, in order of u, are taken `chunk` at a
+    time into one reused exponent block; a group's result depends only on
+    that group.
     """
     m, n = w_next.shape[0], history.num_inner
+    lane, row_of = history.lane, history.row
     # Final lanes ordered by u; group g holds members[starts[g]:starts[g + 1]].
     members = np.argsort(lane[t + 1], kind="stable")
     counts = np.bincount(lane[t + 1])
     groups = np.flatnonzero(counts)
     starts = np.concatenate([[0], np.cumsum(counts[groups])])
-    x_from = history.states[t][history.outer_ancestors[t][groups]]
-    x_to = history.states[t + 1][groups]
-    theta_to = history.thetas[t + 1][groups]
-    centre = np.argmax(history.inner_weights[t + 1][groups], axis=1)
+    rows_to = row_of[t + 1, groups]
+    x_from = history.states[row_of[t, history.outer_ancestors[t][groups]]]
+    x_to = history.states[rows_to]
+    theta_to = history.thetas[rows_to]
+    centre = np.argmax(history.inner_weights[rows_to], axis=1)
     log_norm = -0.5 * spec.dimension * (_LOG_2PI + np.log(var))
     log_s = np.empty((m, n))
-    trusted = np.empty(m, dtype=bool)
-
-    def _work(span):
-        # One exponent block per span, reused by its chunks: a fresh ~1 MiB
-        # block per chunk fragmented the heap and raised peak RSS by ~14 MB
-        # in repeated lorenz-n200 runs.
-        block = np.empty((min(chunk, span[1] - span[0]), n, n))
-        for lo in range(span[0], span[1], chunk):
-            hi = min(lo + chunk, span[1])
-            # Non-finite values and log(0) are caught below: small sums are
-            # recomputed by `_exact_rows`, non-finite ones mark the lane untrusted.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                a, b, gap, fast = _group_factors(
-                    spec, x_from[lo:hi], x_to[lo:hi], theta_to[lo:hi], centre[lo:hi], delta, var
-                )
-                e = np.matmul(a, b, out=block[:hi - lo])
-                row = log_norm - gap
-                if not fast.all():
-                    shift = np.where(fast[:, None, None], 0.0, np.max(e, axis=2, keepdims=True))
-                    e -= shift
-                    row += shift[:, :, 0]
-                np.exp(e, out=e)
-                row_ok = np.isfinite(row).all(axis=1)
-                for c in range(hi - lo):
-                    lanes = members[starts[lo + c]:starts[lo + c + 1]]
-                    sums = e[c] @ w_next[lanes].T
-                    log_s[lanes] = (np.log(sums) + row[c, :, None]).T
-                    # NaN compares False, so a NaN sum marks its lane untrusted.
-                    trusted[lanes] = row_ok[c] & (sums < np.inf).all(axis=0)
-                    rows, cols = np.nonzero(sums < _TRUST_FLOOR)
-                    if rows.size:
-                        log_w = _log_nonzero(w_next[lanes[cols]])
-                        exact = _exact_rows(a[c, rows], b[c], log_w)
-                        log_s[lanes[cols], rows] = exact + (log_norm - gap[c, rows])
-
-    n_chunks = -(-groups.size // chunk)
-    n_spans = min(workers, n_chunks)
-    edges = [min(groups.size, chunk * (n_chunks * i // n_spans)) for i in range(n_spans + 1)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    if n_spans > 1:
-        list(pool.map(_work, spans))
-    else:
-        _work(spans[0])
-
-    fallback = np.flatnonzero(~trusted)
-    if fallback.size:
-        lanes_t, lanes_next = lane[t][fallback], lane[t + 1][fallback]
-        a, b, exact, fast = _transition_factors(
-            spec,
-            history.states[t][lanes_t],
-            history.states[t + 1][lanes_next],
-            history.thetas[t + 1][lanes_next],
-            _log_nonzero(w_next[fallback]),
-            delta,
-            var,
-        )
-        for lo in range(0, fallback.size, chunk):
-            exact[lo:lo + chunk] += _transition_log_scores(
-                a[lo:lo + chunk], b[lo:lo + chunk], fast[lo:lo + chunk]
+    # One exponent block per step, reused by its chunks: a fresh ~1 MiB block
+    # per chunk fragmented the heap and raised peak RSS by ~14 MB in repeated
+    # lorenz-n200 runs.
+    block = np.empty((min(chunk, groups.size), n, n))
+    for lo in range(0, groups.size, chunk):
+        hi = min(lo + chunk, groups.size)
+        # Non-finite values and log(0) are caught below and recomputed by
+        # `_exact_rows`.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a, b, gap, fast = _group_factors(
+                spec, x_from[lo:hi], x_to[lo:hi], theta_to[lo:hi], centre[lo:hi], delta, var
             )
-        log_s[fallback] = exact
+            e = np.matmul(a, b, out=block[:hi - lo])
+            row = log_norm - gap
+            if not fast.all():
+                shift = np.where(fast[:, None, None], 0.0, np.max(e, axis=2, keepdims=True))
+                e -= shift
+                row += shift[:, :, 0]
+            np.exp(e, out=e)
+            row_ok = np.isfinite(row)
+            for c in range(hi - lo):
+                lanes = members[starts[lo + c]:starts[lo + c + 1]]
+                sums = e[c] @ w_next[lanes].T
+                log_s[lanes] = (np.log(sums) + row[c, :, None]).T
+                # NaN compares False, so a NaN sum is recomputed too.
+                ok = (sums >= _TRUST_FLOOR) & (sums < np.inf) & row_ok[c, :, None]
+                rows, cols = np.nonzero(~ok)
+                if rows.size:
+                    log_w = _log_nonzero(w_next[lanes[cols]])
+                    exact = _exact_rows(a[c, rows], b[c], log_w)
+                    log_s[lanes[cols], rows] = exact + (log_norm - gap[c, rows])
     return log_s
 
 
 def backward_smooth(
-    history: FilterHistory,
+    history: AncestralHistory,
     system: str | SystemSpec,
     delta: float,
     process_std: float,
-    workers: int = 1,
 ) -> SmoothedWeights:
     """Reweight the filter history so each step conditions on all observations.
 
@@ -793,75 +753,66 @@ def backward_smooth(
     normalized each step; lane masses accumulate into smoothed outer weights,
     and the joint (outer x inner) weights are normalized per time step.
 
-    The final lanes' lineages coalesce going backward, so at step t only the
-    U_t = |unique(lane[t + 1])| distinct lanes need RK4 and an (N, N) kernel
-    block: `_lineage_log_scores` builds one per distinct lane and shares it
-    among the final lanes on it, recomputing exactly the few row sums the
-    shared block cannot carry (see there).
-    The cost is O(sum_t U_t * N^2) rather than O(T * M * N^2).
+    The recursion reads the history only on the final lanes' lineages, which
+    is what an `AncestralHistory` (`keep_ancestral`) keeps: lane lane[t, j]
+    at step t is row `history.row[t, lane[t, j]]`. The lineages coalesce
+    going backward, so at step t only the U_t = |unique(lane[t + 1])|
+    distinct lanes need RK4 and an (N, N) kernel block: `_lineage_log_scores`
+    builds one per distinct lane and shares it among the final lanes on it,
+    recomputing exactly the few row sums the shared block cannot carry (see
+    there). The cost is O(sum_t U_t * N^2) rather than O(T * M * N^2).
 
-    `workers` splits each step's distinct lanes, cut into a fixed grid of
-    ~1 MiB chunks, into at most that many contiguous spans of whole chunks,
-    one per thread, without changing results. Lanes whose weights underflow
-    fall back to their filtered weights and are counted in
-    `history.diagnostics.smoother_underflows`. At process_std 0 the transition
-    density is degenerate and every lane keeps its filtered weights.
+    Lanes whose weights underflow fall back to their filtered weights and are
+    counted in `history.diagnostics.smoother_underflows`. At process_std 0 the
+    transition density is degenerate and every lane keeps its filtered
+    weights.
     """
     spec = get_system(system)
     t_end = history.horizon
     m, n = history.num_outer, history.num_inner
-
-    lane = lane_alignment(history.outer_ancestors)
-    w_tilde = np.empty_like(history.inner_weights)
+    lane, row = history.lane, history.row
+    w_tilde = np.empty((t_end + 1, m, n))
     v_tilde = np.empty_like(history.outer_weights)
 
     # Base case: at t = T the smoothed weights are the filtered weights.
-    w_norm = history.inner_weights[t_end].copy()
+    w_norm = history.inner_weights[row[t_end]]
     v_cur = history.outer_weights[t_end].copy()
     w_tilde[t_end] = v_cur[:, None] * w_norm
     v_tilde[t_end] = v_cur
     underflows = 0
 
     var = process_std * process_std
-    # Chunks of groups (or of fallback lanes) whose (C, N, N) block is ~1 MiB
-    # of float64, so the kernel's passes over it stay in a core's L2 cache.
+    # Chunks of groups whose (C, N, N) block is ~1 MiB of float64, so the
+    # kernel's passes over it stay in a core's L2 cache.
     chunk = max(1, 131_072 // (n * n))
-    workers = max(1, min(workers, -(-m // chunk)))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for t in range(t_end - 1, -1, -1):
-            w_filt = history.inner_weights[t][lane[t]]
-            if process_std > 0:
-                log_s = _lineage_log_scores(
-                    spec, history, lane, t, w_norm, delta, var, chunk, workers, pool
-                )
-            else:
-                # Degenerate transition density: every lane is dead below and
-                # keeps its filtered weights, as any underflowed lane does.
-                log_s = np.full((m, n), -np.inf)
+    for t in range(t_end - 1, -1, -1):
+        w_filt = history.inner_weights[row[t, lane[t]]]
+        if process_std > 0:
+            log_s = _lineage_log_scores(spec, history, t, w_norm, delta, var, chunk)
+        else:
+            # Degenerate transition density: every lane is dead below and
+            # keeps its filtered weights, as any underflowed lane does.
+            log_s = np.full((m, n), -np.inf)
 
-            log_raw = _log_nonzero(w_filt) + log_s
-            log_r = _logsumexp(log_raw, axis=1)
-            dead = ~np.isfinite(log_r)
-            w_norm = np.where(
-                dead[:, None],
-                w_filt,
-                np.exp(log_raw - np.where(dead, 0.0, log_r)[:, None]),
-            )
-            if dead.any():
-                underflows += int(dead.sum())
+        log_raw = _log_nonzero(w_filt) + log_s
+        log_r = _logsumexp(log_raw, axis=1)
+        dead = ~np.isfinite(log_r)
+        w_norm = np.where(
+            dead[:, None],
+            w_filt,
+            np.exp(log_raw - np.where(dead, 0.0, log_r)[:, None]),
+        )
+        if dead.any():
+            underflows += int(dead.sum())
 
-            log_v = _log_nonzero(v_cur) + np.where(dead, -np.inf, log_r)
-            norm = _logsumexp(log_v[None, :], axis=1)[0]
-            if np.isfinite(norm):
-                v_cur = np.exp(log_v - norm)
-            # else: every lane underflowed; keep the previous lane weights.
+        log_v = _log_nonzero(v_cur) + np.where(dead, -np.inf, log_r)
+        norm = _logsumexp(log_v[None, :], axis=1)[0]
+        if np.isfinite(norm):
+            v_cur = np.exp(log_v - norm)
+        # else: every lane underflowed; keep the previous lane weights.
 
-            w_tilde[t] = v_cur[:, None] * w_norm
-            v_tilde[t] = v_cur
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        w_tilde[t] = v_cur[:, None] * w_norm
+        v_tilde[t] = v_cur
 
     history.diagnostics.smoother_underflows += underflows
     return SmoothedWeights(w_tilde=w_tilde, v_tilde=v_tilde)
@@ -877,25 +828,26 @@ class PosteriorSummary:
 
 
 def posterior_summary(
-    history: FilterHistory,
+    history: AncestralHistory,
     smoothed: SmoothedWeights,
 ) -> PosteriorSummary:
     """Collapse smoothed weights into point estimates.
 
-    State means use the joint smoothed weights at each step. The parameter
-    estimate averages final-time particles under the fully smoothed lane
-    weights.
+    State means use the joint smoothed weights at each step, over the
+    particles of the final lanes' lineages (rows `history.row[t, lane[t]]`).
+    The parameter estimate averages final-time particles under the fully
+    smoothed lane weights.
     """
     t_end = history.horizon
-    lane = lane_alignment(history.outer_ancestors)
+    lane, row = history.lane, history.row
     x_hat = np.empty((t_end + 1, history.dimension))
     for t in range(t_end + 1):
-        aligned = history.states[t][lane[t]]
+        aligned = history.states[row[t, lane[t]]]
         x_hat[t] = np.einsum("mn,mnd->d", smoothed.w_tilde[t], aligned)
     x_hat_sum = smoothed.w_tilde.sum(axis=(1, 2))
     x_hat /= x_hat_sum[:, None]
 
-    theta = history.thetas[t_end][lane[t_end]]
+    theta = history.thetas[row[t_end, lane[t_end]]]
     v = smoothed.v_tilde[min(1, t_end)]
     theta_mean = v @ theta
     theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))

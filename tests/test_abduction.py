@@ -10,6 +10,7 @@ from cfdyn.filtering import (
     ParameterPrior,
     SmoothedWeights,
     backward_smooth,
+    keep_ancestral,
     run_filter,
 )
 from cfdyn.seeding import RngSeed
@@ -58,13 +59,13 @@ def _degenerate_history(horizon=12):
         kernel=JitterKernel(scale=np.zeros(3), clamp_to_prior=False),
     )
     history = run_filter(obs, LORENZ, prior, X0, config, RngSeed(42))
-    smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
+    smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
     return history, smoothed
 
 
 def test_single_particle_posterior_is_exact_residual():
     history, smoothed = _degenerate_history()
-    noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+    noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
     for t in range(1, history.horizon + 1):
         expected = particle_residual(
             history.states[t, 0, 0],
@@ -107,7 +108,7 @@ def _manual_history(residuals, weights):
 def test_symmetric_two_particle_moments():
     r = np.array([0.7, -1.1, 2.0])
     history, smoothed = _manual_history(np.stack([r, -r]), [0.5, 0.5])
-    noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+    noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
     assert np.allclose(noise.mu[0], 0.0, atol=1e-12)
     assert np.allclose(noise.sigma[0], r**2, rtol=1e-12)
 
@@ -119,7 +120,7 @@ def test_weighted_mean_stays_within_residual_envelope():
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
         history, smoothed = _manual_history(residuals, w)
-        noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+        noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
         lo = residuals.min(axis=0) - 1e-12
         hi = residuals.max(axis=0) + 1e-12
         assert ((noise.mu[0] >= lo) & (noise.mu[0] <= hi)).all()
@@ -132,7 +133,7 @@ def test_variance_matches_two_pass_oracle():
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
         history, smoothed = _manual_history(residuals, w)
-        noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+        noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
         mean = (w[:, None] * residuals).sum(axis=0)
         var = (w[:, None] * (residuals - mean) ** 2).sum(axis=0)
         rel = np.abs(noise.sigma[0] - var) / np.maximum(var, 1e-30)
@@ -151,7 +152,7 @@ def test_noiseless_truth_yields_small_abducted_mean():
         observation_std=0.01,
         kernel=JitterKernel(scale=np.zeros(3), clamp_to_prior=False),
     )
-    history = run_filter(obs, LORENZ, prior, X0, config, RngSeed(44))
+    history = keep_ancestral(run_filter(obs, LORENZ, prior, X0, config, RngSeed(44)))
     smoothed = backward_smooth(history, LORENZ, 0.05, 0.05)
     noise = abduct_noise(history, smoothed, LORENZ, 0.05)
     mean_norm = np.sqrt((noise.mu**2).sum(axis=1)).mean()

@@ -29,6 +29,7 @@ from cfdyn.filtering import (
     ParameterPrior,
     backward_smooth,
     filtered_means,
+    keep_ancestral,
     posterior_summary,
     run_filter,
     systematic_resample,
@@ -86,8 +87,9 @@ def test_criterion_2_kalman_rts_oracle():
         )
         ys = observe(truth, 1.0, root.child("obs"))
         history = run_filter(ys, EXP_DECAY, prior, np.array([0.0]), config, root.child("filter"))
-        smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
-        summary = posterior_summary(history, smoothed)
+        kept = keep_ancestral(history)
+        smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
+        summary = posterior_summary(kept, smoothed)
         kf, rts = kalman_filter_rts(ys[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         mads_filtered.append(np.abs(filtered_means(history)[:, 0] - kf).mean())
         mads_smoothed.append(np.abs(summary.state_mean[:, 0] - rts).mean())

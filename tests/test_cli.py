@@ -137,7 +137,7 @@ def test_unusable_lineage_in_filter_state_is_io_error(tmp_path, capsys):
         original = dict(z)
 
     def out_of_range(arrays):
-        arrays["inner_ancestors"][3, 0, 0] = 99  # N = 8
+        arrays["inner_ancestors"][3, 0] = 99  # N = 8
         return "inner_ancestors"
 
     def negative(arrays):
@@ -170,18 +170,78 @@ def test_filter_state_stores_narrow_indices_and_reads_int64_ones(tmp_path):
     path = staged / "filter_state.npz"
     with np.load(path) as z:
         arrays = dict(z)
-    assert "lane_index" not in arrays and "delta" not in arrays
+    assert sorted(arrays) == sorted([
+        "thetas", "states", "inner_weights", "inner_ancestors", "outer_weights",
+        "outer_ancestors", "w_tilde", "v_tilde",
+    ])
+    # One row per lane-step on a final lane's lineage; T + 1 = 41, M = 6, N = 8.
+    rows = sum(np.unique(step).size for step in lane_alignment(arrays["outer_ancestors"]))
+    assert rows < 41 * 6
+    assert arrays["thetas"].shape == (rows, 3) and arrays["states"].shape == (rows, 8, 3)
+    assert arrays["inner_weights"].shape == arrays["inner_ancestors"].shape == (rows, 8)
+    assert arrays["outer_ancestors"].shape == (41, 6) and arrays["w_tilde"].shape == (41, 6, 8)
     for key in ("outer_ancestors", "inner_ancestors"):
         assert arrays[key].dtype == np.uint8, key  # M = 6, N = 8
         arrays[key] = arrays[key].astype(np.int64)  # as older runs wrote them
-    # Older runs also stored the lineage and the step size; both are ignored.
-    arrays["lane_index"] = lane_alignment(arrays["outer_ancestors"]).astype(np.int64)
-    arrays["delta"] = np.float64(TINY["delta"])
     np.savez(path, **arrays)
     relist(staged, "filter_state.npz")
     assert main(["abduct", "--config", str(config), "--out", str(staged)]) == 0
     name = "noise_posterior.csv"
     assert (staged / name).read_bytes() == (fused / name).read_bytes()
+
+
+def _abduct_fails_naming(config, out, capsys, key):
+    """Relist filter_state.npz, run `abduct`, and check it exits 4 with one line naming `key`."""
+    relist(out, "filter_state.npz")
+    capsys.readouterr()
+    assert main(["abduct", "--config", str(config), "--out", str(out)]) == 4, key
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "filter_state.npz" in err and key in err, err
+    assert err.count("\n") == 1
+
+
+def test_wrong_row_count_in_filter_state_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("simulate", "filter"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    path = out / "filter_state.npz"
+    with np.load(path) as z:
+        original = dict(z)
+    for key in ("thetas", "states", "inner_weights", "inner_ancestors"):
+        arrays = dict(original)
+        arrays[key] = arrays[key][:-1]  # one row short of the S the lineages need
+        np.savez(path, **arrays)
+        _abduct_fails_naming(config, out, capsys, key)
+    # Lanes that never resample keep all 41 * 6 lane-steps, more than the rows held.
+    arrays = dict(original, outer_ancestors=np.tile(np.arange(6, dtype=np.uint8), (41, 1)))
+    assert original["states"].shape[0] < 41 * 6
+    np.savez(path, **arrays)
+    _abduct_fails_naming(config, out, capsys, "states")
+
+
+def test_filter_state_in_the_full_history_layout_is_io_error(tmp_path, capsys):
+    from cfdyn.experiment import build_filter_config, build_prior, load_config
+    from cfdyn.filtering import run_filter
+    from cfdyn.seeding import RngSeed
+
+    config_path = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("simulate", "filter"):
+        assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0
+    config = load_config(config_path)
+    observations = np.loadtxt(out / "observations.csv", delimiter=",", skiprows=1)[:, 1:]
+    history = run_filter(
+        observations, config.system, build_prior(config), np.asarray(config.x0),
+        build_filter_config(config), RngSeed(config.master_seed).child("filter"),
+    )
+    path = out / "filter_state.npz"
+    with np.load(path) as z:
+        arrays = dict(z)
+    for key in ("thetas", "states", "inner_weights", "inner_ancestors"):
+        arrays[key] = getattr(history, key)  # (T+1, M, ...), every lane-step
+    np.savez(path, **arrays)
+    _abduct_fails_naming(config_path, out, capsys, "states")
 
 
 def test_truncated_observations_are_io_error(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cfdyn import experiment
 from cfdyn.counterfactual import CfTrajectorySet, ThetaRegime, generate_cf
 from cfdyn.errors import ConfigError, NumericsError
 from cfdyn.experiment import (
@@ -26,6 +28,7 @@ from cfdyn.experiment import (
     stage_filter,
     stage_simulate,
 )
+from cfdyn.filtering import AncestralHistory, keep_ancestral
 from cfdyn.metrics import moving_average, rmse_t
 from cfdyn.seeding import RngSeed
 
@@ -202,6 +205,36 @@ def test_pipeline_worker_count_invariant(tmp_path):
     a = run_pipeline(config, tmp_path / "w1", workers=1)
     b = run_pipeline(config, tmp_path / "w4", workers=4)
     assert a.manifest["artifacts"] == b.manifest["artifacts"]
+
+
+def test_stage_filter_frees_the_full_history_before_smoothing(monkeypatch):
+    config = tiny_config()
+    _, observations = stage_simulate(config)
+    full = []
+    live_at_smoothing = []
+    run_filter, backward_smooth = experiment.run_filter, experiment.backward_smooth
+
+    def recording_run_filter(*args):
+        history = run_filter(*args)
+        full.append(weakref.ref(history))
+        return history
+
+    def checking_backward_smooth(history, *args):
+        live_at_smoothing.append(full[0]() is not None)
+        return backward_smooth(history, *args)
+
+    monkeypatch.setattr(experiment, "run_filter", recording_run_filter)
+    monkeypatch.setattr(experiment, "backward_smooth", checking_backward_smooth)
+    history, _, _ = stage_filter(config, observations)
+    assert isinstance(history, AncestralHistory)
+    assert live_at_smoothing == [False]
+    assert full[0]() is None
+    # The kept rows are those keep_ancestral gathers from the same filter run.
+    again = keep_ancestral(run_filter(
+        observations, config.system, experiment.build_prior(config), np.asarray(config.x0),
+        experiment.build_filter_config(config), RngSeed(config.master_seed).child("filter"),
+    ))
+    assert np.array_equal(history.states, again.states)
 
 
 def test_posterior_regime_with_zero_spread_matches_point(tmp_path):

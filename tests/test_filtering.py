@@ -1,5 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +16,7 @@ from cfdyn.filtering import (
     init_particles,
     inner_weights,
     jitter,
+    keep_ancestral,
     lane_alignment,
     outer_weights,
     posterior_summary,
@@ -494,7 +493,7 @@ def test_filter_weights_normalized_every_step():
     history = run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(19))
     assert np.allclose(history.inner_weights.sum(axis=2), 1.0, atol=1e-9)
     assert np.allclose(history.outer_weights.sum(axis=1), 1.0, atol=1e-9)
-    smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
+    smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
     assert np.allclose(smoothed.w_tilde.sum(axis=(1, 2)), 1.0, atol=1e-9)
     assert np.allclose(smoothed.v_tilde.sum(axis=1), 1.0, atol=1e-9)
 
@@ -555,7 +554,9 @@ def test_lorenz_theta_estimate_within_prior_support():
         observation_std=1.0,
         kernel=JitterKernel.from_prior(TABLE1_PRIOR, 30),
     )
-    history = run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(23))
+    history = keep_ancestral(
+        run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(23))
+    )
     smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
     summary = posterior_summary(history, smoothed)
     assert np.isfinite(summary.theta_mean).all()
@@ -580,7 +581,7 @@ def _decay_history(seed, n_inner=50, horizon=40):
 
 def test_smoothed_equals_filtered_at_final_time():
     _, _, history = _decay_history(24)
-    smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
+    smoothed = backward_smooth(keep_ancestral(history), EXP_DECAY, DECAY_DELTA, 1.0)
     t_end = history.horizon
     joint_filtered = history.outer_weights[t_end][:, None] * history.inner_weights[t_end]
     assert np.allclose(smoothed.w_tilde[t_end], joint_filtered, atol=1e-12)
@@ -588,7 +589,7 @@ def test_smoothed_equals_filtered_at_final_time():
 
 def test_single_inner_particle_smoothing_is_identity():
     _, _, history = _decay_history(25, n_inner=1, horizon=20)
-    smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
+    smoothed = backward_smooth(keep_ancestral(history), EXP_DECAY, DECAY_DELTA, 1.0)
     assert np.allclose(smoothed.w_tilde, history.inner_weights[:, :, :], atol=1e-12)
 
 
@@ -627,18 +628,18 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
         z = filtering._lane_normals(RngSeed(36).child("step", t + 1).child("propagate"), post.shape)
         assert np.array_equal(history.states[t + 1], base + np.add(0.0, 1.0 * z))
 
-    smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
+    smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
     assert lane_alignment(history.outer_ancestors).dtype == history.outer_ancestors.dtype
     wide = replace(
         history,
         outer_ancestors=history.outer_ancestors.astype(np.int64),
         inner_ancestors=history.inner_ancestors.astype(np.int64),
     )
-    oracle = backward_smooth(wide, LORENZ, 0.05, 1.0)
+    oracle = backward_smooth(keep_ancestral(wide), LORENZ, 0.05, 1.0)
     assert np.array_equal(smoothed.w_tilde, oracle.w_tilde)
     assert np.array_equal(smoothed.v_tilde, oracle.v_tilde)
 
-    noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+    noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
     mu, sigma = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
     assert np.array_equal(noise.mu, mu) and np.array_equal(noise.sigma, sigma)
 
@@ -650,41 +651,40 @@ def _distinct_next_lanes(history) -> np.ndarray:
 
 
 def test_smoother_worker_count_does_not_change_results(monkeypatch):
-    pool_spans = []
+    # The smoother runs in one thread whatever `workers` or `--threads` say
+    # upstream. What a worker's span used to cover, a run of whole chunks of
+    # lineage groups, must not change a bit: each group's scores depend only
+    # on that group, so every chunk size gives the same weights.
+    scores = filtering._lineage_log_scores
+    chunks = []
 
-    class CountingPool(ThreadPoolExecutor):
-        def map(self, fn, spans):
-            pool_spans.append(len(spans))
-            return super().map(fn, spans)
+    def recording_scores(*args):
+        chunks.append(args[-1])
+        return scores(*args)
 
-    monkeypatch.setattr(filtering, "ThreadPoolExecutor", CountingPool)
-    # At N=10 a chunk holds 1310 lineage groups, so all 12 lanes fit in one and
-    # no pool starts; at N=200 a chunk holds 131072 // 200**2 = 3 groups.
-    # Workers write disjoint rows of shared arrays; a short switch interval
-    # interleaves them as often as it can.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seeds, m, n, horizon in (((26, 27), 12, 10, 30), ((28, 29), 9, 200, 4)):
-            history = _lorenz_history(*seeds, m, n, horizon)
-            a = backward_smooth(history, LORENZ, 0.05, 1.0, workers=1)
-            for workers in (2, 8):
-                b = backward_smooth(history, LORENZ, 0.05, 1.0, workers=workers)
-                assert np.array_equal(a.w_tilde, b.w_tilde)
-                assert np.array_equal(a.v_tilde, b.v_tilde)
-    finally:
-        sys.setswitchinterval(interval)
-    # A step maps min(workers, chunks) spans of whole chunks over its U_t
-    # groups when that is more than one. Here each of the T=4 steps has 7-9
-    # distinct lanes, so 3 chunks: 2 spans with workers 2, 3 with workers 8.
-    chunks = -(-_distinct_next_lanes(history) // 3)
-    expected = [min(w, c) for w in (2, 8) for c in chunks if min(w, c) > 1]
-    assert pool_spans == expected == [2] * 4 + [3] * 4
+    monkeypatch.setattr(filtering, "_lineage_log_scores", recording_scores)
+    for seeds, m, n, horizon in (((26, 27), 12, 10, 30), ((28, 29), 9, 200, 4)):
+        history = keep_ancestral(_lorenz_history(*seeds, m, n, horizon))
+        a = backward_smooth(history, LORENZ, 0.05, 1.0)
+        for chunk in (1, 2, m):
+            monkeypatch.setattr(
+                filtering, "_lineage_log_scores", lambda *args, c=chunk: scores(*args[:-1], c)
+            )
+            b = backward_smooth(history, LORENZ, 0.05, 1.0)
+            assert np.array_equal(a.w_tilde, b.w_tilde)
+            assert np.array_equal(a.v_tilde, b.v_tilde)
+        monkeypatch.setattr(filtering, "_lineage_log_scores", recording_scores)
+    # At N=10 a chunk holds 1310 lineage groups, so all 12 lanes fit in one;
+    # at N=200 a chunk holds 131072 // 200**2 = 3 groups, and each of the T=4
+    # steps has 7-9 distinct lanes, so 3 chunks.
+    assert chunks == [1310] * 30 + [3] * 4
+    assert all(-(-u // 3) == 3 for u in _distinct_next_lanes(history))
 
 
 def _smoother_matches_pairwise_oracle(history, process_std) -> int:
-    """Compare backward_smooth with the pairwise oracle; the underflow count."""
-    smoothed = backward_smooth(history, LORENZ, 0.05, process_std)
+    """Compare backward_smooth on the ancestral history with the pairwise
+    oracle on the full one; the underflow count."""
+    smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, process_std)
     w_tilde, v_tilde, underflows = backward_smooth_pairwise(history, LORENZ, 0.05, process_std)
     np.testing.assert_allclose(smoothed.w_tilde, w_tilde, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(smoothed.v_tilde, v_tilde, rtol=1e-9, atol=0.0)
@@ -719,9 +719,9 @@ def test_smoother_matches_pairwise_oracle_when_a_lane_underflows(monkeypatch):
     states = history.states.copy()
     states[-1, 2] += 1e5
     assert _smoother_matches_pairwise_oracle(replace(history, states=states), 1e-150) == 1
-    # Lane 2's group gap overflows, so at t = T - 1 it alone takes the
-    # per-lane kernel.
-    assert calls[1] == ("exact", 1)
+    # Lane 2's group gap overflows, so at t = T - 1 its 20 row terms are not
+    # finite, and those 20 rows alone are recomputed from its group's factors.
+    assert calls[1] == ("rows", 20)
 
 
 def test_smoother_matches_pairwise_oracle_at_small_process_noise():
@@ -739,13 +739,11 @@ def test_smoother_matches_pairwise_oracle_at_tiny_process_noise():
 
 
 def _record_kernel_paths(monkeypatch) -> list:
-    """Record ("group", fast) per `_group_factors` call, ("rows", pairs) per
-    `_exact_rows` call and ("exact", lanes) per `_transition_factors` call,
-    in call order."""
+    """Record ("group", fast) per `_group_factors` call and ("rows", pairs)
+    per `_exact_rows` call, in call order."""
     calls = []
     group_factors = filtering._group_factors
     exact_rows = filtering._exact_rows
-    transition_factors = filtering._transition_factors
 
     def recording_group_factors(*args):
         a, b, gap, fast = group_factors(*args)
@@ -756,13 +754,8 @@ def _record_kernel_paths(monkeypatch) -> list:
         calls.append(("rows", a_rows.shape[0]))
         return exact_rows(a_rows, b, log_w)
 
-    def recording_transition_factors(spec, x_from, *args):
-        calls.append(("exact", x_from.shape[0]))
-        return transition_factors(spec, x_from, *args)
-
     monkeypatch.setattr(filtering, "_group_factors", recording_group_factors)
     monkeypatch.setattr(filtering, "_exact_rows", recording_exact_rows)
-    monkeypatch.setattr(filtering, "_transition_factors", recording_transition_factors)
     return calls
 
 
@@ -818,7 +811,7 @@ def test_grouped_smoother_matches_pairwise_oracle(monkeypatch, process_std):
 def test_smoother_builds_one_kernel_block_per_distinct_lane(monkeypatch):
     calls = _record_kernel_paths(monkeypatch)
     history = _lorenz_history(80, 81, 12, 30, 20)
-    backward_smooth(history, LORENZ, 0.05, 1.0)
+    backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
     built = sum(flags.size for kind, flags in calls if kind == "group")
     # sum_t |unique(lane[t + 1])| = 64 blocks, not M * T = 240.
     assert built == _distinct_next_lanes(history).sum() == 64
@@ -829,8 +822,9 @@ def test_abduction_on_coalesced_lineages_matches_two_pass_oracle():
     lane = lane_alignment(history.outer_ancestors)
     # Below t = T every step has fewer distinct lanes than final lanes.
     assert all(np.unique(lane[t]).size < 12 for t in range(history.horizon))
-    smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
-    noise = abduct_noise(history, smoothed, LORENZ, 0.05)
+    kept = keep_ancestral(history)
+    smoothed = backward_smooth(kept, LORENZ, 0.05, 1.0)
+    noise = abduct_noise(kept, smoothed, LORENZ, 0.05)
     mu, sigma = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
     assert np.array_equal(noise.mu, mu) and np.array_equal(noise.sigma, sigma)
 
@@ -840,8 +834,9 @@ def test_smoothed_means_track_rts_oracle():
     a_eff = float(rk4_step(EXP_DECAY, np.array([1.0]), np.array([1.0]), DECAY_DELTA)[0])
     for seed in (29, 30, 31):
         truth, obs, history = _decay_history(seed, n_inner=300, horizon=120)
-        smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
-        summary = posterior_summary(history, smoothed)
+        kept = keep_ancestral(history)
+        smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
+        summary = posterior_summary(kept, smoothed)
         kf, rts = kalman_filter_rts(obs[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         assert np.abs(filtered_means(history)[:, 0] - kf).mean() < 0.15
         assert np.abs(summary.state_mean[:, 0] - rts).mean() < 0.15
@@ -853,9 +848,42 @@ def test_lane_alignment_identity_without_resampling_shuffle():
     assert np.array_equal(lane, np.tile(np.arange(5), (7, 1)))
 
 
+def test_keep_ancestral_gathers_exactly_the_final_lanes_lineages():
+    history = _lorenz_history(80, 81, 12, 30, 20)
+    kept = keep_ancestral(history)
+    lane = lane_alignment(history.outer_ancestors)
+    assert np.array_equal(kept.lane, lane)
+    rows = 0
+    for t in range(history.horizon + 1):
+        distinct = np.unique(lane[t])
+        assert np.array_equal(np.flatnonzero(kept.row[t] >= 0), distinct)
+        at = kept.row[t, distinct]
+        assert np.array_equal(at, rows + np.arange(distinct.size))
+        rows += distinct.size
+        assert np.array_equal(kept.states[kept.row[t, lane[t]]], history.states[t][lane[t]])
+        for key in ("thetas", "states", "inner_weights", "inner_ancestors"):
+            assert np.array_equal(getattr(kept, key)[at], getattr(history, key)[t][distinct]), key
+    # The 64 lane-steps of t = 1..T that the smoother builds blocks for, plus
+    # the one lane all lineages share at t = 0: 65 of 21 * 12 = 252.
+    assert kept.states.shape[0] == rows == 65
+    assert kept.inner_ancestors.dtype == history.inner_ancestors.dtype
+    assert kept.outer_weights is history.outer_weights
+    assert kept.outer_ancestors is history.outer_ancestors
+
+
+def test_smoother_counts_underflows_on_the_filters_diagnostics():
+    _, _, history = _decay_history(32, n_inner=10, horizon=10)
+    before = history.diagnostics.to_dict()
+    kept = keep_ancestral(history)
+    assert kept.diagnostics is history.diagnostics
+    backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 0.0)
+    # At process_std 0 the single lane underflows at each of the 10 steps below T.
+    assert history.diagnostics.to_dict() == {**before, "smoother_underflows": 10}
+
+
 def test_zero_process_std_smoothing_falls_back_to_filtered():
     _, _, history = _decay_history(32, n_inner=10, horizon=10)
-    smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 0.0)
+    smoothed = backward_smooth(keep_ancestral(history), EXP_DECAY, DECAY_DELTA, 0.0)
     assert history.diagnostics.smoother_underflows > 0
     t_end = history.horizon
     joint = history.outer_weights[t_end][:, None] * history.inner_weights[t_end]
@@ -867,8 +895,9 @@ def test_zero_process_std_smoothing_falls_back_to_filtered():
 
 def test_posterior_summary_single_particle():
     _, _, history = _decay_history(33, n_inner=1, horizon=10)
-    smoothed = backward_smooth(history, EXP_DECAY, DECAY_DELTA, 1.0)
-    summary = posterior_summary(history, smoothed)
+    kept = keep_ancestral(history)
+    smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
+    summary = posterior_summary(kept, smoothed)
     assert np.array_equal(summary.state_mean, history.states[:, 0, 0, :])
     assert summary.theta_std[0] == 0.0
 
@@ -897,7 +926,7 @@ def test_posterior_summary_two_particle_closed_form():
         w_tilde=np.stack([v[:, None], v[:, None]]),
         v_tilde=np.stack([v, v]),
     )
-    summary = posterior_summary(history, smoothed)
+    summary = posterior_summary(keep_ancestral(history), smoothed)
     # weighted mean of states 1,1,5 and thetas 2,2,6 under (0.25,0.25,0.5)
     assert abs(summary.state_mean[1, 0] - 3.0) < 1e-12
     assert abs(summary.theta_mean[0] - 4.0) < 1e-12
@@ -913,5 +942,5 @@ def test_posterior_summary_uniform_weights_plain_average():
         w_tilde=np.full((t1, m, n), 1.0 / (m * n)),
         v_tilde=np.full((t1, m), 1.0 / m),
     )
-    summary = posterior_summary(history, smoothed)
+    summary = posterior_summary(keep_ancestral(history), smoothed)
     assert np.allclose(summary.state_mean, history.states.mean(axis=(1, 2)))
