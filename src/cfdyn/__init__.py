@@ -47,7 +47,6 @@ from .filtering import (
     FilterHistory,
     JitterKernel,
     ParameterPrior,
-    ParticleCloud,
     PosteriorSummary,
     SmoothedWeights,
     backward_smooth,
@@ -87,7 +86,6 @@ __all__ = [
     "NumericsError",
     "PRESETS",
     "ParameterPrior",
-    "ParticleCloud",
     "PosteriorSummary",
     "ROSSLER",
     "RngSeed",

@@ -18,10 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .counterfactual import REGIMES
 from .errors import ArtifactError, ConfigError, NumericsError
 from .experiment import (
-    NOISE_GRID,
     PRESETS,
     STAGES,
     RunDir,
@@ -90,7 +88,7 @@ def _cmd_run(args) -> int:
 def _cmd_grid(args) -> int:
     config = _resolve_config(args)
     out = resolve_out_dir(config, args.out)
-    cells = expand_grid(config, NOISE_GRID, REGIMES, swap_noise=args.swap_noise)
+    cells = expand_grid(config, swap_noise=args.swap_noise)
     results = run_grid(cells, out, workers=args.threads)
     failures = [(name, r) for name, r in results if isinstance(r, Exception)]
     for name, exc in failures:

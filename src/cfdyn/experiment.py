@@ -205,10 +205,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig, include_output: bool = True) -> dict:
+    """The config as JSON data, every real-valued entry a float: `x0=(1, 1, 1)`
+    and `x0=(1.0, 1.0, 1.0)` give the same document and the same hash."""
     data = asdict(config)
-    data["theta_true"] = list(config.theta_true)
-    data["x0"] = list(config.x0)
-    data["prior_bounds"] = [list(pair) for pair in config.prior_bounds]
+    for name in _REAL_FIELDS:
+        data[name] = float(data[name])
+    data["theta_true"] = [float(v) for v in config.theta_true]
+    data["x0"] = [float(v) for v in config.x0]
+    data["prior_bounds"] = [[float(v) for v in pair] for pair in config.prior_bounds]
+    intervention = data["intervention"]
+    if "shift" in intervention:
+        intervention["shift"] = float(intervention["shift"])
+    if "absolute" in intervention:
+        intervention["absolute"] = [float(v) for v in intervention["absolute"]]
     if not include_output or data["output_dir"] is None:
         data.pop("output_dir", None)
     return data
@@ -609,7 +618,7 @@ def _filter(run: RunDir) -> dict:
     run.put("state_estimate.csv", summary.state_mean)
     run.put("theta_estimate.csv", (summary.theta_mean, summary.theta_std))
     run.put("filter_state.npz", (history, smoothed))
-    return history.diagnostics.to_dict()
+    return asdict(history.diagnostics)
 
 
 def _abduct(run: RunDir) -> dict:
@@ -705,21 +714,18 @@ def _cell_seed(master_seed: int, index: int) -> int:
 
 
 def expand_grid(
-    base: ExperimentConfig,
-    noise_pairs=NOISE_GRID,
-    regimes=REGIMES,
-    swap_noise: bool = False,
+    base: ExperimentConfig, swap_noise: bool = False
 ) -> list[tuple[str, ExperimentConfig]]:
-    """Cross noise pairs with theta regimes; one named cell per combination.
+    """Cross `NOISE_GRID` with the theta `REGIMES`; one named cell per combination.
 
     `swap_noise` reads each pair as (observation_std, process_std) instead,
     covering the alternative ordering of the published noise grid.
     """
     cells = []
     index = 0
-    for pair in noise_pairs:
+    for pair in NOISE_GRID:
         u, w = (pair[1], pair[0]) if swap_noise else pair
-        for regime in regimes:
+        for regime in REGIMES:
             name = f"u{u:g}_w{w:g}_{regime}"
             cell = replace(
                 base,

@@ -12,7 +12,7 @@ or worker count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -100,26 +100,6 @@ def _reflect(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarra
     return low + np.where(y <= width, y, 2.0 * width - y)
 
 
-@dataclass
-class ParticleCloud:
-    """Joint particle approximation: M parameter lanes, N state particles each."""
-
-    theta: np.ndarray          # (M, p)
-    states: np.ndarray         # (M, N, d)
-    inner_weights: np.ndarray  # (M, N), each row sums to 1
-    outer_weights: np.ndarray  # (M,), sums to 1
-    log_mean_lik: np.ndarray | None = None  # (M,), set by inner_weights
-    invalid: np.ndarray | None = None       # (M, N) bool, set by propagate
-
-    @property
-    def num_outer(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def num_inner(self) -> int:
-        return self.states.shape[1]
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     num_outer: int
@@ -147,14 +127,6 @@ class FilterDiagnostics:
     inner_weight_underflows: int = 0
     outer_weight_underflows: int = 0
     smoother_underflows: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "nonfinite_particles": int(self.nonfinite_particles),
-            "inner_weight_underflows": int(self.inner_weight_underflows),
-            "outer_weight_underflows": int(self.outer_weight_underflows),
-            "smoother_underflows": int(self.smoother_underflows),
-        }
 
 
 @dataclass
@@ -199,22 +171,14 @@ def init_particles(
     num_inner: int,
     x0: np.ndarray,
     rng: RngSeed,
-) -> ParticleCloud:
-    """Draw the initial cloud: theta i.i.d. from the prior, uniform weights.
-
-    Every state particle starts at the (d,) point `x0`.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the initial cloud: theta (M, p) i.i.d. from the prior and states
+    (M, N, d), every one at the (d,) point `x0`."""
     if num_outer < 1 or num_inner < 1:
         raise ValueError("particle counts must be >= 1")
     theta = prior.sample(rng.child("theta_init").generator(), num_outer)
     point = np.asarray(x0, dtype=float)
-    states = np.broadcast_to(point, (num_outer, num_inner, point.shape[0])).copy()
-    return ParticleCloud(
-        theta=theta,
-        states=states,
-        inner_weights=np.full((num_outer, num_inner), 1.0 / num_inner),
-        outer_weights=np.full(num_outer, 1.0 / num_outer),
-    )
+    return theta, np.broadcast_to(point, (num_outer, num_inner, point.shape[0])).copy()
 
 
 def _lane_normals(rng: RngSeed, shape: tuple[int, ...]) -> np.ndarray:
@@ -226,39 +190,42 @@ def _lane_normals(rng: RngSeed, shape: tuple[int, ...]) -> np.ndarray:
     return block
 
 
-def jitter(cloud: ParticleCloud, kernel: JitterKernel, rng: RngSeed) -> ParticleCloud:
-    """Perturb each parameter particle with N(0, diag(scale^2)).
+def jitter(theta: np.ndarray, kernel: JitterKernel, rng: RngSeed) -> np.ndarray:
+    """Perturb each parameter particle of theta (M, p) with N(0, diag(scale^2)).
 
     Each lane draws from its own substream; reflection keeps particles inside
     the prior bounds when the kernel clamps.
     """
-    if kernel.scale.shape[0] != cloud.theta.shape[1]:
+    if kernel.scale.shape[0] != theta.shape[1]:
         raise ValueError(
-            f"kernel dimension {kernel.scale.shape[0]} != parameter dimension {cloud.theta.shape[1]}"
+            f"kernel dimension {kernel.scale.shape[0]} != parameter dimension {theta.shape[1]}"
         )
     # Lane m adds `normal(size=p)`, which is 0.0 + 1.0 * z.
-    eps = np.add(0.0, _lane_normals(rng, cloud.theta.shape))
-    theta = cloud.theta + kernel.scale * eps
+    eps = np.add(0.0, _lane_normals(rng, theta.shape))
+    theta = theta + kernel.scale * eps
     if kernel.clamp_to_prior:
         theta = _reflect(theta, kernel.low, kernel.high)
-    return replace(cloud, theta=theta)
+    return theta
 
 
 def propagate(
-    cloud: ParticleCloud,
+    states: np.ndarray,
+    theta: np.ndarray,
     system: str | SystemSpec,
     delta: float,
     process_std: float,
     rng: RngSeed,
-) -> ParticleCloud:
-    """Advance every state particle one RK4 step plus process noise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every state particle (M, N, d) one RK4 step under its lane's
+    theta (M, p), plus process noise.
 
-    Non-finite results are zeroed and marked in `cloud.invalid`; they receive
-    zero weight at the next weighting step instead of aborting the run.
+    Returns the new states and `invalid` (M, N) bool: non-finite results are
+    zeroed and marked there, and receive zero weight at the next weighting
+    step instead of aborting the run.
     """
     spec = get_system(system)
     with np.errstate(over="ignore", invalid="ignore"):
-        base = _rk4(spec, cloud.states, cloud.theta[:, None, :], delta)
+        base = _rk4(spec, states, theta[:, None, :], delta)
     # Lane m adds `normal(0.0, process_std, (N, d))`, which is 0.0 + process_std * z.
     states = _lane_normals(rng, base.shape)
     np.multiply(process_std, states, out=states)
@@ -267,7 +234,7 @@ def propagate(
     invalid = ~np.isfinite(states).all(axis=2)
     if invalid.any():
         states[invalid] = 0.0
-    return replace(cloud, states=states, invalid=invalid if invalid.any() else None)
+    return states, invalid
 
 
 def _batch_log_likelihood(
@@ -285,38 +252,38 @@ def _batch_log_likelihood(
 
 
 def inner_weights(
-    cloud: ParticleCloud,
+    states: np.ndarray,
+    weights: np.ndarray,
+    invalid: np.ndarray,
     obs: np.ndarray,
     observation_std: float,
-    diagnostics: FilterDiagnostics | None = None,
-) -> ParticleCloud:
+    diagnostics: FilterDiagnostics,
+) -> tuple[np.ndarray, np.ndarray]:
     """Reweight each lane's state particles by the observation likelihood.
 
-    Incoming weights multiply the likelihood (after a per-step resample they
-    are uniform, so this reduces to plain likelihood weighting); weights are
-    normalized per lane in log space. The pre-normalization log-mean
-    likelihood is retained per lane for the outer update. Lanes whose weights
-    all underflow fall back to uniform and are counted.
+    Incoming weights (M, N) multiply the likelihood (after a per-step
+    resample they are uniform, so this reduces to plain likelihood
+    weighting), and particles marked `invalid` get weight zero; weights are
+    normalized per lane in log space. Returns the new weights and the
+    pre-normalization log-mean likelihood (M,) for the outer update. Lanes
+    whose weights all underflow fall back to uniform and are counted.
     """
     if observation_std <= 0:
         raise ValueError("observation_std must be > 0 for a proper likelihood")
     obs = np.asarray(obs, dtype=float)
-    ll = _batch_log_likelihood(obs, cloud.states, observation_std)
-    if cloud.invalid is not None:
-        ll[cloud.invalid] = -np.inf
-        if diagnostics is not None:
-            diagnostics.nonfinite_particles += int(cloud.invalid.sum())
-    score = ll + _log_nonzero(cloud.inner_weights)
-    n = cloud.num_inner
+    ll = _batch_log_likelihood(obs, states, observation_std)
+    ll[invalid] = -np.inf
+    diagnostics.nonfinite_particles += int(invalid.sum())
+    score = ll + _log_nonzero(weights)
+    m, n = score.shape
     mx = np.max(score, axis=1)
     weights = np.empty_like(score)
-    log_mean = np.empty(cloud.num_outer)
+    log_mean = np.empty(m)
     dead = ~np.isfinite(mx)
     if dead.any():
         weights[dead] = 1.0 / n
         log_mean[dead] = -np.inf
-        if diagnostics is not None:
-            diagnostics.inner_weight_underflows += int(dead.sum())
+        diagnostics.inner_weight_underflows += int(dead.sum())
     alive = ~dead
     if alive.any():
         shifted = np.exp(score[alive] - mx[alive, None])
@@ -324,26 +291,18 @@ def inner_weights(
         weights[alive] = shifted / total[:, None]
         # weighted mean likelihood: sum_n w_prev(n) p(y | x_n)
         log_mean[alive] = mx[alive] + np.log(total)
-    return replace(cloud, inner_weights=weights, log_mean_lik=log_mean)
+    return weights, log_mean
 
 
-def outer_weights(
-    cloud: ParticleCloud,
-    diagnostics: FilterDiagnostics | None = None,
-) -> ParticleCloud:
-    """Set lane weights proportional to each lane's mean observation likelihood."""
-    if cloud.log_mean_lik is None:
-        raise ValueError("run inner_weights first: per-lane likelihoods are missing")
-    lml = cloud.log_mean_lik
-    mx = np.max(lml)
+def outer_weights(log_mean_lik: np.ndarray, diagnostics: FilterDiagnostics) -> np.ndarray:
+    """Lane weights (M,) proportional to each lane's mean observation likelihood."""
+    mx = np.max(log_mean_lik)
     if not np.isfinite(mx):
-        if diagnostics is not None:
-            diagnostics.outer_weight_underflows += 1
-        v = np.full(cloud.num_outer, 1.0 / cloud.num_outer)
-    else:
-        v = np.exp(lml - mx)
-        v /= v.sum()
-    return replace(cloud, outer_weights=v)
+        diagnostics.outer_weight_underflows += 1
+        return np.full(log_mean_lik.shape[0], 1.0 / log_mean_lik.shape[0])
+    v = np.exp(log_mean_lik - mx)
+    v /= v.sum()
+    return v
 
 
 def systematic_resample(weights: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -427,69 +386,63 @@ def run_filter(
         raise ValueError("need at least one observation after the initial time")
 
     m, n = config.num_outer, config.num_inner
-    diagnostics = FilterDiagnostics()
-    cloud = init_particles(prior, m, n, x0, rng.child("init"))
+    history = FilterHistory(
+        thetas=np.empty((horizon + 1, m, prior.n_params)),
+        states=np.empty((horizon + 1, m, n, spec.dimension)),
+        inner_weights=np.empty((horizon + 1, m, n)),
+        outer_weights=np.empty((horizon + 1, m)),
+        outer_ancestors=np.empty((horizon + 1, m), dtype=index_dtype(m)),
+        inner_ancestors=np.empty((horizon + 1, m, n), dtype=index_dtype(n)),
+    )
+    diagnostics = history.diagnostics
+    theta, states = init_particles(prior, m, n, x0, rng.child("init"))
+    weights = np.full((m, n), 1.0 / n)
 
-    p = prior.n_params
-    thetas = np.empty((horizon + 1, m, p))
-    states = np.empty((horizon + 1, m, n, spec.dimension))
-    inner_w = np.empty((horizon + 1, m, n))
-    outer_w = np.empty((horizon + 1, m))
-    outer_anc = np.empty((horizon + 1, m), dtype=index_dtype(m))
-    inner_anc = np.empty((horizon + 1, m, n), dtype=index_dtype(n))
-
-    thetas[0] = cloud.theta
-    states[0] = cloud.states
-    inner_w[0] = cloud.inner_weights
-    outer_w[0] = cloud.outer_weights
-    outer_anc[0] = np.arange(m)
-    inner_anc[0] = np.arange(n)
+    history.thetas[0] = theta
+    history.states[0] = states
+    history.inner_weights[0] = weights
+    history.outer_weights[0] = 1.0 / m
+    history.outer_ancestors[0] = np.arange(m)
+    history.inner_ancestors[0] = np.arange(n)
 
     for t in range(1, horizon + 1):
         step = rng.child("step", t)
-        cloud = jitter(cloud, config.kernel, step.child("jitter"))
-        cloud = propagate(cloud, spec, config.delta, config.process_std, step.child("propagate"))
-        cloud = inner_weights(cloud, observations[t], config.observation_std, diagnostics)
-        cloud = outer_weights(cloud, diagnostics)
+        theta = jitter(theta, config.kernel, step.child("jitter"))
+        states, invalid = propagate(
+            states, theta, spec, config.delta, config.process_std, step.child("propagate")
+        )
+        weights, log_mean_lik = inner_weights(
+            states, weights, invalid, observations[t], config.observation_std, diagnostics
+        )
+        v = outer_weights(log_mean_lik, diagnostics)
 
-        thetas[t] = cloud.theta
-        states[t] = cloud.states
-        inner_w[t] = cloud.inner_weights
-        outer_w[t] = cloud.outer_weights
+        history.thetas[t] = theta
+        history.states[t] = states
+        history.inner_weights[t] = weights
+        history.outer_weights[t] = v
 
+        inner_anc = history.inner_ancestors[t]
         if config.inner_resampling:
             # `random()` is `uniform()` without its exact 0.0 + 1.0 * u.
             drawer = StreamDrawer(step)
             uniforms = np.empty(m)
             for lane in range(m):
                 uniforms[lane] = drawer.generator("inner_resample", lane).random()
-            inner_anc[t] = systematic_resample_rows(cloud.inner_weights, uniforms)
-            next_inner_w = np.full((m, n), 1.0 / n)
+            inner_anc[:] = systematic_resample_rows(weights, uniforms)
+            weights = np.full((m, n), 1.0 / n)
         else:
-            inner_anc[t] = np.arange(n)
-            next_inner_w = cloud.inner_weights
+            inner_anc[:] = np.arange(n)
 
         # Lanes survive by outer weight, each carrying its resampled inner
         # cloud: post-resample particle (j, i) is pre-resample particle
-        # (anc[j], inner_anc[t, anc[j], i]), gathered in one pass.
-        anc = systematic_resample(cloud.outer_weights, step.child("outer_resample").generator())
-        outer_anc[t] = anc
-        cloud = ParticleCloud(
-            theta=cloud.theta[anc],
-            states=take_particles(cloud.states, anc, inner_anc[t][anc]),
-            inner_weights=next_inner_w[anc],
-            outer_weights=np.full(m, 1.0 / m),
-        )
+        # (anc[j], inner_anc[anc[j], i]), gathered in one pass.
+        anc = systematic_resample(v, step.child("outer_resample").generator())
+        history.outer_ancestors[t] = anc
+        theta = theta[anc]
+        states = take_particles(states, anc, inner_anc[anc])
+        weights = weights[anc]
 
-    return FilterHistory(
-        thetas=thetas,
-        states=states,
-        inner_weights=inner_w,
-        outer_weights=outer_w,
-        outer_ancestors=outer_anc,
-        inner_ancestors=inner_anc,
-        diagnostics=diagnostics,
-    )
+    return history
 
 
 def filtered_means(history: FilterHistory) -> np.ndarray:

@@ -166,6 +166,33 @@ def test_config_hash_ignores_output_dir():
     assert config_hash(config) == config_hash(replace(config, output_dir="elsewhere"))
 
 
+def test_config_hash_reads_integer_reals_as_floats(tmp_path):
+    # load_config reads every real back as a float, so a config built with
+    # integer reals must hash like its saved JSON and like its float twin.
+    config = replace(
+        tiny_config(),
+        theta_true=(10, 28, 8.0 / 3.0),
+        x0=(1, 1, 1),
+        delta=1,
+        process_std=1,
+        observation_std=2,
+        jitter_scale=0,
+        prior_bounds=((5, 15), (20, 35), (2, 4)),
+        intervention={"component": 1, "shift": 1},
+    )
+    path = tmp_path / "config.json"
+    save_config(path, config)
+    assert config_hash(load_config(path)) == config_hash(config)
+    assert config_hash(config) == config_hash(replace(config, x0=(1.0, 1.0, 1.0), delta=1.0))
+    absolute = replace(config, intervention={"absolute": [1, 2, 3]})
+    data = config_to_dict(absolute)
+    assert data["intervention"] == {"absolute": [1.0, 2.0, 3.0]}
+    reals = [data[k] for k in ("delta", "process_std", "observation_std", "jitter_scale")]
+    reals += data["theta_true"] + data["x0"] + sum(data["prior_bounds"], [])
+    assert all(type(v) is float for v in reals + data["intervention"]["absolute"])
+    assert absolute.intervention == {"absolute": [1, 2, 3]}
+
+
 # ------------------------------------------------------------------ pipeline
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from cfdyn.abduction import abduct_noise
 from cfdyn.dynamics import EXP_DECAY, LOGISTIC, LORENZ, _rk4, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
+    FilterDiagnostics,
     JitterKernel,
     ParameterPrior,
-    ParticleCloud,
     backward_smooth,
     filtered_means,
     init_particles,
@@ -64,20 +64,23 @@ def _point_prior(theta, width=1e-12):
 
 
 def test_init_single_particle_weights_are_one():
-    cloud = init_particles(_point_prior(np.array([1.0])), 1, 1, np.array([0.0]), RngSeed(1))
-    assert cloud.inner_weights.shape == (1, 1)
-    assert cloud.inner_weights[0, 0] == 1.0
-    assert cloud.outer_weights[0] == 1.0
+    prior = _point_prior(np.array([1.0]))
+    theta, states = init_particles(prior, 1, 1, np.array([0.0]), RngSeed(1))
+    assert theta.shape == (1, 1) and states.shape == (1, 1, 1)
+    obs = np.zeros((2, 1))
+    history = run_filter(obs, EXP_DECAY, prior, np.array([0.0]), _decay_config(1), RngSeed(1))
+    assert history.inner_weights[0].tolist() == [[1.0]]
+    assert history.outer_weights[0].tolist() == [1.0]
 
 
 def test_init_respects_prior_support():
-    cloud = init_particles(TABLE1_PRIOR, 200, 3, np.zeros(3), RngSeed(2))
-    assert ((cloud.theta >= TABLE1_PRIOR.low) & (cloud.theta <= TABLE1_PRIOR.high)).all()
+    theta, _ = init_particles(TABLE1_PRIOR, 200, 3, np.zeros(3), RngSeed(2))
+    assert ((theta >= TABLE1_PRIOR.low) & (theta <= TABLE1_PRIOR.high)).all()
 
 
 def test_init_uniform_sample_mean():
-    cloud = init_particles(TABLE1_PRIOR, 10000, 1, np.zeros(3), RngSeed(3))
-    assert abs(cloud.theta[:, 0].mean() - 10.0) < 0.2
+    theta, _ = init_particles(TABLE1_PRIOR, 10000, 1, np.zeros(3), RngSeed(3))
+    assert abs(theta[:, 0].mean() - 10.0) < 0.2
 
 
 def test_init_rejects_bad_bounds():
@@ -89,36 +92,28 @@ def test_init_rejects_bad_bounds():
 
 
 def test_jitter_zero_scale_is_identity():
-    cloud = init_particles(TABLE1_PRIOR, 20, 2, np.zeros(3), RngSeed(4))
+    theta, _ = init_particles(TABLE1_PRIOR, 20, 2, np.zeros(3), RngSeed(4))
     kernel = JitterKernel(scale=np.zeros(3), clamp_to_prior=False)
-    out = jitter(cloud, kernel, RngSeed(4, 9))
-    assert np.array_equal(out.theta, cloud.theta)
+    out = jitter(theta, kernel, RngSeed(4, 9))
+    assert np.array_equal(out, theta)
 
 
 def test_jitter_clamped_stays_in_bounds():
-    cloud = init_particles(TABLE1_PRIOR, 500, 1, np.zeros(3), RngSeed(5))
+    theta, _ = init_particles(TABLE1_PRIOR, 500, 1, np.zeros(3), RngSeed(5))
     kernel = JitterKernel(
         scale=np.array([5.0, 5.0, 5.0]),
         clamp_to_prior=True,
         low=TABLE1_PRIOR.low,
         high=TABLE1_PRIOR.high,
     )
-    out = jitter(cloud, kernel, RngSeed(5, 9))
-    assert ((out.theta >= TABLE1_PRIOR.low) & (out.theta <= TABLE1_PRIOR.high)).all()
+    out = jitter(theta, kernel, RngSeed(5, 9))
+    assert ((out >= TABLE1_PRIOR.low) & (out <= TABLE1_PRIOR.high)).all()
 
 
 def test_jitter_spread_matches_scale():
-    prior = _point_prior(np.array([0.0]), width=1e-12)
-    cloud = init_particles(prior, 10000, 1, np.array([0.0]), RngSeed(6))
-    cloud = ParticleCloud(
-        theta=np.zeros((10000, 1)),
-        states=cloud.states,
-        inner_weights=cloud.inner_weights,
-        outer_weights=cloud.outer_weights,
-    )
     kernel = JitterKernel(scale=np.array([0.1]), clamp_to_prior=False)
-    out = jitter(cloud, kernel, RngSeed(6, 9))
-    assert abs(out.theta[:, 0].std() - 0.1) < 0.005
+    out = jitter(np.zeros((10000, 1)), kernel, RngSeed(6, 9))
+    assert abs(out[:, 0].std() - 0.1) < 0.005
 
 
 # ---------------------------------------------------------------- propagate
@@ -126,35 +121,35 @@ def test_jitter_spread_matches_scale():
 
 def test_propagate_zero_noise_is_deterministic_step():
     prior = _point_prior(LORENZ_THETA)
-    cloud = init_particles(prior, 1, 1, np.array([1.0, 1.0, 1.0]), RngSeed(7))
-    out = propagate(cloud, LORENZ, 0.05, 0.0, RngSeed(7, 9))
-    expected = rk4_step(LORENZ, np.array([1.0, 1.0, 1.0]), cloud.theta[0], 0.05)
-    assert np.array_equal(out.states[0, 0], expected)
+    theta, states = init_particles(prior, 1, 1, np.array([1.0, 1.0, 1.0]), RngSeed(7))
+    out, _ = propagate(states, theta, LORENZ, 0.05, 0.0, RngSeed(7, 9))
+    expected = rk4_step(LORENZ, np.array([1.0, 1.0, 1.0]), theta[0], 0.05)
+    assert np.array_equal(out[0, 0], expected)
 
 
 def test_propagate_fixed_point_unchanged():
     prior = _point_prior(LORENZ_THETA)
-    cloud = init_particles(prior, 3, 4, np.zeros(3), RngSeed(8))
-    out = propagate(cloud, LORENZ, 0.05, 0.0, RngSeed(8, 9))
-    assert np.allclose(out.states, 0.0, atol=1e-12)
+    theta, states = init_particles(prior, 3, 4, np.zeros(3), RngSeed(8))
+    out, _ = propagate(states, theta, LORENZ, 0.05, 0.0, RngSeed(8, 9))
+    assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_propagate_noise_variance():
     prior = _point_prior(LORENZ_THETA)
-    cloud = init_particles(prior, 200, 200, np.array([1.0, 1.0, 1.0]), RngSeed(9))
-    out = propagate(cloud, LORENZ, 0.05, 1.0, RngSeed(9, 9))
-    base = rk4_step(LORENZ, np.array([1.0, 1.0, 1.0]), cloud.theta[0], 0.05)
-    disp = (out.states - base).reshape(-1, 3)
+    theta, states = init_particles(prior, 200, 200, np.array([1.0, 1.0, 1.0]), RngSeed(9))
+    out, _ = propagate(states, theta, LORENZ, 0.05, 1.0, RngSeed(9, 9))
+    base = rk4_step(LORENZ, np.array([1.0, 1.0, 1.0]), theta[0], 0.05)
+    disp = (out - base).reshape(-1, 3)
     for k in range(3):
         assert abs(disp[:, k].var() - 1.0) < 0.05
 
 
 def test_propagate_flags_nonfinite_particles():
     prior = _point_prior(np.array([-120.0]))
-    cloud = init_particles(prior, 1, 4, np.array([1e300]), RngSeed(10))
-    out = propagate(cloud, EXP_DECAY, 1e6, 0.0, RngSeed(10, 9))
-    assert out.invalid is not None and out.invalid.all()
-    assert np.isfinite(out.states).all()
+    theta, states = init_particles(prior, 1, 4, np.array([1e300]), RngSeed(10))
+    out, invalid = propagate(states, theta, EXP_DECAY, 1e6, 0.0, RngSeed(10, 9))
+    assert invalid.shape == (1, 4) and invalid.all()
+    assert np.isfinite(out).all()
 
 
 # --------------------------------------------------------- per-lane draws
@@ -164,50 +159,47 @@ def test_propagate_flags_nonfinite_particles():
 
 
 def test_jitter_draws_match_per_lane_child_generators():
-    cloud = init_particles(TABLE1_PRIOR, 7, 2, np.zeros(3), RngSeed(31))
+    theta, _ = init_particles(TABLE1_PRIOR, 7, 2, np.zeros(3), RngSeed(31))
     kernel = JitterKernel(scale=np.array([0.3, 0.7, 0.05]), clamp_to_prior=False)
     rng = RngSeed(31, 5)
-    out = jitter(cloud, kernel, rng)
+    out = jitter(theta, kernel, rng)
     want = np.stack([
-        cloud.theta[m] + kernel.scale * rng.child("lane", m).generator().normal(size=3)
+        theta[m] + kernel.scale * rng.child("lane", m).generator().normal(size=3)
         for m in range(7)
     ])
-    assert out.theta.tobytes() == want.tobytes()
+    assert out.tobytes() == want.tobytes()
 
 
-def _per_lane_propagate(cloud, spec, delta, process_std, rng):
-    base = _rk4(spec, cloud.states, cloud.theta[:, None, :], delta)
+def _per_lane_propagate(states, theta, spec, delta, process_std, rng):
+    base = _rk4(spec, states, theta[:, None, :], delta)
     return np.stack([
         base[m] + rng.child("lane", m).generator().normal(
-            0.0, process_std, size=(cloud.num_inner, spec.dimension)
+            0.0, process_std, size=(states.shape[1], spec.dimension)
         )
-        for m in range(cloud.num_outer)
+        for m in range(states.shape[0])
     ])
 
 
 @pytest.mark.parametrize("process_std", [1.0, 0.37, 0.0])
 def test_propagate_draws_match_per_lane_child_generators(process_std):
-    cloud = init_particles(TABLE1_PRIOR, 5, 6, np.array([1.0, -2.0, 20.0]), RngSeed(32))
+    theta, states = init_particles(TABLE1_PRIOR, 5, 6, np.array([1.0, -2.0, 20.0]), RngSeed(32))
     rng = RngSeed(32, 7)
-    out = propagate(cloud, LORENZ, 0.05, process_std, rng)
-    assert out.invalid is None
-    assert out.states.tobytes() == _per_lane_propagate(cloud, LORENZ, 0.05, process_std, rng).tobytes()
+    out, invalid = propagate(states, theta, LORENZ, 0.05, process_std, rng)
+    assert not invalid.any()
+    want = _per_lane_propagate(states, theta, LORENZ, 0.05, process_std, rng)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_propagate_without_noise_turns_negative_zero_into_zero():
     # The logistic flow keeps x = -0.0 at -0.0; the per-lane draw adds
     # 0.0 + 0.0 * z, so every state leaves as +0.0.
-    cloud = ParticleCloud(
-        theta=np.tile([0.5, 100.0], (3, 1)),
-        states=np.full((3, 4, 1), -0.0),
-        inner_weights=np.full((3, 4), 0.25),
-        outer_weights=np.full(3, 1.0 / 3.0),
-    )
+    theta = np.tile([0.5, 100.0], (3, 1))
+    states = np.full((3, 4, 1), -0.0)
     rng = RngSeed(33, 1)
-    out = propagate(cloud, LOGISTIC, 0.05, 0.0, rng)
-    want = _per_lane_propagate(cloud, LOGISTIC, 0.05, 0.0, rng)
+    out, _ = propagate(states, theta, LOGISTIC, 0.05, 0.0, rng)
+    want = _per_lane_propagate(states, theta, LOGISTIC, 0.05, 0.0, rng)
     assert not np.signbit(want).any()
-    assert out.states.tobytes() == want.tobytes()
+    assert out.tobytes() == want.tobytes()
 
 
 def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
@@ -275,26 +267,22 @@ def test_gaussian_loglik_rejects_zero_std():
 
 
 def _cloud_from_states(states):
+    """(states, uniform weights, no invalid particle) for inner_weights."""
     states = np.asarray(states, dtype=float)
     m, n, _ = states.shape
-    return ParticleCloud(
-        theta=np.zeros((m, 1)),
-        states=states,
-        inner_weights=np.full((m, n), 1.0 / n),
-        outer_weights=np.full(m, 1.0 / m),
-    )
+    return states, np.full((m, n), 1.0 / n), np.zeros((m, n), dtype=bool)
 
 
 def test_inner_weights_single_particle():
     cloud = _cloud_from_states(np.zeros((1, 1, 1)))
-    out = inner_weights(cloud, np.array([3.0]), 1.0)
-    assert out.inner_weights[0, 0] == 1.0
+    w, _ = inner_weights(*cloud, np.array([3.0]), 1.0, FilterDiagnostics())
+    assert w[0, 0] == 1.0
 
 
 def test_inner_weights_ordering_and_normalization():
     cloud = _cloud_from_states([[[0.0], [5.0]]])
-    out = inner_weights(cloud, np.array([0.0]), 1.0)
-    w = out.inner_weights[0]
+    w, _ = inner_weights(*cloud, np.array([0.0]), 1.0, FilterDiagnostics())
+    w = w[0]
     assert w[0] > w[1]
     assert abs(w.sum() - 1.0) < 1e-12
 
@@ -304,53 +292,46 @@ def test_inner_weights_match_density_ratios():
     states = np.array([[[0.0], [1.0], [2.5]]])
     obs = np.array([0.5])
     sigma = 0.8
-    cloud = _cloud_from_states(states)
-    out = inner_weights(cloud, obs, sigma)
+    w, log_mean_lik = inner_weights(*_cloud_from_states(states), obs, sigma, FilterDiagnostics())
     dens = np.exp(-0.5 * (obs[0] - states[0, :, 0]) ** 2 / sigma**2)
     expected = dens / dens.sum()
-    assert np.allclose(out.inner_weights[0], expected, rtol=1e-12)
+    assert np.allclose(w[0], expected, rtol=1e-12)
     loglik = [gaussian_log_likelihood(obs, x, sigma) for x in states[0]]
-    assert np.isclose(out.log_mean_lik[0], np.log(np.mean(np.exp(loglik))), rtol=1e-12)
+    assert np.isclose(log_mean_lik[0], np.log(np.mean(np.exp(loglik))), rtol=1e-12)
 
 
 def test_inner_weights_underflow_falls_back_to_uniform():
     # distances large enough that the squared residual overflows to inf
     states = np.array([[[1e200], [2e200]]])
-    cloud = _cloud_from_states(states)
-    out = inner_weights(cloud, np.array([0.0]), 1.0)
-    assert np.allclose(out.inner_weights[0], 0.5)
-    assert out.log_mean_lik[0] == -np.inf
+    diagnostics = FilterDiagnostics()
+    w, log_mean_lik = inner_weights(*_cloud_from_states(states), np.array([0.0]), 1.0, diagnostics)
+    assert np.allclose(w[0], 0.5)
+    assert log_mean_lik[0] == -np.inf
+    assert diagnostics.inner_weight_underflows == 1
 
 
 # ------------------------------------------------------------ outer weights
 
 
 def test_outer_weights_single_lane():
-    cloud = _cloud_from_states(np.zeros((1, 2, 1)))
-    cloud = inner_weights(cloud, np.array([0.0]), 1.0)
-    out = outer_weights(cloud)
-    assert out.outer_weights[0] == 1.0
+    diagnostics = FilterDiagnostics()
+    _, log_mean_lik = inner_weights(
+        *_cloud_from_states(np.zeros((1, 2, 1))), np.array([0.0]), 1.0, diagnostics
+    )
+    assert outer_weights(log_mean_lik, diagnostics)[0] == 1.0
 
 
 def test_outer_weights_identical_lanes_equal():
-    states = np.zeros((3, 4, 1))
-    cloud = _cloud_from_states(states)
-    cloud = inner_weights(cloud, np.array([0.3]), 1.0)
-    out = outer_weights(cloud)
-    assert np.allclose(out.outer_weights, 1.0 / 3.0)
+    diagnostics = FilterDiagnostics()
+    _, log_mean_lik = inner_weights(
+        *_cloud_from_states(np.zeros((3, 4, 1))), np.array([0.3]), 1.0, diagnostics
+    )
+    assert np.allclose(outer_weights(log_mean_lik, diagnostics), 1.0 / 3.0)
 
 
 def test_outer_weights_proportional_to_mean_likelihood():
-    cloud = _cloud_from_states(np.zeros((2, 2, 1)))
-    cloud.log_mean_lik = np.log(np.array([0.2, 0.8]))
-    out = outer_weights(cloud)
-    assert np.allclose(out.outer_weights, [0.2, 0.8], rtol=1e-12)
-
-
-def test_outer_weights_requires_likelihoods():
-    cloud = _cloud_from_states(np.zeros((2, 2, 1)))
-    with pytest.raises(ValueError):
-        outer_weights(cloud)
+    v = outer_weights(np.log(np.array([0.2, 0.8])), FilterDiagnostics())
+    assert np.allclose(v, [0.2, 0.8], rtol=1e-12)
 
 
 # ----------------------------------------------------------------- resample
@@ -431,7 +412,7 @@ def test_degenerate_filter_recovers_noiseless_truth():
     # its init substream, so the fully degenerate filter must match bitwise
     prior = _point_prior(np.array([1.0]))
     filter_seed = RngSeed(16)
-    drawn = init_particles(prior, 1, 1, np.array([1.0]), filter_seed.child("init")).theta[0]
+    drawn = init_particles(prior, 1, 1, np.array([1.0]), filter_seed.child("init"))[0][0]
     truth = simulate_hidden(
         EXP_DECAY, drawn, np.array([1.0]), 30, 0.1, 0.0, RngSeed(15)
     )
@@ -539,6 +520,81 @@ def test_filter_without_inner_resampling_accumulates_weights():
     ess_first = 1.0 / (history.inner_weights[1] ** 2).sum(axis=1)
     ess_last = 1.0 / (history.inner_weights[-1] ** 2).sum(axis=1)
     assert ess_last.mean() < ess_first.mean()
+
+
+def _filter_by_hand(obs, system, prior, x0, config, rng):
+    """run_filter composed from its public array steps on its substream layout.
+
+    Returns the six history arrays, in FilterHistory's field order, and the
+    diagnostics. The resampling gather is plain fancy indexing.
+    """
+    m, n = config.num_outer, config.num_inner
+    diagnostics = FilterDiagnostics()
+    theta, states = init_particles(prior, m, n, x0, rng.child("init"))
+    weights = np.full((m, n), 1.0 / n)
+    identity = np.tile(np.arange(n), (m, 1))
+    steps = [(theta, states, weights, np.full(m, 1.0 / m), np.arange(m), identity)]
+    for t in range(1, obs.shape[0]):
+        step = rng.child("step", t)
+        theta = jitter(theta, config.kernel, step.child("jitter"))
+        states, invalid = propagate(
+            states, theta, system, config.delta, config.process_std, step.child("propagate")
+        )
+        weights, log_mean_lik = inner_weights(
+            states, weights, invalid, obs[t], config.observation_std, diagnostics
+        )
+        v = outer_weights(log_mean_lik, diagnostics)
+        inner = identity
+        if config.inner_resampling:
+            uniforms = np.array([
+                step.child("inner_resample", lane).generator().uniform() for lane in range(m)
+            ])
+            inner = systematic_resample_rows(weights, uniforms)
+        outer = systematic_resample(v, step.child("outer_resample").generator())
+        steps.append((theta, states, weights, v, outer, inner))
+        theta = theta[outer]
+        states = states[outer[:, None], inner[outer]]
+        weights = np.full((m, n), 1.0 / n) if config.inner_resampling else weights[outer]
+    return [np.stack(column) for column in zip(*steps)], diagnostics
+
+
+@pytest.mark.parametrize("case", ["inner_resampling", "no_inner_resampling", "nonfinite"])
+def test_run_filter_equals_its_steps_composed_by_hand(case):
+    if case == "nonfinite":
+        # dX/dt = 100..120 X at step 1e6 overflows within a few steps; the
+        # zeroed particles then grow from their process noise and overflow
+        # again, lane by lane.
+        system, x0 = EXP_DECAY, np.array([1.0])
+        prior = ParameterPrior(low=[-120.0], high=[-100.0])
+        obs = np.zeros((16, 1))
+        delta = 1e6
+    else:
+        system, x0, prior, delta = LORENZ, np.array([1.0, 1.0, 1.0]), TABLE1_PRIOR, 0.05
+        truth = simulate_hidden(system, LORENZ_THETA, x0, 6, delta, 1.0, RngSeed(60))
+        obs = observe(truth, 1.0, RngSeed(60, 1))
+    config = FilterConfig(
+        num_outer=4,
+        num_inner=5,
+        delta=delta,
+        process_std=1.0,
+        observation_std=1.0,
+        kernel=JitterKernel.from_prior(prior, 4),
+        inner_resampling=case != "no_inner_resampling",
+    )
+    rng = RngSeed(61)
+    history = run_filter(obs, system, prior, x0, config, rng)
+    arrays, diagnostics = _filter_by_hand(obs, system, prior, x0, config, rng)
+    names = (
+        "thetas", "states", "inner_weights", "outer_weights", "outer_ancestors", "inner_ancestors"
+    )
+    for name, want in zip(names, arrays):
+        assert np.array_equal(getattr(history, name), want), name
+    counters = ("nonfinite_particles", "inner_weight_underflows", "outer_weight_underflows")
+    got = {key: getattr(history.diagnostics, key) for key in counters}
+    assert got == {key: getattr(diagnostics, key) for key in counters}
+    if case == "nonfinite":
+        assert 0 < got["nonfinite_particles"] < history.states[1:, :, :, 0].size
+        assert got["inner_weight_underflows"] > 0 and got["outer_weight_underflows"] > 0
 
 
 def test_lorenz_theta_estimate_within_prior_support():
@@ -873,12 +929,12 @@ def test_keep_ancestral_gathers_exactly_the_final_lanes_lineages():
 
 def test_smoother_counts_underflows_on_the_filters_diagnostics():
     _, _, history = _decay_history(32, n_inner=10, horizon=10)
-    before = history.diagnostics.to_dict()
+    before = asdict(history.diagnostics)
     kept = keep_ancestral(history)
     assert kept.diagnostics is history.diagnostics
     backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 0.0)
     # At process_std 0 the single lane underflows at each of the 10 steps below T.
-    assert history.diagnostics.to_dict() == {**before, "smoother_underflows": 10}
+    assert asdict(history.diagnostics) == {**before, "smoother_underflows": 10}
 
 
 def test_zero_process_std_smoothing_falls_back_to_filtered():
