@@ -6,15 +6,7 @@ process noise, and generate counterfactual trajectories under
 initial-condition interventions.
 """
 from .abduction import NoisePosterior, abduct_noise
-from .counterfactual import (
-    CfTrajectorySet,
-    Intervention,
-    ThetaRegime,
-    deterministic_cf,
-    generate_cf,
-    intervene,
-    sample_theta,
-)
+from .counterfactual import CfTrajectorySet, deterministic_cf, generate_cf, intervene
 from .dynamics import (
     EXP_DECAY,
     LOGISTIC,
@@ -61,7 +53,7 @@ from .filtering import (
     run_filter,
     systematic_resample,
 )
-from .metrics import divergence_onset, factual_rmse, moving_average, phase_distance, rmse_t
+from .metrics import divergence_onset, factual_rmse, moving_average, rmse_t
 from .seeding import RngSeed
 from .simulate import observe, simulate_hidden
 from .svgplot import render_plots
@@ -77,7 +69,6 @@ __all__ = [
     "FilterConfig",
     "FilterDiagnostics",
     "FilterHistory",
-    "Intervention",
     "JitterKernel",
     "LOGISTIC",
     "LORENZ",
@@ -93,7 +84,6 @@ __all__ = [
     "SYSTEMS",
     "SmoothedWeights",
     "SystemSpec",
-    "ThetaRegime",
     "abduct_noise",
     "backward_smooth",
     "config_hash",
@@ -114,7 +104,6 @@ __all__ = [
     "moving_average",
     "observe",
     "outer_weights",
-    "phase_distance",
     "posterior_summary",
     "propagate",
     "render_plots",
@@ -125,7 +114,6 @@ __all__ = [
     "run_filter",
     "run_grid",
     "run_pipeline",
-    "sample_theta",
     "simulate_hidden",
     "systematic_resample",
 ]

@@ -1,9 +1,9 @@
 """Counterfactual trajectory generation under initial-condition interventions.
 
 The modified model keeps the learned dynamics but replaces the initial state
-and redraws the process noise from its abducted posterior; parameters follow
-one of three knowledge regimes (true values, smoothed point estimate, or
-samples from the parameter posterior).
+and redraws the process noise from its abducted posterior. Each trajectory's
+parameters are drawn from N(theta, diag(theta_std^2)); the config's regime
+picks the pair (see `experiment.stage_counterfactual`).
 """
 from __future__ import annotations
 
@@ -16,86 +16,38 @@ from .dynamics import SystemSpec, get_system, rollout
 from .errors import NumericsError
 from .seeding import RngSeed
 
-REGIME_TRUE = "true"
-REGIME_POINT = "point"
-REGIME_POSTERIOR = "posterior"
-REGIMES = (REGIME_TRUE, REGIME_POINT, REGIME_POSTERIOR)
+# The parameter regimes a config can name; `stage_counterfactual` maps each to
+# the (theta, theta_std) pair that `generate_cf` draws from.
+REGIMES = ("true", "point", "posterior")
 
 
-@dataclass(frozen=True)
-class Intervention:
-    """Initial-condition intervention: either an additive shift of one
-    component (1-based index) or an absolute replacement state."""
+def intervene(x0: np.ndarray, intervention: dict) -> np.ndarray:
+    """Apply a config intervention to the initial state.
 
-    component: int | None = None
-    shift: float | None = None
-    absolute: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        additive = self.component is not None or self.shift is not None
-        if additive and self.absolute is not None:
-            raise ValueError("specify either an additive shift or an absolute state, not both")
-        if not additive and self.absolute is None:
-            raise ValueError("intervention needs a (component, shift) pair or an absolute state")
-        if additive and (self.component is None or self.shift is None):
-            raise ValueError("additive intervention needs both component and shift")
-        if self.absolute is not None:
-            object.__setattr__(self, "absolute", np.asarray(self.absolute, dtype=float))
-
-
-def intervene(x0: np.ndarray, intervention: Intervention) -> np.ndarray:
-    """Apply the intervention to the initial state."""
+    `{"component": j, "shift": s}` adds s to component j (1-based);
+    `{"absolute": state}` replaces the whole state. Raises ValueError on any
+    other key set, a component outside [1, d] or an absolute state of the
+    wrong length.
+    """
     x0 = np.asarray(x0, dtype=float)
-    if intervention.absolute is not None:
-        if intervention.absolute.shape != x0.shape:
-            raise ValueError(
-                f"absolute state has shape {intervention.absolute.shape}, expected {x0.shape}"
-            )
-        return intervention.absolute.copy()
-    j = intervention.component
+    keys = set(intervention)
+    if keys == {"absolute"}:
+        absolute = np.array(intervention["absolute"], dtype=float)
+        if absolute.shape != x0.shape:
+            raise ValueError(f"absolute state has shape {absolute.shape}, expected {x0.shape}")
+        return absolute
+    if keys != {"component", "shift"}:
+        raise ValueError(
+            f"needs the keys component and shift, or absolute alone; got {sorted(keys)}"
+        )
+    j = intervention["component"]
     if not 1 <= j <= x0.shape[0]:
         raise ValueError(f"component index {j} outside [1, {x0.shape[0]}]")
     out = x0.copy()
-    out[j - 1] += intervention.shift
+    # A shift past the float64 range gives inf, which the rollouts report.
+    with np.errstate(over="ignore"):
+        out[j - 1] += intervention["shift"]
     return out
-
-
-@dataclass(frozen=True)
-class ThetaRegime:
-    """Which parameters drive the counterfactual model.
-
-    mode "true" uses theta_true; "point" uses the smoothed estimate; and
-    "posterior" draws theta_hat + N(0, diag(theta_std^2)) per trajectory.
-    """
-
-    mode: str
-    theta_true: np.ndarray | None = None
-    theta_hat: np.ndarray | None = None
-    theta_std: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in REGIMES:
-            raise ValueError(f"mode must be one of {REGIMES}, got {self.mode!r}")
-        if self.mode == REGIME_TRUE and self.theta_true is None:
-            raise ValueError("mode 'true' requires theta_true")
-        if self.mode == REGIME_POINT and self.theta_hat is None:
-            raise ValueError("mode 'point' requires theta_hat")
-        if self.mode == REGIME_POSTERIOR and (self.theta_hat is None or self.theta_std is None):
-            raise ValueError("mode 'posterior' requires theta_hat and theta_std")
-        for name in ("theta_true", "theta_hat", "theta_std"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
-
-
-def sample_theta(regime: ThetaRegime, rng: RngSeed) -> np.ndarray:
-    """One parameter draw according to the regime."""
-    if regime.mode == REGIME_TRUE:
-        return regime.theta_true.copy()
-    if regime.mode == REGIME_POINT:
-        return regime.theta_hat.copy()
-    eps = rng.generator().normal(size=regime.theta_hat.shape[0])
-    return regime.theta_hat + regime.theta_std * eps
 
 
 @dataclass
@@ -125,7 +77,8 @@ class CfTrajectorySet:
 
 def generate_cf(
     system: str | SystemSpec,
-    regime: ThetaRegime,
+    theta: np.ndarray,
+    theta_std: np.ndarray,
     noise: NoisePosterior,
     x0_cf: np.ndarray,
     horizon: int,
@@ -135,17 +88,27 @@ def generate_cf(
 ) -> CfTrajectorySet:
     """Roll the counterfactual model forward `n_trajectories` times.
 
-    Each trajectory draws its own parameters via `sample_theta` and its own
-    noise sequence u_t ~ N(mu_t, diag(sigma_t)) from the abducted posterior,
-    on substreams indexed by trajectory, so ensembles are reproducible and
-    independent of the ensemble size. All trajectories then step together as
-    one `rollout` block. A trajectory that goes non-finite is truncated at the
-    failing step (NaN-padded) and flagged rather than aborting the ensemble.
+    Trajectory i runs under theta + theta_std * z_i, with z_i ~ N(0, I) drawn
+    on its own "theta" substream (a zero `theta_std` pins every trajectory to
+    `theta`), and its own noise sequence u_t ~ N(mu_t, diag(sigma_t)) from the
+    abducted posterior. The substreams are indexed by trajectory, so ensembles
+    are reproducible and independent of the ensemble size. All trajectories
+    then step together as one `rollout` block. A trajectory that goes
+    non-finite is truncated at the failing step (NaN-padded) and flagged
+    rather than aborting the ensemble.
     """
     spec = get_system(system)
+    theta = np.asarray(theta, dtype=float)
+    theta_std = np.asarray(theta_std, dtype=float)
     x0_cf = np.asarray(x0_cf, dtype=float)
     if x0_cf.shape != (spec.dimension,):
         raise ValueError(f"x0_cf has shape {x0_cf.shape}, expected ({spec.dimension},)")
+    if theta_std.shape != theta.shape:
+        raise ValueError(f"theta_std has shape {theta_std.shape}, theta has {theta.shape}")
+    if noise.dimension != spec.dimension:
+        raise ValueError(
+            f"noise posterior has dimension {noise.dimension}, {spec.id} has {spec.dimension}"
+        )
     if noise.horizon < horizon:
         raise ValueError(
             f"noise posterior covers {noise.horizon} steps, need {horizon}"
@@ -153,13 +116,13 @@ def generate_cf(
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
 
-    n_params = (regime.theta_true if regime.mode == REGIME_TRUE else regime.theta_hat).shape[0]
-    thetas = np.empty((n_trajectories, n_params))
+    thetas = np.empty((n_trajectories, theta.shape[0]))
     u = np.empty((n_trajectories, horizon, spec.dimension))
     noise_std = np.sqrt(noise.sigma[:horizon])
     for i in range(n_trajectories):
         traj_seed = rng.child("traj", i)
-        thetas[i] = sample_theta(regime, traj_seed.child("theta"))
+        z = traj_seed.child("theta").generator().normal(size=theta.shape[0])
+        thetas[i] = theta + theta_std * z
         u[i] = noise.mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
             size=(horizon, spec.dimension)
         )

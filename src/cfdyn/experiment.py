@@ -20,15 +20,7 @@ import numpy as np
 
 from . import artifacts as io
 from .abduction import NoisePosterior, abduct_noise
-from .counterfactual import (
-    REGIMES,
-    CfTrajectorySet,
-    Intervention,
-    ThetaRegime,
-    deterministic_cf,
-    generate_cf,
-    intervene,
-)
+from .counterfactual import REGIMES, CfTrajectorySet, deterministic_cf, generate_cf, intervene
 from .dynamics import SystemSpec, get_system
 from .errors import ArtifactError, ConfigError
 from .filtering import (
@@ -78,7 +70,6 @@ class ExperimentConfig:
 _CONFIG_FIELDS = tuple(ExperimentConfig.__dataclass_fields__)
 _INT_FIELDS = ("horizon", "outer_particles", "inner_particles", "n_cf", "rmse_window", "master_seed")
 _REAL_FIELDS = ("delta", "process_std", "observation_std", "jitter_scale")
-_INTERVENTION_KEYS = {"component", "shift", "absolute"}
 
 
 def _fail(field: str, message: str) -> None:
@@ -157,23 +148,17 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         _fail("inner_particles", "must be >= 1")
     if config.jitter_scale < 0:
         _fail("jitter_scale", "must be >= 0")
-    keys = set(config.intervention)
-    unknown = keys - _INTERVENTION_KEYS
-    if unknown:
-        _fail("intervention", f"unknown keys {sorted(unknown)}")
-    if "absolute" in keys:
-        if keys != {"absolute"}:
-            _fail("intervention", "absolute replacement excludes component/shift")
-        if len(_reals("intervention", config.intervention["absolute"])) != spec.dimension:
-            _fail("intervention", f"absolute state needs {spec.dimension} values")
-    else:
-        if keys != {"component", "shift"}:
-            _fail("intervention", "additive intervention needs component and shift")
-        j = config.intervention["component"]
-        if not _is_int(j) or not 1 <= j <= spec.dimension:
-            _fail("intervention", f"component must be an integer in [1, {spec.dimension}]")
-        if not _is_real(config.intervention["shift"]):
-            _fail("intervention", "shift must be a finite number")
+    intervention = config.intervention
+    if "component" in intervention and not _is_int(intervention["component"]):
+        _fail("intervention", f"component must be an integer, got {intervention['component']!r}")
+    if "shift" in intervention and not _is_real(intervention["shift"]):
+        _fail("intervention", f"shift must be a finite number, got {intervention['shift']!r}")
+    if "absolute" in intervention:
+        _reals("intervention", intervention["absolute"])
+    try:
+        intervene(np.asarray(config.x0), intervention)
+    except ValueError as exc:
+        _fail("intervention", str(exc))
     if config.theta_regime not in REGIMES:
         _fail("theta_regime", f"must be one of {REGIMES}")
     if config.n_cf < 1:
@@ -342,25 +327,6 @@ def build_filter_config(config: ExperimentConfig) -> FilterConfig:
     )
 
 
-def build_intervention(config: ExperimentConfig) -> Intervention:
-    data = config.intervention
-    if "absolute" in data:
-        return Intervention(absolute=np.asarray(data["absolute"], dtype=float))
-    return Intervention(component=int(data["component"]), shift=float(data["shift"]))
-
-
-def build_regime(
-    config: ExperimentConfig, theta: tuple[np.ndarray, np.ndarray] | None
-) -> ThetaRegime:
-    """The config's theta regime; `theta` is the filter's (theta_mean, theta_std)."""
-    if config.theta_regime == "true":
-        return ThetaRegime(mode="true", theta_true=np.asarray(config.theta_true))
-    if theta is None:
-        raise ConfigError(f"theta_regime {config.theta_regime!r} needs filter output")
-    theta_mean, theta_std = theta
-    return ThetaRegime(mode=config.theta_regime, theta_hat=theta_mean, theta_std=theta_std)
-
-
 def stage_simulate(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     seed = RngSeed(config.master_seed)
     truth = simulate_hidden(
@@ -398,25 +364,33 @@ def stage_filter(
     return history, smoothed, summary
 
 
-def stage_abduct(
-    config: ExperimentConfig, history: AncestralHistory, smoothed: SmoothedWeights
-) -> NoisePosterior:
-    return abduct_noise(history, smoothed, config.system, config.delta)
-
-
 def stage_counterfactual(
     config: ExperimentConfig,
-    theta: tuple[np.ndarray, np.ndarray] | None,
+    theta_estimate: tuple[np.ndarray, np.ndarray],
     noise: NoisePosterior,
 ) -> tuple[np.ndarray, CfTrajectorySet]:
+    """The noise-free reference and the ensemble of the config's intervention.
+
+    `theta_estimate` is the filter's (theta_mean, theta_std). The regime picks
+    the parameters the ensemble draws from: "true" runs every trajectory under
+    theta_true, "point" under theta_mean, and "posterior" draws each from
+    N(theta_mean, diag(theta_std^2)).
+    """
     seed = RngSeed(config.master_seed)
-    x0_cf = intervene(np.asarray(config.x0), build_intervention(config))
+    theta_mean, theta_std = theta_estimate
+    theta, spread = {
+        "true": (np.asarray(config.theta_true), np.zeros_like(theta_std)),
+        "point": (theta_mean, np.zeros_like(theta_std)),
+        "posterior": (theta_mean, theta_std),
+    }[config.theta_regime]
+    x0_cf = intervene(np.asarray(config.x0), config.intervention)
     reference = deterministic_cf(
         config.system, np.asarray(config.theta_true), x0_cf, config.horizon, config.delta
     )
     ensemble = generate_cf(
         config.system,
-        build_regime(config, theta),
+        theta,
+        spread,
         noise,
         x0_cf,
         config.horizon,
@@ -622,13 +596,16 @@ def _filter(run: RunDir) -> dict:
 
 
 def _abduct(run: RunDir) -> dict:
-    run.put("noise_posterior.csv", stage_abduct(run.config, *run.get("filter_state.npz")))
+    history, smoothed = run.get("filter_state.npz")
+    noise = abduct_noise(history, smoothed, run.config.system, run.config.delta)
+    run.put("noise_posterior.csv", noise)
     return {}
 
 
 def _counterfactual(run: RunDir) -> dict:
-    theta = None if run.config.theta_regime == "true" else run.get("theta_estimate.csv")
-    reference, ensemble = stage_counterfactual(run.config, theta, run.get("noise_posterior.csv"))
+    reference, ensemble = stage_counterfactual(
+        run.config, run.get("theta_estimate.csv"), run.get("noise_posterior.csv")
+    )
     run.put("cf_deterministic.csv", reference)
     run.put("cf_ensemble.csv", ensemble)
     return {"cf_truncated_trajectories": int((ensemble.failure_index >= 0).sum())}

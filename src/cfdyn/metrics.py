@@ -6,15 +6,6 @@ import numpy as np
 from .counterfactual import CfTrajectorySet
 
 
-def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two states."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 def rmse_t(ensemble: CfTrajectorySet, reference: np.ndarray) -> np.ndarray:
     """Root mean square of ensemble-to-reference (T+1, d) phase distances, per step.
 

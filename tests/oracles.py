@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from cfdyn.counterfactual import sample_theta
 from cfdyn.dynamics import _rk4, get_system, rk4_step
 from cfdyn.seeding import RngSeed
 
@@ -183,25 +182,30 @@ def roll_one(spec, x0, theta, horizon, delta, u=None) -> tuple[np.ndarray, int]:
     return states, -1
 
 
-def generate_cf_per_trajectory(system, regime, noise, x0_cf, horizon, delta,
+def generate_cf_per_trajectory(system, theta, theta_std, noise, x0_cf, horizon, delta,
                                n_trajectories, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The counterfactual ensemble drawn and rolled one trajectory at a time.
 
-    Same substreams as `generate_cf`; returns (trajectories, thetas, failure
-    steps with -1 for clean rows).
+    Same substreams as `generate_cf`; a `theta_std` of None pins every
+    trajectory to a copy of `theta` without drawing. Returns (trajectories,
+    thetas, failure steps with -1 for clean rows).
     """
     spec = get_system(system)
     noise_std = np.sqrt(noise.sigma[:horizon])
     trajectories, thetas, failures = [], [], []
     for i in range(n_trajectories):
         traj_seed = rng.child("traj", i)
-        theta = sample_theta(regime, traj_seed.child("theta"))
+        if theta_std is None:
+            row = theta.copy()
+        else:
+            z = traj_seed.child("theta").generator().normal(size=theta.shape[0])
+            row = theta + theta_std * z
         u = noise.mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
             size=(horizon, spec.dimension)
         )
-        states, failure = roll_one(spec, np.asarray(x0_cf, dtype=float), theta, horizon, delta, u)
+        states, failure = roll_one(spec, np.asarray(x0_cf, dtype=float), row, horizon, delta, u)
         trajectories.append(states)
-        thetas.append(theta)
+        thetas.append(row)
         failures.append(failure)
     return np.stack(trajectories), np.stack(thetas), np.array(failures)
 

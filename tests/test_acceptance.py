@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from cfdyn.cli import main
-from cfdyn.counterfactual import ThetaRegime, deterministic_cf, generate_cf, intervene
+from cfdyn.abduction import NoisePosterior, abduct_noise
+from cfdyn.counterfactual import deterministic_cf, generate_cf, intervene
 from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
 from cfdyn.experiment import (
     ARTIFACT_FILES,
-    build_intervention,
     get_preset,
-    stage_abduct,
     stage_counterfactual,
     stage_filter,
     stage_simulate,
@@ -142,24 +141,24 @@ def test_criterion_4_divergence_regime_ordering():
         config = replace(base, master_seed=2000 + seed)
         truth, observations = stage_simulate(config)
         history, smoothed, summary = stage_filter(config, observations)
-        noise = stage_abduct(config, history, smoothed)
-        x0_cf = intervene(np.asarray(config.x0), build_intervention(config))
+        noise = abduct_noise(history, smoothed, config.system, config.delta)
+        x0_cf = intervene(np.asarray(config.x0), config.intervention)
         reference = deterministic_cf(
             config.system, np.asarray(config.theta_true), x0_cf, config.horizon, config.delta
         )
         span = reference.max(axis=0) - reference.min(axis=0)
         threshold = 0.10 * float(np.linalg.norm(span))
         seed_obj = RngSeed(config.master_seed)
+        pinned = np.zeros_like(summary.theta_std)
+        regimes = {
+            "true": (np.asarray(config.theta_true), pinned),
+            "point": (summary.theta_mean, pinned),
+            "posterior": (summary.theta_mean, summary.theta_std),
+        }
         onsets = {}
-        for slot, mode in enumerate(("true", "point", "posterior")):
-            if mode == "true":
-                regime = ThetaRegime(mode="true", theta_true=np.asarray(config.theta_true))
-            else:
-                regime = ThetaRegime(
-                    mode=mode, theta_hat=summary.theta_mean, theta_std=summary.theta_std
-                )
+        for slot, (mode, (theta, theta_std)) in enumerate(regimes.items()):
             ensemble = generate_cf(
-                config.system, regime, noise, x0_cf, config.horizon, config.delta,
+                config.system, theta, theta_std, noise, x0_cf, config.horizon, config.delta,
                 config.n_cf, seed_obj.child("cf", slot),
             )
             per_trajectory = []
@@ -196,7 +195,7 @@ def test_criterion_5_logistic_baseline():
         config = replace(base, master_seed=3000 + seed)
         truth, observations = stage_simulate(config)
         history, smoothed, summary = stage_filter(config, observations)
-        noise = stage_abduct(config, history, smoothed)
+        noise = abduct_noise(history, smoothed, config.system, config.delta)
         reference, ensemble = stage_counterfactual(
             config, (summary.theta_mean, summary.theta_std), noise
         )
@@ -228,11 +227,8 @@ def test_criterion_6_identity_counterfactual():
             for t in range(1, 301)
         ]
     )
-    from cfdyn.abduction import NoisePosterior
-
     recorded = NoisePosterior(mu=mu, sigma=np.zeros_like(mu))
-    regime = ThetaRegime(mode="true", theta_true=theta)
-    ensemble = generate_cf(LORENZ, regime, recorded, x0, 300, 0.05, 2, RngSeed(6001))
+    ensemble = generate_cf(LORENZ, theta, np.zeros(3), recorded, x0, 300, 0.05, 2, RngSeed(6001))
     worst = np.abs(ensemble.trajectories - truth[None]).max()
     assert worst < 1e-9
     report(6, "identity counterfactual", f"max per-component error {worst:.2e} < 1e-9")

@@ -1,18 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfdyn.abduction import NoisePosterior
-from cfdyn.counterfactual import (
-    CfTrajectorySet,
-    Intervention,
-    ThetaRegime,
-    deterministic_cf,
-    generate_cf,
-    intervene,
-    sample_theta,
-)
+from cfdyn.counterfactual import CfTrajectorySet, deterministic_cf, generate_cf, intervene
 from cfdyn.dynamics import LOGISTIC, LORENZ
 from cfdyn.errors import NumericsError
+from cfdyn.experiment import PRESETS, stage_counterfactual
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import simulate_hidden
 
@@ -20,81 +15,114 @@ from .oracles import generate_cf_per_trajectory, particle_residual, roll_one
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 X0 = np.array([1.0, 1.0, 1.0])
+PINNED = np.zeros(3)
 
 
 # -------------------------------------------------------------- intervene
 
 
 def test_zero_shift_is_identity():
-    out = intervene(X0, Intervention(component=1, shift=0.0))
+    out = intervene(X0, {"component": 1, "shift": 0.0})
     assert np.array_equal(out, X0)
 
 
 def test_lorenz_first_component_perturbation():
-    out = intervene(X0, Intervention(component=1, shift=1e-4))
+    out = intervene(X0, {"component": 1, "shift": 1e-4})
     assert np.array_equal(out, np.array([1.0001, 1.0, 1.0]))
 
 
 def test_logistic_additive_ten():
-    out = intervene(np.array([10.0]), Intervention(component=1, shift=10.0))
+    out = intervene(np.array([10.0]), {"component": 1, "shift": 10.0})
     assert np.array_equal(out, np.array([20.0]))
 
 
 def test_absolute_replacement():
-    out = intervene(X0, Intervention(absolute=np.array([5.0, 6.0, 7.0])))
-    assert np.array_equal(out, np.array([5.0, 6.0, 7.0]))
+    absolute = np.array([5.0, 6.0, 7.0])
+    out = intervene(X0, {"absolute": absolute})
+    assert np.array_equal(out, absolute)
+    out[0] = 0.0
+    assert absolute[0] == 5.0
 
 
 def test_intervention_changes_exactly_one_component():
-    out = intervene(X0, Intervention(component=2, shift=0.5))
+    out = intervene(X0, {"component": 2, "shift": 0.5})
     changed = out != X0
     assert changed.sum() == 1 and changed[1]
 
 
 def test_component_out_of_range_rejected():
     with pytest.raises(ValueError):
-        intervene(X0, Intervention(component=4, shift=1.0))
+        intervene(X0, {"component": 4, "shift": 1.0})
     with pytest.raises(ValueError):
-        intervene(X0, Intervention(component=0, shift=1.0))
+        intervene(X0, {"component": 0, "shift": 1.0})
 
 
 def test_intervention_form_validation():
     with pytest.raises(ValueError):
-        Intervention()
+        intervene(X0, {})
     with pytest.raises(ValueError):
-        Intervention(component=1, shift=1.0, absolute=np.zeros(3))
+        intervene(X0, {"component": 1, "shift": 1.0, "absolute": np.zeros(3)})
     with pytest.raises(ValueError):
-        Intervention(component=1)
+        intervene(X0, {"component": 1})
+    with pytest.raises(ValueError):
+        intervene(X0, {"component": 1, "shift": 1.0, "scale": 2.0})
+    with pytest.raises(ValueError):
+        intervene(X0, {"absolute": np.zeros(2)})
 
 
-# ------------------------------------------------------------ sample_theta
+# ------------------------------------------------------- parameter regimes
+
+
+def _regime_thetas(regime, theta_mean, theta_std):
+    config = replace(PRESETS["lorenz"], horizon=5, n_cf=4, theta_regime=regime)
+    noise = NoisePosterior(mu=np.zeros((5, 3)), sigma=np.full((5, 3), 0.25))
+    _, ensemble = stage_counterfactual(config, (theta_mean, theta_std), noise)
+    return config, ensemble.thetas
 
 
 def test_true_regime_returns_true_theta():
-    regime = ThetaRegime(mode="true", theta_true=LORENZ_THETA)
-    assert np.array_equal(sample_theta(regime, RngSeed(1)), LORENZ_THETA)
+    config, thetas = _regime_thetas("true", LORENZ_THETA + 1.5, np.array([0.5, 1.0, 0.1]))
+    want = np.array(config.theta_true)
+    assert thetas.tobytes() == np.tile(want, (4, 1)).tobytes()
+
+
+def test_point_regime_returns_theta_mean():
+    theta_mean = np.array([9.5, 27.25, 2.625])
+    _, thetas = _regime_thetas("point", theta_mean, np.array([0.5, 1.0, 0.1]))
+    assert thetas.tobytes() == np.tile(theta_mean, (4, 1)).tobytes()
 
 
 def test_posterior_regime_with_zero_spread_is_point():
-    regime_p = ThetaRegime(mode="posterior", theta_hat=LORENZ_THETA, theta_std=np.zeros(3))
-    out = sample_theta(regime_p, RngSeed(2))
-    assert np.array_equal(out, LORENZ_THETA)
+    noise = NoisePosterior(mu=np.zeros((1, 3)), sigma=np.zeros((1, 3)))
+    ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 1, 0.05, 5, RngSeed(2))
+    assert ens.thetas.tobytes() == np.tile(LORENZ_THETA, (5, 1)).tobytes()
 
 
 def test_posterior_regime_spread_matches_std():
     std = np.array([0.5, 1.5, 0.1])
-    regime = ThetaRegime(mode="posterior", theta_hat=np.zeros(3), theta_std=std)
-    draws = np.array([sample_theta(regime, RngSeed(3).child("i", i)) for i in range(10000)])
+    noise = NoisePosterior(mu=np.zeros((1, 3)), sigma=np.zeros((1, 3)))
+    draws = generate_cf(LORENZ, np.zeros(3), std, noise, X0, 1, 0.05, 10000, RngSeed(3)).thetas
     assert (np.abs(draws.std(axis=0) - std) < 0.05 * std).all()
 
 
 def test_regime_reference_requirements():
-    with pytest.raises(ValueError):
-        ThetaRegime(mode="true")
-    with pytest.raises(ValueError):
-        ThetaRegime(mode="posterior", theta_hat=LORENZ_THETA)
-    with pytest.raises(ValueError):
-        ThetaRegime(mode="maximum-likelihood", theta_true=LORENZ_THETA)
+    # Every parameter needs its own spread: a short or scalar theta_std is
+    # rejected rather than broadcast.
+    noise = NoisePosterior(mu=np.zeros((5, 3)), sigma=np.zeros((5, 3)))
+    for theta_std in (np.zeros(2), np.zeros(()), np.zeros(1)):
+        with pytest.raises(ValueError, match="theta_std"):
+            generate_cf(LORENZ, LORENZ_THETA, theta_std, noise, X0, 5, 0.05, 2, RngSeed(1))
+
+
+def test_noise_posterior_of_another_dimension_rejected():
+    # A (T, 1) posterior would broadcast over the three Lorenz components.
+    noise = NoisePosterior(mu=np.zeros((10, 1)), sigma=np.ones((10, 1)))
+    with pytest.raises(ValueError, match="dimension 1"):
+        generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 10, 0.05, 3, RngSeed(1))
+    wide = NoisePosterior(mu=np.zeros((10, 3)), sigma=np.ones((10, 3)))
+    with pytest.raises(ValueError, match="dimension 3"):
+        generate_cf(LOGISTIC, np.array([0.5, 100.0]), np.zeros(2), wide, np.array([10.0]),
+                    10, 0.05, 3, RngSeed(1))
 
 
 # ------------------------------------------------------------- generate_cf
@@ -113,16 +141,14 @@ def _recorded_noise_posterior(traj, theta):
 def test_identity_counterfactual_reproduces_factual():
     traj = simulate_hidden(LORENZ, LORENZ_THETA, X0, 60, 0.05, 1.0, RngSeed(4))
     noise = _recorded_noise_posterior(traj, LORENZ_THETA)
-    regime = ThetaRegime(mode="true", theta_true=LORENZ_THETA)
-    ens = generate_cf(LORENZ, regime, noise, X0, 60, 0.05, 3, RngSeed(5))
+    ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 60, 0.05, 3, RngSeed(5))
     for i in range(3):
         assert np.abs(ens.trajectories[i] - traj).max() < 1e-9
 
 
 def test_zero_noise_true_theta_equals_deterministic_rollout():
     noise = NoisePosterior(mu=np.zeros((40, 3)), sigma=np.zeros((40, 3)))
-    regime = ThetaRegime(mode="true", theta_true=LORENZ_THETA)
-    ens = generate_cf(LORENZ, regime, noise, X0, 40, 0.05, 2, RngSeed(6))
+    ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 40, 0.05, 2, RngSeed(6))
     ref = deterministic_cf(LORENZ, LORENZ_THETA, X0, 40, 0.05)
     for i in range(2):
         assert np.array_equal(ens.trajectories[i], ref)
@@ -131,26 +157,27 @@ def test_zero_noise_true_theta_equals_deterministic_rollout():
 def test_logistic_reaches_carrying_capacity():
     theta = np.array([0.5, 100.0])
     noise = NoisePosterior(mu=np.zeros((500, 1)), sigma=np.zeros((500, 1)))
-    regime = ThetaRegime(mode="true", theta_true=theta)
-    ens = generate_cf(LOGISTIC, regime, noise, np.array([20.0]), 500, 0.05, 1, RngSeed(7))
+    ens = generate_cf(
+        LOGISTIC, theta, np.zeros(2), noise, np.array([20.0]), 500, 0.05, 1, RngSeed(7)
+    )
     assert abs(ens.trajectories[0, -1, 0] - 100.0) < 0.1
 
 
 def test_posterior_zero_spread_bit_identical_to_point():
     noise = NoisePosterior(mu=np.zeros((20, 3)), sigma=np.full((20, 3), 0.25))
-    point = ThetaRegime(mode="point", theta_hat=LORENZ_THETA)
-    post = ThetaRegime(mode="posterior", theta_hat=LORENZ_THETA, theta_std=np.zeros(3))
-    a = generate_cf(LORENZ, point, noise, X0, 20, 0.05, 4, RngSeed(8))
-    b = generate_cf(LORENZ, post, noise, X0, 20, 0.05, 4, RngSeed(8))
-    assert np.array_equal(a.trajectories, b.trajectories)
-    assert np.array_equal(a.thetas, b.thetas)
+    # Zero spread draws z_i and adds 0 * z_i; the oracle copies theta and draws nothing.
+    ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 20, 0.05, 4, RngSeed(8))
+    trajectories, thetas, _ = generate_cf_per_trajectory(
+        LORENZ, LORENZ_THETA, None, noise, X0, 20, 0.05, 4, RngSeed(8)
+    )
+    assert ens.trajectories.tobytes() == trajectories.tobytes()
+    assert ens.thetas.tobytes() == thetas.tobytes()
 
 
 def test_trajectories_use_independent_substreams():
     noise = NoisePosterior(mu=np.zeros((15, 3)), sigma=np.ones((15, 3)))
-    regime = ThetaRegime(mode="true", theta_true=LORENZ_THETA)
-    small = generate_cf(LORENZ, regime, noise, X0, 15, 0.05, 3, RngSeed(9))
-    large = generate_cf(LORENZ, regime, noise, X0, 15, 0.05, 6, RngSeed(9))
+    small = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 15, 0.05, 3, RngSeed(9))
+    large = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 15, 0.05, 6, RngSeed(9))
     assert np.array_equal(small.trajectories, large.trajectories[:3])
 
 
@@ -161,8 +188,8 @@ def test_batched_ensemble_matches_per_trajectory_loop(rate):
     from cfdyn.dynamics import EXP_DECAY
 
     noise = NoisePosterior(mu=np.full((300, 1), 0.01), sigma=np.full((300, 1), 1e-4))
-    regime = ThetaRegime(mode="posterior", theta_hat=np.array([rate]), theta_std=np.array([40.0]))
-    args = (EXP_DECAY, regime, noise, np.array([1.0]), 300, 0.05, 24, RngSeed(10))
+    theta, theta_std = np.array([rate]), np.array([40.0])
+    args = (EXP_DECAY, theta, theta_std, noise, np.array([1.0]), 300, 0.05, 24, RngSeed(10))
     ens = generate_cf(*args)
     trajectories, thetas, failures = generate_cf_per_trajectory(*args)
     assert len(set(failures.tolist()) - {-1}) >= 3
@@ -174,8 +201,8 @@ def test_batched_ensemble_matches_per_trajectory_loop(rate):
 
 def test_batched_lorenz_ensemble_matches_per_trajectory_loop():
     noise = NoisePosterior(mu=np.full((80, 3), 0.1), sigma=np.full((80, 3), 0.5))
-    regime = ThetaRegime(mode="posterior", theta_hat=LORENZ_THETA, theta_std=np.array([0.5, 1.0, 0.1]))
-    args = (LORENZ, regime, noise, X0, 80, 0.05, 7, RngSeed(14))
+    theta_std = np.array([0.5, 1.0, 0.1])
+    args = (LORENZ, LORENZ_THETA, theta_std, noise, X0, 80, 0.05, 7, RngSeed(14))
     ens = generate_cf(*args)
     trajectories, thetas, failures = generate_cf_per_trajectory(*args)
     assert (ens.failure_index == -1).all() and (failures == -1).all()
@@ -185,18 +212,18 @@ def test_batched_lorenz_ensemble_matches_per_trajectory_loop():
 
 def test_short_noise_posterior_rejected():
     noise = NoisePosterior(mu=np.zeros((5, 3)), sigma=np.zeros((5, 3)))
-    regime = ThetaRegime(mode="true", theta_true=LORENZ_THETA)
     with pytest.raises(ValueError):
-        generate_cf(LORENZ, regime, noise, X0, 10, 0.05, 1, RngSeed(11))
+        generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 10, 0.05, 1, RngSeed(11))
 
 
 def test_nonfinite_trajectory_truncated_and_flagged():
     theta = np.array([-120.0])
     noise = NoisePosterior(mu=np.zeros((300, 1)), sigma=np.zeros((300, 1)))
-    regime = ThetaRegime(mode="true", theta_true=theta)
     from cfdyn.dynamics import EXP_DECAY
 
-    ens = generate_cf(EXP_DECAY, regime, noise, np.array([1.0]), 300, 0.5, 2, RngSeed(12))
+    ens = generate_cf(
+        EXP_DECAY, theta, np.zeros(1), noise, np.array([1.0]), 300, 0.5, 2, RngSeed(12)
+    )
     assert (ens.failure_index >= 1).all()
     first_bad = ens.failure_index[0]
     assert np.isnan(ens.trajectories[0, first_bad:]).all()
@@ -241,9 +268,8 @@ def test_deterministic_cf_fixed_point_constant():
 
 def test_deterministic_cf_equals_noise_free_ensemble():
     noise = NoisePosterior(mu=np.zeros((30, 3)), sigma=np.zeros((30, 3)))
-    regime = ThetaRegime(mode="true", theta_true=LORENZ_THETA)
-    x0_cf = intervene(X0, Intervention(component=1, shift=1e-4))
-    ens = generate_cf(LORENZ, regime, noise, x0_cf, 30, 0.05, 1, RngSeed(13))
+    x0_cf = intervene(X0, {"component": 1, "shift": 1e-4})
+    ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, x0_cf, 30, 0.05, 1, RngSeed(13))
     ref = deterministic_cf(LORENZ, LORENZ_THETA, x0_cf, 30, 0.05)
     assert np.array_equal(ens.trajectories[0], ref)
 
@@ -258,7 +284,7 @@ def test_butterfly_divergence_profile():
     # direct simulation: tiny initial shift stays tiny early, grows large later
     base = deterministic_cf(LORENZ, LORENZ_THETA, X0, 2000, 0.05)
     shifted = deterministic_cf(
-        LORENZ, LORENZ_THETA, intervene(X0, Intervention(component=1, shift=1e-4)), 2000, 0.05
+        LORENZ, LORENZ_THETA, intervene(X0, {"component": 1, "shift": 1e-4}), 2000, 0.05
     )
     diff = np.abs(base - shifted).max(axis=1)
     assert diff[:51].max() < 0.01

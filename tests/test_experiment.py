@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cfdyn import experiment
-from cfdyn.counterfactual import CfTrajectorySet, ThetaRegime, generate_cf
+from cfdyn.abduction import abduct_noise
+from cfdyn.counterfactual import CfTrajectorySet
 from cfdyn.errors import ConfigError, NumericsError
 from cfdyn.experiment import (
     ARTIFACT_FILES,
@@ -24,7 +25,7 @@ from cfdyn.experiment import (
     run_grid,
     run_pipeline,
     save_config,
-    stage_abduct,
+    stage_counterfactual,
     stage_filter,
     stage_simulate,
 )
@@ -129,6 +130,9 @@ def test_intervention_validation():
         tiny_config(intervention={"absolute": [1.0]})
     cfg = tiny_config(intervention={"absolute": [0.0, 0.0, 0.0]})
     assert cfg.intervention == {"absolute": [0.0, 0.0, 0.0]}
+    # A shift that overflows is no config error: the rollouts report the inf state.
+    cfg = tiny_config(x0=[1e308, 1.0, 1.0], intervention={"component": 1, "shift": 1e308})
+    assert cfg.intervention == {"component": 1, "shift": 1e308}
 
 
 def test_prior_bounds_validation():
@@ -268,16 +272,14 @@ def test_posterior_regime_with_zero_spread_matches_point(tmp_path):
     config = tiny_config()
     truth, observations = stage_simulate(config)
     history, smoothed, summary = stage_filter(config, observations)
-    noise = stage_abduct(config, history, smoothed)
-    seed = RngSeed(config.master_seed).child("counterfactual")
-    point = ThetaRegime(mode="point", theta_hat=summary.theta_mean)
-    degenerate = ThetaRegime(
-        mode="posterior", theta_hat=summary.theta_mean, theta_std=np.zeros_like(summary.theta_std)
-    )
-    x0_cf = np.asarray(config.x0)
-    a = generate_cf("lorenz", point, noise, x0_cf, config.horizon, config.delta, 4, seed)
-    b = generate_cf("lorenz", degenerate, noise, x0_cf, config.horizon, config.delta, 4, seed)
+    noise = abduct_noise(history, smoothed, config.system, config.delta)
+    point = replace(config, theta_regime="point", n_cf=4)
+    degenerate = replace(config, theta_regime="posterior", n_cf=4)
+    _, a = stage_counterfactual(point, (summary.theta_mean, summary.theta_std), noise)
+    zero = np.zeros_like(summary.theta_std)
+    _, b = stage_counterfactual(degenerate, (summary.theta_mean, zero), noise)
     assert np.array_equal(a.trajectories, b.trajectories)
+    assert np.array_equal(a.thetas, b.thetas)
 
 
 def _arrays(product) -> list[np.ndarray]:

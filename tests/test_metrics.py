@@ -6,7 +6,6 @@ from cfdyn.metrics import (
     divergence_onset,
     factual_rmse,
     moving_average,
-    phase_distance,
     rmse_t,
 )
 
@@ -17,39 +16,6 @@ def _ensemble(trajectories):
         trajectories=trajectories,
         thetas=np.zeros((trajectories.shape[0], 1)),
     )
-
-
-# ------------------------------------------------------------ phase_distance
-
-
-def test_phase_distance_zero_for_equal_points():
-    a = np.array([1.0, 2.0, 3.0])
-    assert phase_distance(a, a) == 0.0
-
-
-def test_phase_distance_345_triangle():
-    assert phase_distance(np.array([3.0, 4.0, 0.0]), np.zeros(3)) == 5.0
-
-
-def test_phase_distance_matches_summation_oracle():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        a = rng.normal(size=4)
-        b = rng.normal(size=4)
-        oracle = np.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-        assert abs(phase_distance(a, b) - oracle) < 1e-12
-
-
-def test_phase_distance_triangle_inequality():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        a, b, c = rng.normal(size=(3, 5))
-        assert phase_distance(a, c) <= phase_distance(a, b) + phase_distance(b, c) + 1e-12
-
-
-def test_phase_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        phase_distance(np.zeros(3), np.zeros(2))
 
 
 # --------------------------------------------------------------------- rmse
