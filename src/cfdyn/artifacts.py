@@ -20,46 +20,99 @@ from .errors import ArtifactError
 from .filtering import AncestralHistory, SmoothedWeights
 
 
-def fmt_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(x))
+_BLOCK_ROWS = 1024
 
 
 def write_csv(path: Path, header: list[str], labels, values) -> None:
     """Write one header line, then per row its label fields and its float values.
 
     `labels` holds the label columns, each field written with `str`; `values`
-    is the (rows, columns) float block, written with `fmt_float`.
+    is the (rows, columns) float block, each float written with `repr`, the
+    shortest string that round-trips to it. Rows go out in blocks of
+    `_BLOCK_ROWS`, so only one block is ever held as text.
     """
-    lines = [",".join(header)]
-    rows = np.asarray(values, dtype=float).tolist()
-    for label, row in zip(zip(*labels, strict=True), rows, strict=True):
-        lines.append(",".join([*map(str, label), *map(fmt_float, row)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values = np.asarray(values, dtype=float)
+    if any(len(column) != len(values) for column in labels):
+        raise ValueError(f"label columns of {path} do not have one field per row")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(values), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            fields = [map(str, np.asarray(column[block]).tolist()) for column in labels]
+            rows = (map(repr, row) for row in values[block].tolist())
+            f.write("".join([",".join([*label, *row]) + "\n" for *label, row in zip(*fields, rows)]))
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    # write_csv ends every file with a newline; a file cut short ends mid-line.
-    if not text.endswith("\n"):
+def _layout(path: Path) -> tuple[list[str], int, int]:
+    """The header fields, the newline count and the comma count of a CSV file.
+
+    Raises ArtifactError if the file does not end with a newline, as every
+    file `write_csv` writes does and a file cut short mid-line does not.
+    """
+    newlines = commas = 0
+    last = b""
+    with open(path, "rb") as f:
+        header = f.readline()
+        f.seek(0)
+        for block in iter(lambda: f.read(1 << 16), b""):
+            newlines, commas, last = newlines + block.count(b"\n"), commas + block.count(b","), block
+    if not last.endswith(b"\n"):
         raise ArtifactError(f"{path} is truncated: it does not end with a newline")
-    lines = text.strip("\n").split("\n")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    for number, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ArtifactError(
-                f"{path} line {number} has {len(row)} fields, the header has {len(header)}"
-            )
-    return header, rows
+    return header.decode("utf-8").rstrip("\r\n").split(","), newlines, commas
 
 
-def read_table(path: Path, n_labels: int) -> tuple[list[list[str]], np.ndarray]:
-    """What `write_csv` wrote: its label columns of str and its (rows, columns) floats."""
-    header, rows = read_csv(path)
-    labels = [[row[k] for row in rows] for k in range(n_labels)]
-    values = np.array([list(map(float, row[n_labels:])) for row in rows])
-    return labels, values.reshape(len(rows), len(header) - n_labels)
+def _raise_first_fault(path: Path, header: list[str], usecols) -> None:
+    """Raise ArtifactError naming the first line of `path` that is not a row of the
+    header's width parsed as numbers in `usecols`; return if every line is one."""
+    with open(path, encoding="utf-8") as f:
+        for number, line in enumerate(f, start=1):
+            fields = line.rstrip("\r\n").split(",")
+            if not line.strip():
+                raise ArtifactError(f"{path} line {number} is blank")
+            if len(fields) != len(header):
+                raise ArtifactError(
+                    f"{path} line {number} has {len(fields)} fields, the header has {len(header)}"
+                )
+            if number > 1:
+                try:
+                    np.loadtxt([line], delimiter=",", comments=None, usecols=usecols)
+                except ValueError as exc:
+                    detail = str(exc).split(" at row")[0]
+                    raise ArtifactError(f"{path} line {number}: {detail}") from exc
+
+
+def read_table(path: Path, n_labels: int, skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """What `write_csv` wrote: its (rows, n_labels) integer labels and its (rows, columns) floats.
+
+    numpy's C reader parses the file in place, with no Python object per cell.
+    The first `skip` columns are text labels and are not read. Every line must
+    hold as many fields as the header, and every label an integer value.
+    """
+    header, newlines, commas = _layout(path)
+    usecols = tuple(range(skip, len(header))) if skip else None
+    rows = newlines - 1
+    if rows == 0:
+        data = np.empty((0, len(header) - skip))
+    else:
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                              usecols=usecols, encoding="utf-8")
+        except ValueError:
+            _raise_first_fault(path, header, usecols)
+            raise
+        # np.loadtxt skips blank lines, and with usecols ignores extra fields.
+        if len(data) != rows or commas != newlines * (len(header) - 1):
+            _raise_first_fault(path, header, usecols)
+            raise ArtifactError(f"{path} does not hold one row of {len(header)} fields per line")
+    labels = data[:, :n_labels]
+    exact = (labels == np.trunc(labels)) & (np.abs(labels) <= 2.0**53)
+    if not exact.all():
+        row, column = np.argwhere(~exact)[0]
+        raise ArtifactError(
+            f"{path} line {row + 2}: {header[skip + column]} "
+            f"{float(labels[row, column])!r} is not an integer"
+        )
+    return labels.astype(np.int64), np.ascontiguousarray(data[:, n_labels:])
 
 
 def _reader(load):
@@ -126,7 +179,7 @@ def save_ensemble(path: Path, thetas_path: Path, ensemble: CfTrajectorySet,
 @_reader
 def load_ensemble(path: Path, thetas_path: Path) -> CfTrajectorySet:
     labels, values = read_table(path, 2)
-    steps, ids = (np.array([int(v) for v in column], dtype=np.int64) for column in labels)
+    steps, ids = labels.T
     # save_ensemble writes the rows trajectory-major with t = 0..T in each.
     n_traj = int(ids.max()) + 1
     horizon1 = len(ids) // max(n_traj, 1)
@@ -161,7 +214,7 @@ def save_theta_estimate(
 
 @_reader
 def load_theta_estimate(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    values = read_table(path, 1)[1]
+    values = read_table(path, 0, skip=1)[1]
     return values[:, 0], values[:, 1]
 
 

@@ -1,9 +1,21 @@
 import hashlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from cfdyn.artifacts import load_ensemble, load_filter_state, read_csv, save_npz
+from cfdyn.artifacts import (
+    load_ensemble,
+    load_filter_state,
+    load_theta_estimate,
+    load_trajectory,
+    read_table,
+    save_ensemble,
+    save_npz,
+    write_csv,
+)
+from cfdyn.counterfactual import CfTrajectorySet
 from cfdyn.errors import ArtifactError
 
 
@@ -43,13 +55,139 @@ def test_garbage_filter_state_is_artifact_error(tmp_path):
 def test_csv_cut_mid_line_is_artifact_error(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("t,x_1,x_2\n0,1.0,2.0\n1,3.0,4.0\n", encoding="utf-8")
-    assert read_csv(path)[1] == [["0", "1.0", "2.0"], ["1", "3.0", "4.0"]]
+    assert load_trajectory(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
     path.write_text("t,x_1,x_2\n0,1.0,2.0\n1,3.", encoding="utf-8")
     with pytest.raises(ArtifactError, match="newline"):
-        read_csv(path)
+        load_trajectory(path)
     path.write_text("t,x_1,x_2\n0,1.0,2.0\n1,3.0\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="line 3"):
-        read_csv(path)
+        load_trajectory(path)
+
+
+# Files that np.loadtxt alone would misread or report by data row: each must
+# fail naming the file, and the file line where there is one.
+READER_FAULTS = {
+    "blank line": ("t,x_1\n0,1.0\n\n1,2.0\n", "line 3 is blank"),
+    "blank last line": ("t,x_1\n0,1.0\n1,2.0\n\n", "line 4 is blank"),
+    "blank line, one column": ("t\n0\n\n1\n", "line 3 is blank"),
+    "short line": ("t,x_1,x_2\n0,1.0,2.0\n1,3.0\n2,5.0,6.0\n", "line 3 has 2 fields"),
+    "extra field": ("t,x_1\n0,1.0\n1,2.0\n2,3.0,4.0\n", "line 4 has 3 fields"),
+    "short header": ("t,x_1\n0,1.0,2.0\n1,3.0,4.0\n", "line 2 has 3 fields"),
+    "non-numeric cell": ("t,x_1\n0,1.0\n1,abc\n", "line 3: could not convert string 'abc'"),
+    "empty cell": ("t,x_1,x_2\n0,1.0,\n", "line 2: could not convert string ''"),
+    "underscore digits": ("t,x_1\n0,1_0\n", "line 2: could not convert string '1_0'"),
+    "non-integer step": ("t,x_1\n0,1.0\n1.5,2.0\n", "line 3: t 1.5 is not an integer"),
+    "non-finite step": ("t,x_1\n0,1.0\nnan,2.0\n", "line 3: t nan is not an integer"),
+    "missing newline": ("t,x_1\n0,1.0\n1,2.0", "does not end with a newline"),
+    "empty file": ("", "does not end with a newline"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(READER_FAULTS))
+def test_csv_reader_faults_name_the_file_and_line(tmp_path, fault):
+    text, message = READER_FAULTS[fault]
+    path = tmp_path / "series.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ArtifactError, match="series.csv") as info:
+        load_trajectory(path)
+    assert message in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def test_theta_estimate_reads_no_text_but_counts_its_fields(tmp_path):
+    path = tmp_path / "theta_estimate.csv"
+    path.write_text("parameter,mean,std\nr,0.5,0.125\nK,100.0,2.0\n", encoding="utf-8")
+    mean, std = load_theta_estimate(path)
+    assert mean.tolist() == [0.5, 100.0] and std.tolist() == [0.125, 2.0]
+    # np.loadtxt drops the fields past its usecols; the reader must not.
+    for text, message in [
+        ("parameter,mean,std\nr,0.5,0.125,9\nK,100.0,2.0\n", "line 2 has 4 fields"),
+        ("parameter,mean,std\nr,0.5\nK,100.0,2.0\n", "line 2 has 2 fields"),
+        ("parameter,mean,std\nr,0.5,0.125\n\nK,100.0,2.0\n", "line 3 is blank"),
+        ("parameter,mean,std\nr,0.5,x\n", "line 2: could not convert string 'x'"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ArtifactError, match="theta_estimate.csv") as info:
+            load_theta_estimate(path)
+        assert message in str(info.value)
+
+
+def test_ensemble_with_a_non_integer_trajectory_id_is_artifact_error(tmp_path):
+    path, thetas = tmp_path / "cf_ensemble.csv", tmp_path / "cf_thetas.csv"
+    path.write_text("t,traj_id,x_1\n0,0,1.0\n1,0.5,2.0\n", encoding="utf-8")
+    thetas.write_text("traj_id,r\n0,1.0\n", encoding="utf-8")
+    with pytest.raises(ArtifactError, match="cf_ensemble.csv line 3: traj_id 0.5 is not an integer"):
+        load_ensemble(path, thetas)
+    path.write_text("t,traj_id,x_1\n0,0,1.0\n1,0,2.0\n", encoding="utf-8")
+    thetas.write_text("traj_id,r\n0,1.0,3.0\n", encoding="utf-8")
+    with pytest.raises(ArtifactError, match="cf_thetas.csv line 2 has 3 fields"):
+        load_ensemble(path, thetas)
+
+
+def test_csv_round_trip_keeps_every_bit(tmp_path):
+    values = np.array([
+        np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+        1e16, 9999999999999998.0, 1e-5, 1e-4, 0.1, 1.0 / 3.0, 2.0**-1074 * 3, -123.456,
+    ]).reshape(8, 2)
+    path = tmp_path / "series.csv"
+    write_csv(path, ["t", "a", "b"], [range(8)], values)
+    labels, back = read_table(path, 1)
+    assert back.tobytes() == values.tobytes()
+    assert labels.dtype == np.int64 and labels[:, 0].tolist() == list(range(8))
+    assert path.read_text(encoding="utf-8").splitlines()[1:3] == ["0,nan,inf", "1,-inf,0.0"]
+
+
+def test_csv_with_no_data_rows_loads_as_an_empty_table(tmp_path):
+    path = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_csv(path, ["t", "x_1", "x_2"], [range(0)], np.empty((0, 2)))
+        assert path.read_text(encoding="utf-8") == "t,x_1,x_2\n"
+        labels, values = read_table(path, 1)
+        assert labels.shape == (0, 1) and values.shape == (0, 2)
+        assert load_trajectory(path).shape == (0, 2)
+        path.write_text("parameter,mean,std\n", encoding="utf-8")
+        mean, std = load_theta_estimate(path)
+        assert mean.shape == std.shape == (0,)
+
+
+def test_block_streamed_csv_has_the_bytes_of_one_joined_string(tmp_path):
+    gen = np.random.default_rng(5)
+    rows = 2 * 1024 + 17  # two full blocks and a partial one
+    values = gen.normal(size=(rows, 3)) * 10.0 ** gen.integers(-8, 8, size=(rows, 3))
+    steps, ids = np.arange(rows) % 100, np.arange(rows) // 100
+    path = tmp_path / "series.csv"
+    write_csv(path, ["t", "traj_id", "a", "b", "c"], [steps, ids], values)
+    lines = ["t,traj_id,a,b,c"] + [
+        ",".join([str(int(s)), str(int(i)), *map(repr, row)])
+        for s, i, row in zip(steps, ids, values.tolist())
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    with pytest.raises(ValueError, match="one field per row"):
+        write_csv(path, ["t", "a", "b", "c"], [range(rows - 1)], values)
+
+
+def test_ensemble_csv_io_holds_at_most_three_tables(tmp_path):
+    gen = np.random.default_rng(9)
+    ensemble = CfTrajectorySet(
+        trajectories=gen.normal(size=(50, 501, 3)) * 10.0, thetas=gen.normal(size=(50, 3))
+    )
+    path, thetas = tmp_path / "cf_ensemble.csv", tmp_path / "cf_thetas.csv"
+    table_nbytes = 50 * 501 * (2 + 3) * 8  # t, traj_id and x_1..x_3 as float64
+    peaks = {}
+    for name, call in [
+        ("save", lambda: save_ensemble(path, thetas, ensemble, ("s", "r", "b"))),
+        ("load", lambda: load_ensemble(path, thetas)),
+    ]:
+        tracemalloc.start()
+        try:
+            result = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result.trajectories.tobytes() == ensemble.trajectories.tobytes()
+    assert result.thetas.tobytes() == ensemble.thetas.tobytes()
+    assert max(peaks.values()) <= 3 * table_nbytes, peaks
 
 
 def test_ensemble_without_trajectory_ids_is_artifact_error(tmp_path):

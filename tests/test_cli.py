@@ -279,6 +279,51 @@ def test_misordered_ensemble_rows_are_io_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _edit_line(number, edit):
+    """A file edit that applies `edit` to line `number` (1 is the header), newline excluded."""
+
+    def apply(text):
+        lines = text.split("\n")
+        lines[number - 1] = edit(lines[number - 1])
+        return "\n".join(lines)
+
+    return apply
+
+
+# (file, the stage that reads it, the edit, what the message must name)
+MALFORMED_INPUTS = {
+    "blank line": ("observations.csv", "filter", _edit_line(4, lambda s: s + "\n"), "line 5 is blank"),
+    "short line": ("observations.csv", "filter", _edit_line(4, lambda s: s[: s.rindex(",")]),
+                   "line 4 has 3 fields"),
+    "extra field": ("observations.csv", "filter", _edit_line(4, lambda s: s + ",1.0"),
+                    "line 4 has 5 fields"),
+    "non-numeric cell": ("observations.csv", "filter", _edit_line(4, lambda s: s + "x"),
+                         "line 4: could not convert"),
+    "missing newline": ("observations.csv", "filter", lambda text: text[:-1], "newline"),
+    "non-integer traj_id": ("cf_ensemble.csv", "metrics",
+                            _edit_line(2, lambda s: s.replace("0,0,", "0,0.5,", 1)),
+                            "line 2: traj_id 0.5 is not an integer"),
+    "extra theta field": ("theta_estimate.csv", "counterfactual",
+                          _edit_line(2, lambda s: s + ",1.0"), "line 2 has 4 fields"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_INPUTS))
+def test_malformed_csv_inputs_are_io_errors(tmp_path, capsys, fault):
+    name, stage, edit, message = MALFORMED_INPUTS[fault]
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    path = out / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    relist(out, name)
+    capsys.readouterr()
+    assert main([stage, "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and name in err and message in err
+    assert err.count("\n") == 1
+
+
 def test_wrong_shape_inputs_are_io_errors(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"
