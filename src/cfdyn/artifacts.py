@@ -3,6 +3,8 @@
 All numeric series are UTF-8 CSV with one header line. Floats are written
 with shortest round-trip formatting so re-parsing reproduces the exact
 float64 values and re-running a configuration reproduces identical bytes.
+Each file is written and read under one layout, its header and its label
+columns (`experiment.file_layout`); a read checks both.
 """
 from __future__ import annotations
 
@@ -81,18 +83,41 @@ def _raise_first_fault(path: Path, header: list[str], usecols) -> None:
                     raise ArtifactError(f"{path} line {number}: {detail}") from exc
 
 
-def read_table(path: Path, n_labels: int, skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """What `write_csv` wrote: its (rows, n_labels) integer labels and its (rows, columns) floats.
+def _check_grid(path: Path, header: list[str], found: list, grid: list) -> None:
+    """Raise ArtifactError naming the first line where a label column of `found`
+    is off the layout's `grid`, or the row counts if they differ."""
+    for name, got, want in zip(header, found, grid):
+        want = np.asarray(want)
+        if len(got) != len(want):
+            raise ArtifactError(f"{path} holds {len(got)} rows, the config's grid has {len(want)}")
+        off = np.flatnonzero(got != want)
+        if off.size:
+            row = off[0]
+            raise ArtifactError(
+                f"{path} line {row + 2}: {name} is {got[row]}, the config's grid has {want[row]}"
+            )
+
+
+def read_table(path: Path, header: list[str], labels: list, text: int = 0) -> np.ndarray:
+    """The (rows, columns) floats of a file that `write_csv(path, header, labels, ...)` wrote.
 
     numpy's C reader parses the file in place, with no Python object per cell.
-    The first `skip` columns are text labels and are not read. Every line must
-    hold as many fields as the header, and every label an integer value.
+    The file's header must be `header`, every line must hold as many fields,
+    and its label columns must equal `labels`, the grid that fixes its rows and
+    their order. The first `text` label columns are text; the others must hold
+    integer values. Raises ArtifactError naming the file and, where there is
+    one, the line.
     """
-    header, newlines, commas = _layout(path)
-    usecols = tuple(range(skip, len(header))) if skip else None
+    found, newlines, commas = _layout(path)
+    if found != list(header):
+        raise ArtifactError(
+            f"{path} line 1: the header is {','.join(found)}, the config's layout has "
+            f"{','.join(header)}"
+        )
+    usecols = tuple(range(text, len(header))) if text else None
     rows = newlines - 1
     if rows == 0:
-        data = np.empty((0, len(header) - skip))
+        data = np.empty((0, len(header) - text))
     else:
         try:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
@@ -104,15 +129,21 @@ def read_table(path: Path, n_labels: int, skip: int = 0) -> tuple[np.ndarray, np
         if len(data) != rows or commas != newlines * (len(header) - 1):
             _raise_first_fault(path, header, usecols)
             raise ArtifactError(f"{path} does not hold one row of {len(header)} fields per line")
-    labels = data[:, :n_labels]
-    exact = (labels == np.trunc(labels)) & (np.abs(labels) <= 2.0**53)
+    n_labels = len(labels) - text
+    numbers = data[:, :n_labels]
+    exact = (numbers == np.trunc(numbers)) & (np.abs(numbers) <= 2.0**53)
     if not exact.all():
         row, column = np.argwhere(~exact)[0]
         raise ArtifactError(
-            f"{path} line {row + 2}: {header[skip + column]} "
-            f"{float(labels[row, column])!r} is not an integer"
+            f"{path} line {row + 2}: {header[text + column]} "
+            f"{float(numbers[row, column])!r} is not an integer"
         )
-    return labels.astype(np.int64), np.ascontiguousarray(data[:, n_labels:])
+    names = np.empty((rows, text), dtype=str)
+    if text and rows:  # the few parameter names: a second pass costs nothing
+        names = np.loadtxt(path, dtype=str, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                           usecols=range(text), encoding="utf-8")
+    _check_grid(path, header, [*names.T, *numbers.astype(np.int64).T], labels)
+    return np.ascontiguousarray(data[:, n_labels:])
 
 
 def _reader(load):
@@ -131,90 +162,68 @@ def _reader(load):
     return checked
 
 
-def _columns(prefix: str, d: int) -> list[str]:
-    return [f"{prefix}_{k + 1}" for k in range(d)]
+# Every CSV converter writes or reads one file under the header and label grid
+# that `experiment.file_layout` gives it. perfbench wraps each save_*/load_*
+# name on its own and counts the bytes of the paths passed to it, so each file
+# is written and read by one call of one name, path first, and a name that
+# shares another's converter stays.
 
 
-def save_trajectory(path: Path, states: np.ndarray) -> None:
-    write_csv(path, ["t", *_columns("x", states.shape[1])], [range(len(states))], states)
-
-
-@_reader
-def load_trajectory(path: Path) -> np.ndarray:
-    return read_table(path, 1)[1]
-
-
-def save_observations(path: Path, observations: np.ndarray) -> None:
-    header = ["t", *_columns("y", observations.shape[1])]
-    write_csv(path, header, [range(len(observations))], observations)
+def save_trajectory(path: Path, table: np.ndarray, header: list[str], labels: list) -> None:
+    """Write a (rows, columns) table: a state series, or the ensemble's thetas."""
+    write_csv(path, header, labels, table)
 
 
 @_reader
-def load_observations(path: Path) -> np.ndarray:
-    return read_table(path, 1)[1]
+def load_trajectory(path: Path, header: list[str], labels: list) -> np.ndarray:
+    return read_table(path, header, labels)
 
 
-def save_noise_posterior(path: Path, noise: NoisePosterior) -> None:
-    header = ["t", *_columns("mu", noise.dimension), *_columns("sigma", noise.dimension)]
-    steps = range(1, noise.horizon + 1)
-    write_csv(path, header, [steps], np.hstack([noise.mu, noise.sigma]))
+save_observations, load_observations = save_trajectory, load_trajectory
+
+
+def save_noise_posterior(path: Path, noise: NoisePosterior, header: list[str], labels: list) -> None:
+    write_csv(path, header, labels, np.hstack([noise.mu, noise.sigma]))
 
 
 @_reader
-def load_noise_posterior(path: Path) -> NoisePosterior:
-    data = read_table(path, 1)[1]
+def load_noise_posterior(path: Path, header: list[str], labels: list) -> NoisePosterior:
+    data = read_table(path, header, labels)
     d = data.shape[1] // 2
     return NoisePosterior(mu=data[:, :d], sigma=data[:, d:])
 
 
-def save_ensemble(path: Path, thetas_path: Path, ensemble: CfTrajectorySet,
-                  parameter_names: tuple[str, ...]) -> None:
+def save_ensemble(path: Path, ensemble: CfTrajectorySet, header: list[str], labels: list) -> None:
+    """Write the trajectories, trajectory-major; the thetas are cf_thetas.csv's own table."""
     n, horizon1, d = ensemble.trajectories.shape
-    steps, ids = np.tile(np.arange(horizon1), n), np.repeat(np.arange(n), horizon1)
-    values = ensemble.trajectories.reshape(n * horizon1, d)
-    write_csv(path, ["t", "traj_id", *_columns("x", d)], [steps, ids], values)
-    write_csv(thetas_path, ["traj_id", *parameter_names], [range(n)], ensemble.thetas)
+    write_csv(path, header, labels, ensemble.trajectories.reshape(n * horizon1, d))
 
 
 @_reader
-def load_ensemble(path: Path, thetas_path: Path) -> CfTrajectorySet:
-    labels, values = read_table(path, 2)
-    steps, ids = labels.T
-    # save_ensemble writes the rows trajectory-major with t = 0..T in each.
-    n_traj = int(ids.max()) + 1
-    horizon1 = len(ids) // max(n_traj, 1)
-    if not (np.array_equal(ids, np.repeat(np.arange(n_traj), horizon1))
-            and np.array_equal(steps, np.tile(np.arange(horizon1), n_traj))):
-        raise ArtifactError(
-            f"{path} rows do not form the (traj_id, t) grid of {n_traj} trajectories "
-            f"with t = 0..{horizon1 - 1} in order"
-        )
-    return CfTrajectorySet(
-        trajectories=values.reshape(n_traj, horizon1, -1),
-        thetas=read_table(thetas_path, 1)[1],
-    )
+def load_ensemble(path: Path, header: list[str], labels: list) -> np.ndarray:
+    """The (n, T+1, d) trajectories on the trajectory-major (t, traj_id) grid `labels`."""
+    values = read_table(path, header, labels)
+    return values.reshape(int(labels[1][-1]) + 1, -1, values.shape[1])
 
 
-def save_rmse(path: Path, raw: np.ndarray, smoothed: np.ndarray) -> None:
-    values = np.column_stack([raw, smoothed])
-    write_csv(path, ["t", "rmse", "rmse_smoothed"], [range(len(raw))], values)
+def save_rmse(path: Path, pair: tuple, header: list[str], labels: list) -> None:
+    """Write two equal-length columns: (rmse, rmse_smoothed), or a (mean, std) estimate."""
+    write_csv(path, header, labels, np.column_stack(pair))
+
+
+save_theta_estimate = save_rmse
 
 
 @_reader
-def load_rmse(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    values = read_table(path, 1)[1]
+def load_rmse(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, np.ndarray]:
+    values = read_table(path, header, labels)
     return values[:, 0], values[:, 1]
 
 
-def save_theta_estimate(
-    path: Path, names: tuple[str, ...], mean: np.ndarray, std: np.ndarray
-) -> None:
-    write_csv(path, ["parameter", "mean", "std"], [names], np.column_stack([mean, std]))
-
-
 @_reader
-def load_theta_estimate(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    values = read_table(path, 0, skip=1)[1]
+def load_theta_estimate(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (mean, std) columns, the `parameter` text column checked against `labels`."""
+    values = read_table(path, header, labels, text=1)
     return values[:, 0], values[:, 1]
 
 
@@ -241,8 +250,9 @@ def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
                     entry.write(data[start : start + _NPZ_CHUNK])
 
 
-def save_filter_state(path: Path, history: AncestralHistory, smoothed: SmoothedWeights) -> None:
+def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights]) -> None:
     """Write the ancestral history and the smoothed weights; `lane` and `row` are derived, not stored."""
+    history, smoothed = state
     save_npz(
         path,
         dict(

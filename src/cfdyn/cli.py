@@ -5,11 +5,11 @@ Subcommands mirror the pipeline stages (`simulate`, `filter`, `abduct`,
 `grid` for the noise-by-regime cross product. Every stage command runs one
 entry of `experiment.STAGES` and extends the run's manifest.json; `plot`
 passes the same manifest check and loads its inputs through the same
-`RunDir` shape checks. Exit codes: 0 success, 2 configuration error,
+`RunDir` layout checks. Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 I/O error (also an input artifact that is corrupt,
-truncated, of the wrong shape or no longer of the sha256 the manifest lists,
-and a manifest that is missing, written for another config or not yet listing
-the command's inputs).
+truncated, of the wrong shape, with misordered rows or a renamed header
+column, or no longer of the sha256 the manifest lists, and a manifest that is
+missing, written for another config or not yet listing the command's inputs).
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .errors import ArtifactError, ConfigError, NumericsError
 from .experiment import (
+    PLOT_INPUTS,
     PRESETS,
     STAGES,
     RunDir,
@@ -69,7 +70,7 @@ def _cmd_stage(args) -> int:
 def _cmd_plot(args) -> int:
     config = _resolve_config(args)
     run = RunDir(config, resolve_out_dir(config, args.out))
-    run.check_manifest(("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv", "rmse.csv"))
+    run.check_manifest(PLOT_INPUTS)
     plots = run.path / "plots"
     written = render_plots(
         run.get("cf_deterministic.csv"), run.get("cf_ensemble.csv"), *run.get("rmse.csv"), plots

@@ -420,14 +420,49 @@ def _new_manifest(config: ExperimentConfig) -> dict:
     }
 
 
+def file_layout(name: str, config: ExperimentConfig, spec: SystemSpec) -> tuple[str, tuple]:
+    """How run file `name` is stored under `config`: the kind of its converter
+    pair, `artifacts.save_<kind>`/`load_<kind>`, and the layout they take.
+
+    A CSV's layout is its header and its label columns, the grid that fixes the
+    file's rows and their order: t = 0..T for a state series, 1..T for the
+    noise posterior, (t, traj_id) trajectory-major for the ensemble, traj_id =
+    0..n_cf-1 for its thetas, and the parameter names for the estimate.
+    filter_state.npz has none; `_check_filter_state` checks it once it is read.
+    """
+    steps, n = np.arange(config.horizon + 1), config.n_cf
+
+    def columns(prefix: str) -> list[str]:
+        return [f"{prefix}_{k + 1}" for k in range(spec.dimension)]
+
+    if name == "filter_state.npz":
+        return "filter_state", ()
+    if name == "observations.csv":
+        return "observations", (["t", *columns("y")], [steps])
+    if name == "theta_estimate.csv":
+        return "theta_estimate", (["parameter", "mean", "std"], [spec.parameter_names])
+    if name == "noise_posterior.csv":
+        return "noise_posterior", (["t", *columns("mu"), *columns("sigma")], [steps[1:]])
+    if name == "cf_ensemble.csv":
+        grid = [np.tile(steps, n), np.repeat(np.arange(n), len(steps))]
+        return "ensemble", (["t", "traj_id", *columns("x")], grid)
+    if name == "cf_thetas.csv":
+        return "trajectory", (["traj_id", *spec.parameter_names], [np.arange(n)])
+    if name in ("rmse.csv", "factual_rmse.csv"):
+        return "rmse", (["t", "rmse", "rmse_smoothed"], [steps])
+    return "trajectory", (["t", *columns("x")], [steps])
+
+
 class RunDir:
     """One run directory, as the stages run in one process see it.
 
     `put` writes a product to its file and keeps it; `get` returns a kept
-    product, or loads it from its file and raises ArtifactError if its shape
-    does not fit the config. Products are named by their file (the ensemble
-    by cf_ensemble.csv; its thetas go to cf_thetas.csv alongside). A state
-    series (truth, estimate, reference) is a (T+1, d) array.
+    product, or loads it from its file, which must fit the config's
+    `file_layout`. Products are named by their file. A state series (truth,
+    estimate, reference) is a (T+1, d) array; the ensemble is a
+    `CfTrajectorySet` whose thetas are the cf_thetas.csv product. The
+    converters are looked up in `artifacts` when called, never held: perfbench
+    wraps each by name.
     """
 
     def __init__(self, config: ExperimentConfig, path: str | Path):
@@ -438,21 +473,8 @@ class RunDir:
         self.manifest: dict | None = None
 
     def put(self, name: str, product) -> None:
-        path, names = self.path / name, self.spec.parameter_names
-        if name == "observations.csv":
-            io.save_observations(path, product)
-        elif name == "theta_estimate.csv":
-            io.save_theta_estimate(path, names, *product)
-        elif name == "filter_state.npz":
-            io.save_filter_state(path, *product)
-        elif name == "noise_posterior.csv":
-            io.save_noise_posterior(path, product)
-        elif name == "cf_ensemble.csv":
-            io.save_ensemble(path, self.path / "cf_thetas.csv", product, names)
-        elif name in ("rmse.csv", "factual_rmse.csv"):
-            io.save_rmse(path, *product)
-        else:
-            io.save_trajectory(path, product)
+        kind, layout = file_layout(name, self.config, self.spec)
+        getattr(io, "save_" + kind)(self.path / name, product, *layout)
         self.products[name] = product
 
     def check_manifest(self, inputs: tuple[str, ...]) -> None:
@@ -475,8 +497,7 @@ class RunDir:
         if missing:
             raise ArtifactError(f"{path} does not list {', '.join(missing)}")
         for name in inputs:
-            kept = "cf_ensemble.csv" if name == "cf_thetas.csv" else name
-            if kept not in self.products and io.sha256_file(self.path / name) != listed[name]:
+            if name not in self.products and io.sha256_file(self.path / name) != listed[name]:
                 raise ArtifactError(
                     f"{self.path / name} does not have the sha256 that {path} lists"
                 )
@@ -487,40 +508,22 @@ class RunDir:
         return self.products[name]
 
     def _load(self, name: str):
-        path, config = self.path / name, self.config
-        series, p = (config.horizon + 1, self.spec.dimension), self.spec.n_params
-        if name == "observations.csv":
-            product = io.load_observations(path)
-            shape, expected = product.shape, series
-        elif name == "theta_estimate.csv":
-            product = io.load_theta_estimate(path)
-            shape, expected = product[0].shape, (p,)
-        elif name == "filter_state.npz":
-            product = io.load_filter_state(path)
-            shape, expected = _check_filter_state(path, *product, config, self.spec)
-        elif name == "noise_posterior.csv":
-            product = io.load_noise_posterior(path)
-            shape, expected = product.mu.shape, (config.horizon, series[1])
+        path = self.path / name
+        kind, layout = file_layout(name, self.config, self.spec)
+        product = getattr(io, "load_" + kind)(path, *layout)
+        if name == "filter_state.npz":
+            _check_filter_state(path, *product, self.config, self.spec)
         elif name == "cf_ensemble.csv":
-            product = io.load_ensemble(path, self.path / "cf_thetas.csv")
-            shape = (product.trajectories.shape, product.thetas.shape)
-            expected = ((config.n_cf, *series), (config.n_cf, p))
-        elif name in ("rmse.csv", "factual_rmse.csv"):
-            product = io.load_rmse(path)
-            shape, expected = product[0].shape, (config.horizon + 1,)
-        else:
-            product = io.load_trajectory(path)
-            shape, expected = product.shape, series
-        if shape != expected:
-            raise ArtifactError(f"{path} holds shape {shape}, the config needs {expected}")
+            product = CfTrajectorySet(trajectories=product, thetas=self.get("cf_thetas.csv"))
         return product
 
 
-def _misfits(arrays: dict, needs: dict) -> tuple[dict, dict]:
-    """The shapes of the arrays that do not have the shape `needs` names, and
-    the shapes they need; both are {} when every array fits."""
+def _check_shapes(path: Path, arrays: dict, needs: dict) -> None:
+    """Raise ArtifactError naming the arrays that do not have the shape `needs` names."""
     shape = {key: arrays[key].shape for key in needs if arrays[key].shape != needs[key]}
-    return shape, {key: needs[key] for key in shape}
+    if shape:
+        expected = {key: needs[key] for key in shape}
+        raise ArtifactError(f"{path} holds shape {shape}, the config needs {expected}")
 
 
 def _check_index(path: Path, key: str, index: np.ndarray, bound: int) -> None:
@@ -541,29 +544,25 @@ def _check_filter_state(
     smoothed: SmoothedWeights,
     config: ExperimentConfig,
     spec: SystemSpec,
-) -> tuple[dict, dict]:
+) -> None:
     """Check a loaded filter state against the config, in the order its arrays depend on
-    each other; return the misfit shapes, as `_misfits` does.
+    each other; raise ArtifactError at the first misfit.
 
     The lane arrays come first: `outer_ancestors` must index M lanes before the
     row count S is derived from it. Then every compact member must have S rows,
     `inner_ancestors` must index N particles, and last the smoothed weights
-    must cover every (t, lane). An index failure raises ArtifactError itself.
+    must cover every (t, lane).
     """
     t1, m, n = config.horizon + 1, config.outer_particles, config.inner_particles
     arrays = {**vars(history), **vars(smoothed)}
-    found = _misfits(arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
-    if found[0]:
-        return found
+    _check_shapes(path, arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
     _check_index(path, "outer_ancestors", history.outer_ancestors, m)
     s, p, d = int(history.row.max()) + 1, spec.n_params, spec.dimension
-    found = _misfits(arrays, {
+    _check_shapes(path, arrays, {
         "thetas": (s, p), "states": (s, n, d), "inner_weights": (s, n), "inner_ancestors": (s, n),
     })
-    if found[0]:
-        return found
     _check_index(path, "inner_ancestors", history.inner_ancestors, n)
-    return _misfits(arrays, {"w_tilde": (t1, m, n), "v_tilde": (t1, m)})
+    _check_shapes(path, arrays, {"w_tilde": (t1, m, n), "v_tilde": (t1, m)})
 
 
 @dataclass(frozen=True)
@@ -608,6 +607,7 @@ def _counterfactual(run: RunDir) -> dict:
     )
     run.put("cf_deterministic.csv", reference)
     run.put("cf_ensemble.csv", ensemble)
+    run.put("cf_thetas.csv", ensemble.thetas)
     return {"cf_truncated_trajectories": int((ensemble.failure_index >= 0).sum())}
 
 
@@ -643,6 +643,8 @@ STAGES = (
     ),
 )
 ARTIFACT_FILES = tuple(name for stage in STAGES for name in stage.outputs)
+# The run files `cfdyn plot` reads.
+PLOT_INPUTS = ("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv", "rmse.csv")
 
 
 def run_stage(stage: Stage, run: RunDir) -> None:

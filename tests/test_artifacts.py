@@ -13,6 +13,7 @@ from cfdyn.artifacts import (
     read_table,
     save_ensemble,
     save_npz,
+    save_trajectory,
     write_csv,
 )
 from cfdyn.counterfactual import CfTrajectorySet
@@ -21,6 +22,17 @@ from cfdyn.errors import ArtifactError
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _load_as_written(path):
+    """Load `path` as a series under its own header line, on the grid t = 0, 1, ... of its lines."""
+    text = path.read_text(encoding="utf-8")
+    return load_trajectory(path, text.split("\n")[0].split(","), [range(text.count("\n") - 1)])
+
+
+def _ensemble_layout(n, horizon1, d):
+    steps, ids = np.tile(np.arange(horizon1), n), np.repeat(np.arange(n), horizon1)
+    return ["t", "traj_id", *(f"x_{k + 1}" for k in range(d))], [steps, ids]
 
 
 def test_streamed_npz_has_the_bytes_of_np_savez(tmp_path):
@@ -54,14 +66,15 @@ def test_garbage_filter_state_is_artifact_error(tmp_path):
 
 def test_csv_cut_mid_line_is_artifact_error(tmp_path):
     path = tmp_path / "series.csv"
+    layout = (["t", "x_1", "x_2"], [range(2)])
     path.write_text("t,x_1,x_2\n0,1.0,2.0\n1,3.0,4.0\n", encoding="utf-8")
-    assert load_trajectory(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert load_trajectory(path, *layout).tolist() == [[1.0, 2.0], [3.0, 4.0]]
     path.write_text("t,x_1,x_2\n0,1.0,2.0\n1,3.", encoding="utf-8")
     with pytest.raises(ArtifactError, match="newline"):
-        load_trajectory(path)
+        load_trajectory(path, *layout)
     path.write_text("t,x_1,x_2\n0,1.0,2.0\n1,3.0\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="line 3"):
-        load_trajectory(path)
+        load_trajectory(path, *layout)
 
 
 # Files that np.loadtxt alone would misread or report by data row: each must
@@ -89,15 +102,16 @@ def test_csv_reader_faults_name_the_file_and_line(tmp_path, fault):
     path = tmp_path / "series.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ArtifactError, match="series.csv") as info:
-        load_trajectory(path)
+        _load_as_written(path)
     assert message in str(info.value)
     assert "\n" not in str(info.value)
 
 
-def test_theta_estimate_reads_no_text_but_counts_its_fields(tmp_path):
+def test_theta_estimate_checks_its_parameter_names_and_counts_its_fields(tmp_path):
     path = tmp_path / "theta_estimate.csv"
+    layout = (["parameter", "mean", "std"], [("r", "K")])
     path.write_text("parameter,mean,std\nr,0.5,0.125\nK,100.0,2.0\n", encoding="utf-8")
-    mean, std = load_theta_estimate(path)
+    mean, std = load_theta_estimate(path, *layout)
     assert mean.tolist() == [0.5, 100.0] and std.tolist() == [0.125, 2.0]
     # np.loadtxt drops the fields past its usecols; the reader must not.
     for text, message in [
@@ -105,10 +119,12 @@ def test_theta_estimate_reads_no_text_but_counts_its_fields(tmp_path):
         ("parameter,mean,std\nr,0.5\nK,100.0,2.0\n", "line 2 has 2 fields"),
         ("parameter,mean,std\nr,0.5,0.125\n\nK,100.0,2.0\n", "line 3 is blank"),
         ("parameter,mean,std\nr,0.5,x\n", "line 2: could not convert string 'x'"),
+        ("parameter,mean,std\nK,100.0,2.0\nr,0.5,0.125\n", "line 2: parameter is K"),
+        ("parameter,mean,std\nr,0.5,0.125\n", "holds 1 rows, the config's grid has 2"),
     ]:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ArtifactError, match="theta_estimate.csv") as info:
-            load_theta_estimate(path)
+            load_theta_estimate(path, *layout)
         assert message in str(info.value)
 
 
@@ -117,11 +133,12 @@ def test_ensemble_with_a_non_integer_trajectory_id_is_artifact_error(tmp_path):
     path.write_text("t,traj_id,x_1\n0,0,1.0\n1,0.5,2.0\n", encoding="utf-8")
     thetas.write_text("traj_id,r\n0,1.0\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="cf_ensemble.csv line 3: traj_id 0.5 is not an integer"):
-        load_ensemble(path, thetas)
+        load_ensemble(path, *_ensemble_layout(1, 2, 1))
     path.write_text("t,traj_id,x_1\n0,0,1.0\n1,0,2.0\n", encoding="utf-8")
     thetas.write_text("traj_id,r\n0,1.0,3.0\n", encoding="utf-8")
+    assert load_ensemble(path, *_ensemble_layout(1, 2, 1)).tolist() == [[[1.0], [2.0]]]
     with pytest.raises(ArtifactError, match="cf_thetas.csv line 2 has 3 fields"):
-        load_ensemble(path, thetas)
+        load_trajectory(thetas, ["traj_id", "r"], [range(1)])
 
 
 def test_csv_round_trip_keeps_every_bit(tmp_path):
@@ -131,9 +148,11 @@ def test_csv_round_trip_keeps_every_bit(tmp_path):
     ]).reshape(8, 2)
     path = tmp_path / "series.csv"
     write_csv(path, ["t", "a", "b"], [range(8)], values)
-    labels, back = read_table(path, 1)
+    back = read_table(path, ["t", "a", "b"], [range(8)])
     assert back.tobytes() == values.tobytes()
-    assert labels.dtype == np.int64 and labels[:, 0].tolist() == list(range(8))
+    # The labels read back as the integers 0..7: a grid from 1 is off at line 2.
+    with pytest.raises(ArtifactError, match="line 2: t is 0, the config's grid has 1"):
+        read_table(path, ["t", "a", "b"], [range(1, 9)])
     assert path.read_text(encoding="utf-8").splitlines()[1:3] == ["0,nan,inf", "1,-inf,0.0"]
 
 
@@ -143,11 +162,10 @@ def test_csv_with_no_data_rows_loads_as_an_empty_table(tmp_path):
         warnings.simplefilter("error")
         write_csv(path, ["t", "x_1", "x_2"], [range(0)], np.empty((0, 2)))
         assert path.read_text(encoding="utf-8") == "t,x_1,x_2\n"
-        labels, values = read_table(path, 1)
-        assert labels.shape == (0, 1) and values.shape == (0, 2)
-        assert load_trajectory(path).shape == (0, 2)
+        assert read_table(path, ["t", "x_1", "x_2"], [range(0)]).shape == (0, 2)
+        assert load_trajectory(path, ["t", "x_1", "x_2"], [range(0)]).shape == (0, 2)
         path.write_text("parameter,mean,std\n", encoding="utf-8")
-        mean, std = load_theta_estimate(path)
+        mean, std = load_theta_estimate(path, ["parameter", "mean", "std"], [()])
         assert mean.shape == std.shape == (0,)
 
 
@@ -174,10 +192,13 @@ def test_ensemble_csv_io_holds_at_most_three_tables(tmp_path):
     )
     path, thetas = tmp_path / "cf_ensemble.csv", tmp_path / "cf_thetas.csv"
     table_nbytes = 50 * 501 * (2 + 3) * 8  # t, traj_id and x_1..x_3 as float64
+    thetas_layout = (["traj_id", "s", "r", "b"], [range(50)])
     peaks = {}
     for name, call in [
-        ("save", lambda: save_ensemble(path, thetas, ensemble, ("s", "r", "b"))),
-        ("load", lambda: load_ensemble(path, thetas)),
+        ("save", lambda: (save_ensemble(path, ensemble, *_ensemble_layout(50, 501, 3)),
+                          save_trajectory(thetas, ensemble.thetas, *thetas_layout))),
+        ("load", lambda: CfTrajectorySet(load_ensemble(path, *_ensemble_layout(50, 501, 3)),
+                                         load_trajectory(thetas, *thetas_layout))),
     ]:
         tracemalloc.start()
         try:
@@ -195,4 +216,5 @@ def test_ensemble_without_trajectory_ids_is_artifact_error(tmp_path):
     path.write_text("t,traj_id,x_1\n0,-1,1.0\n1,-1,2.0\n", encoding="utf-8")
     thetas.write_text("traj_id,r\n0,1.0\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="grid"):
-        load_ensemble(path, thetas)
+        load_ensemble(path, *_ensemble_layout(1, 2, 1))
+    assert load_trajectory(thetas, ["traj_id", "r"], [range(1)]).tolist() == [[1.0]]

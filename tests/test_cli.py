@@ -290,6 +290,17 @@ def _edit_line(number, edit):
     return apply
 
 
+def _swap_lines(a, b):
+    """A file edit that swaps lines `a` and `b` (1 is the header)."""
+
+    def apply(text):
+        lines = text.split("\n")
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+        return "\n".join(lines)
+
+    return apply
+
+
 # (file, the stage that reads it, the edit, what the message must name)
 MALFORMED_INPUTS = {
     "blank line": ("observations.csv", "filter", _edit_line(4, lambda s: s + "\n"), "line 5 is blank"),
@@ -305,6 +316,25 @@ MALFORMED_INPUTS = {
                             "line 2: traj_id 0.5 is not an integer"),
     "extra theta field": ("theta_estimate.csv", "counterfactual",
                           _edit_line(2, lambda s: s + ",1.0"), "line 2 has 4 fields"),
+    # Misordered: every field still parses, but rows or columns would land in
+    # the wrong place.
+    "observations rows": ("observations.csv", "filter", _swap_lines(3, 4),
+                          "line 3: t is 2, the config's grid has 1"),
+    "truth rows": ("truth.csv", "metrics", _swap_lines(3, 4), "line 3: t is 2"),
+    "state estimate rows": ("state_estimate.csv", "metrics", _swap_lines(3, 4), "line 3: t is 2"),
+    "noise posterior rows": ("noise_posterior.csv", "counterfactual", _swap_lines(3, 4),
+                             "line 3: t is 3, the config's grid has 2"),
+    "reference rows": ("cf_deterministic.csv", "metrics", _swap_lines(3, 4), "line 3: t is 2"),
+    "rmse rows": ("rmse.csv", "plot", _swap_lines(3, 4), "line 3: t is 2"),
+    "theta traj_id, metrics": ("cf_thetas.csv", "metrics", _edit_line(2, lambda s: "7" + s[1:]),
+                               "line 2: traj_id is 7, the config's grid has 0"),
+    "theta traj_id, plot": ("cf_thetas.csv", "plot", _edit_line(2, lambda s: "7" + s[1:]),
+                            "line 2: traj_id is 7"),
+    "theta estimate rows": ("theta_estimate.csv", "counterfactual", _swap_lines(2, 3),
+                            "line 2: parameter is rho, the config's grid has sigma"),
+    "renamed header": ("truth.csv", "metrics",
+                       _edit_line(1, lambda s: s.replace("x_1,x_2", "x_2,x_1")),
+                       "line 1: the header is t,x_2,x_1,x_3"),
 }
 
 
@@ -320,7 +350,7 @@ def test_malformed_csv_inputs_are_io_errors(tmp_path, capsys, fault):
     capsys.readouterr()
     assert main([stage, "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("I/O error:") and name in err and message in err
+    assert err.startswith("I/O error:") and name in err and message in err, err
     assert err.count("\n") == 1
 
 

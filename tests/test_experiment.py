@@ -313,10 +313,8 @@ def test_products_round_trip_through_their_files(tmp_path):
     assert 0 < (failures >= 0).sum() < config.n_cf
     fresh = RunDir(config, tmp_path / "run")
     fresh.check_manifest(ARTIFACT_FILES)
-    # cf_thetas.csv is held with the ensemble, under cf_ensemble.csv.
-    names = [name for name in ARTIFACT_FILES if name != "cf_thetas.csv"]
-    assert sorted(fused.products) == sorted(names)
-    for name in names:
+    assert sorted(fused.products) == sorted(ARTIFACT_FILES)
+    for name in ARTIFACT_FILES:
         put, loaded = _arrays(fused.products[name]), _arrays(fresh.get(name))
         assert len(put) == len(loaded), name
         for a, b in zip(put, loaded):
