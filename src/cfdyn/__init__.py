@@ -37,8 +37,6 @@ from .filtering import (
     FilterConfig,
     FilterDiagnostics,
     FilterHistory,
-    JitterKernel,
-    ParameterPrior,
     PosteriorSummary,
     SmoothedWeights,
     backward_smooth,
@@ -69,14 +67,12 @@ __all__ = [
     "FilterConfig",
     "FilterDiagnostics",
     "FilterHistory",
-    "JitterKernel",
     "LOGISTIC",
     "LORENZ",
     "NOISE_GRID",
     "NoisePosterior",
     "NumericsError",
     "PRESETS",
-    "ParameterPrior",
     "PosteriorSummary",
     "ROSSLER",
     "RngSeed",

@@ -26,8 +26,6 @@ from .errors import ArtifactError, ConfigError
 from .filtering import (
     AncestralHistory,
     FilterConfig,
-    JitterKernel,
-    ParameterPrior,
     PosteriorSummary,
     SmoothedWeights,
     backward_smooth,
@@ -308,21 +306,15 @@ def get_preset(name: str) -> ExperimentConfig:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-def build_prior(config: ExperimentConfig) -> ParameterPrior:
-    bounds = np.asarray(config.prior_bounds, dtype=float)
-    return ParameterPrior(low=bounds[:, 0], high=bounds[:, 1])
-
-
 def build_filter_config(config: ExperimentConfig) -> FilterConfig:
-    prior = build_prior(config)
-    kernel = JitterKernel.from_prior(prior, config.outer_particles, config.jitter_scale)
     return FilterConfig(
         num_outer=config.outer_particles,
         num_inner=config.inner_particles,
         delta=config.delta,
         process_std=config.process_std,
         observation_std=config.observation_std,
-        kernel=kernel,
+        prior_bounds=config.prior_bounds,
+        jitter_scale=config.jitter_scale,
         inner_resampling=config.inner_resampling,
     )
 
@@ -354,7 +346,6 @@ def stage_filter(
     history = keep_ancestral(run_filter(
         observations,
         config.system,
-        build_prior(config),
         np.asarray(config.x0),
         build_filter_config(config),
         seed.child("filter"),
@@ -429,6 +420,7 @@ def file_layout(name: str, config: ExperimentConfig, spec: SystemSpec) -> tuple[
     noise posterior, (t, traj_id) trajectory-major for the ensemble, traj_id =
     0..n_cf-1 for its thetas, and the parameter names for the estimate.
     filter_state.npz has none; `_check_filter_state` checks it once it is read.
+    A name that is not a run file raises ValueError.
     """
     steps, n = np.arange(config.horizon + 1), config.n_cf
 
@@ -450,7 +442,9 @@ def file_layout(name: str, config: ExperimentConfig, spec: SystemSpec) -> tuple[
         return "trajectory", (["traj_id", *spec.parameter_names], [np.arange(n)])
     if name in ("rmse.csv", "factual_rmse.csv"):
         return "rmse", (["t", "rmse", "rmse_smoothed"], [steps])
-    return "trajectory", (["t", *columns("x")], [steps])
+    if name in ("truth.csv", "state_estimate.csv", "cf_deterministic.csv"):
+        return "trajectory", (["t", *columns("x")], [steps])
+    raise ValueError(f"{name} is not a run file")
 
 
 class RunDir:

@@ -37,62 +37,6 @@ def _log_nonzero(w: np.ndarray) -> np.ndarray:
         return np.log(w)
 
 
-@dataclass(frozen=True)
-class ParameterPrior:
-    """Independent uniform bounds per parameter."""
-
-    low: np.ndarray
-    high: np.ndarray
-
-    def __post_init__(self) -> None:
-        low = np.atleast_1d(np.asarray(self.low, dtype=float))
-        high = np.atleast_1d(np.asarray(self.high, dtype=float))
-        if low.shape != high.shape or low.ndim != 1:
-            raise ValueError(f"prior bounds must be 1-D and same length, got {low.shape}/{high.shape}")
-        if not (low < high).all():
-            raise ValueError(f"prior requires low < high componentwise, got {low} / {high}")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-
-    @property
-    def n_params(self) -> int:
-        return self.low.shape[0]
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return self.low + (self.high - self.low) * gen.uniform(size=(size, self.n_params))
-
-
-@dataclass(frozen=True)
-class JitterKernel:
-    """Gaussian jitter applied to parameter particles each step.
-
-    `scale` holds per-parameter standard deviations; when `clamp_to_prior` is
-    set, jittered values are reflected back into [low, high].
-    """
-
-    scale: np.ndarray
-    clamp_to_prior: bool = True
-    low: np.ndarray | None = None
-    high: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        scale = np.atleast_1d(np.asarray(self.scale, dtype=float))
-        if (scale < 0).any():
-            raise ValueError(f"jitter scale must be >= 0, got {scale}")
-        object.__setattr__(self, "scale", scale)
-        if self.clamp_to_prior:
-            if self.low is None or self.high is None:
-                raise ValueError("clamp_to_prior requires prior bounds")
-            object.__setattr__(self, "low", np.asarray(self.low, dtype=float))
-            object.__setattr__(self, "high", np.asarray(self.high, dtype=float))
-
-    @classmethod
-    def from_prior(cls, prior: ParameterPrior, num_outer: int, scale_factor: float = 0.05) -> "JitterKernel":
-        """Shrinking-with-M kernel: std = scale_factor * (high - low) / sqrt(M)."""
-        scale = scale_factor * (prior.high - prior.low) / np.sqrt(num_outer)
-        return cls(scale=scale, clamp_to_prior=True, low=prior.low, high=prior.high)
-
-
 def _reflect(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Fold values into [low, high] by reflection off the bounds."""
     width = high - low
@@ -102,12 +46,20 @@ def _reflect(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class FilterConfig:
+    """The nested filter's settings.
+
+    `prior_bounds` (p, 2) holds each parameter's uniform prior as a low/high
+    pair: theta starts uniform in the bounds, and each step jitters it by
+    N(0, diag(jitter_std^2)) and reflects it back into them.
+    """
+
     num_outer: int
     num_inner: int
     delta: float
     process_std: float
     observation_std: float
-    kernel: JitterKernel
+    prior_bounds: np.ndarray
+    jitter_scale: float
     inner_resampling: bool = True
 
     def __post_init__(self) -> None:
@@ -119,6 +71,20 @@ class FilterConfig:
             raise ValueError(f"process_std must be >= 0, got {self.process_std}")
         if self.observation_std <= 0:
             raise ValueError(f"observation_std must be > 0, got {self.observation_std}")
+        bounds = np.asarray(self.prior_bounds, dtype=float)
+        if bounds.ndim != 2 or bounds.shape[1] != 2:
+            raise ValueError(f"prior_bounds must be (p, 2) low/high pairs, got {bounds.shape}")
+        if not (bounds[:, 0] < bounds[:, 1]).all():
+            raise ValueError(f"prior_bounds require low < high in every row, got {bounds.tolist()}")
+        if self.jitter_scale < 0:
+            raise ValueError(f"jitter_scale must be >= 0, got {self.jitter_scale}")
+        object.__setattr__(self, "prior_bounds", bounds)
+
+    @property
+    def jitter_std(self) -> np.ndarray:
+        """Per-parameter jitter std, shrinking with M: jitter_scale * (high - low) / sqrt(M)."""
+        low, high = self.prior_bounds.T
+        return self.jitter_scale * (high - low) / np.sqrt(self.num_outer)
 
 
 @dataclass
@@ -166,17 +132,19 @@ class FilterHistory:
 
 
 def init_particles(
-    prior: ParameterPrior,
+    prior_bounds: np.ndarray,
     num_outer: int,
     num_inner: int,
     x0: np.ndarray,
     rng: RngSeed,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the initial cloud: theta (M, p) i.i.d. from the prior and states
-    (M, N, d), every one at the (d,) point `x0`."""
+    """Draw the initial cloud: theta (M, p) i.i.d. uniform in the (p, 2)
+    `prior_bounds` and states (M, N, d), every one at the (d,) point `x0`."""
     if num_outer < 1 or num_inner < 1:
         raise ValueError("particle counts must be >= 1")
-    theta = prior.sample(rng.child("theta_init").generator(), num_outer)
+    low, high = prior_bounds.T
+    u = rng.child("theta_init").generator().uniform(size=(num_outer, prior_bounds.shape[0]))
+    theta = low + (high - low) * u
     point = np.asarray(x0, dtype=float)
     return theta, np.broadcast_to(point, (num_outer, num_inner, point.shape[0])).copy()
 
@@ -190,22 +158,19 @@ def _lane_normals(rng: RngSeed, shape: tuple[int, ...]) -> np.ndarray:
     return block
 
 
-def jitter(theta: np.ndarray, kernel: JitterKernel, rng: RngSeed) -> np.ndarray:
-    """Perturb each parameter particle of theta (M, p) with N(0, diag(scale^2)).
+def jitter(theta: np.ndarray, std: np.ndarray, prior_bounds: np.ndarray, rng: RngSeed) -> np.ndarray:
+    """Perturb each parameter particle of theta (M, p) with N(0, diag(std^2))
+    and reflect it back into the (p, 2) `prior_bounds`.
 
-    Each lane draws from its own substream; reflection keeps particles inside
-    the prior bounds when the kernel clamps.
+    Each lane draws from its own substream.
     """
-    if kernel.scale.shape[0] != theta.shape[1]:
+    if std.shape[0] != theta.shape[1]:
         raise ValueError(
-            f"kernel dimension {kernel.scale.shape[0]} != parameter dimension {theta.shape[1]}"
+            f"jitter std has {std.shape[0]} entries, theta has {theta.shape[1]} parameters"
         )
     # Lane m adds `normal(size=p)`, which is 0.0 + 1.0 * z.
     eps = np.add(0.0, _lane_normals(rng, theta.shape))
-    theta = theta + kernel.scale * eps
-    if kernel.clamp_to_prior:
-        theta = _reflect(theta, kernel.low, kernel.high)
-    return theta
+    return _reflect(theta + std * eps, *prior_bounds.T)
 
 
 def propagate(
@@ -351,7 +316,6 @@ def take_particles(block: np.ndarray, lanes: np.ndarray, inner: np.ndarray) -> n
 def run_filter(
     observations: np.ndarray,
     system: str | SystemSpec,
-    prior: ParameterPrior,
     x0: np.ndarray,
     config: FilterConfig,
     rng: RngSeed,
@@ -362,7 +326,8 @@ def run_filter(
     ----------
     observations : ndarray (T+1, d)
         obs[0] aligns with the initial state and is not assimilated.
-    system, prior, config : model, parameter prior, and filter settings.
+    system, config : model and filter settings; config.prior_bounds holds
+        one row per parameter of the system.
     x0 : ndarray (d,)
         Initial state of every state particle.
     rng : RngSeed
@@ -384,10 +349,18 @@ def run_filter(
     horizon = observations.shape[0] - 1
     if horizon < 1:
         raise ValueError("need at least one observation after the initial time")
+    if config.prior_bounds.shape[0] != spec.n_params:
+        raise ValueError(
+            f"prior_bounds has {config.prior_bounds.shape[0]} rows, "
+            f"{spec.id} needs one per parameter {spec.parameter_names}"
+        )
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (spec.dimension,):
+        raise ValueError(f"x0 must be ({spec.dimension},) for {spec.id}, got {x0.shape}")
 
     m, n = config.num_outer, config.num_inner
     history = FilterHistory(
-        thetas=np.empty((horizon + 1, m, prior.n_params)),
+        thetas=np.empty((horizon + 1, m, spec.n_params)),
         states=np.empty((horizon + 1, m, n, spec.dimension)),
         inner_weights=np.empty((horizon + 1, m, n)),
         outer_weights=np.empty((horizon + 1, m)),
@@ -395,7 +368,7 @@ def run_filter(
         inner_ancestors=np.empty((horizon + 1, m, n), dtype=index_dtype(n)),
     )
     diagnostics = history.diagnostics
-    theta, states = init_particles(prior, m, n, x0, rng.child("init"))
+    theta, states = init_particles(config.prior_bounds, m, n, x0, rng.child("init"))
     weights = np.full((m, n), 1.0 / n)
 
     history.thetas[0] = theta
@@ -407,7 +380,7 @@ def run_filter(
 
     for t in range(1, horizon + 1):
         step = rng.child("step", t)
-        theta = jitter(theta, config.kernel, step.child("jitter"))
+        theta = jitter(theta, config.jitter_std, config.prior_bounds, step.child("jitter"))
         states, invalid = propagate(
             states, theta, spec, config.delta, config.process_std, step.child("propagate")
         )

@@ -6,8 +6,6 @@ from cfdyn.dynamics import LORENZ, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
     FilterHistory,
-    JitterKernel,
-    ParameterPrior,
     SmoothedWeights,
     backward_smooth,
     keep_ancestral,
@@ -47,7 +45,6 @@ def test_residuals_replay_simulator_noise():
 
 
 def _degenerate_history(horizon=12):
-    prior = ParameterPrior(low=LORENZ_THETA, high=LORENZ_THETA + 1e-12)
     truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, horizon, 0.05, 1.0, RngSeed(41))
     obs = observe(truth, 1.0, RngSeed(41, 1))
     config = FilterConfig(
@@ -56,9 +53,10 @@ def _degenerate_history(horizon=12):
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel(scale=np.zeros(3), clamp_to_prior=False),
+        prior_bounds=np.stack([LORENZ_THETA, LORENZ_THETA + 1e-12], axis=1),
+        jitter_scale=0.0,
     )
-    history = run_filter(obs, LORENZ, prior, X0, config, RngSeed(42))
+    history = run_filter(obs, LORENZ, X0, config, RngSeed(42))
     smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
     return history, smoothed
 
@@ -141,7 +139,6 @@ def test_variance_matches_two_pass_oracle():
 
 
 def test_noiseless_truth_yields_small_abducted_mean():
-    prior = ParameterPrior(low=LORENZ_THETA - 1e-9, high=LORENZ_THETA + 1e-9)
     truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, 150, 0.05, 0.0, RngSeed(43))
     obs = observe(truth, 0.01, RngSeed(43, 1))
     config = FilterConfig(
@@ -150,9 +147,10 @@ def test_noiseless_truth_yields_small_abducted_mean():
         delta=0.05,
         process_std=0.05,
         observation_std=0.01,
-        kernel=JitterKernel(scale=np.zeros(3), clamp_to_prior=False),
+        prior_bounds=np.stack([LORENZ_THETA - 1e-9, LORENZ_THETA + 1e-9], axis=1),
+        jitter_scale=0.0,
     )
-    history = keep_ancestral(run_filter(obs, LORENZ, prior, X0, config, RngSeed(44)))
+    history = keep_ancestral(run_filter(obs, LORENZ, X0, config, RngSeed(44)))
     smoothed = backward_smooth(history, LORENZ, 0.05, 0.05)
     noise = abduct_noise(history, smoothed, LORENZ, 0.05)
     mean_norm = np.sqrt((noise.mu**2).sum(axis=1)).mean()

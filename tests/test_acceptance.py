@@ -24,8 +24,6 @@ from cfdyn.experiment import (
 )
 from cfdyn.filtering import (
     FilterConfig,
-    JitterKernel,
-    ParameterPrior,
     backward_smooth,
     filtered_means,
     keep_ancestral,
@@ -68,14 +66,14 @@ def test_criterion_1_rk4_order():
 def test_criterion_2_kalman_rts_oracle():
     start = time.perf_counter()
     a_eff = float(rk4_step(EXP_DECAY, np.array([1.0]), np.array([1.0]), DECAY_DELTA)[0])
-    prior = ParameterPrior(low=[1.0 - 1e-12], high=[1.0 + 1e-12])
     config = FilterConfig(
         num_outer=1,
         num_inner=500,
         delta=DECAY_DELTA,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel(scale=[0.0], clamp_to_prior=False),
+        prior_bounds=[[1.0 - 1e-12, 1.0 + 1e-12]],
+        jitter_scale=0.0,
     )
     mads_filtered, mads_smoothed = [], []
     for seed in range(20):
@@ -85,7 +83,7 @@ def test_criterion_2_kalman_rts_oracle():
             1.0, root.child("sim"),
         )
         ys = observe(truth, 1.0, root.child("obs"))
-        history = run_filter(ys, EXP_DECAY, prior, np.array([0.0]), config, root.child("filter"))
+        history = run_filter(ys, EXP_DECAY, np.array([0.0]), config, root.child("filter"))
         kept = keep_ancestral(history)
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
         summary = posterior_summary(kept, smoothed)

@@ -221,7 +221,7 @@ def test_wrong_row_count_in_filter_state_is_io_error(tmp_path, capsys):
 
 
 def test_filter_state_in_the_full_history_layout_is_io_error(tmp_path, capsys):
-    from cfdyn.experiment import build_filter_config, build_prior, load_config
+    from cfdyn.experiment import build_filter_config, load_config
     from cfdyn.filtering import run_filter
     from cfdyn.seeding import RngSeed
 
@@ -232,8 +232,8 @@ def test_filter_state_in_the_full_history_layout_is_io_error(tmp_path, capsys):
     config = load_config(config_path)
     observations = np.loadtxt(out / "observations.csv", delimiter=",", skiprows=1)[:, 1:]
     history = run_filter(
-        observations, config.system, build_prior(config), np.asarray(config.x0),
-        build_filter_config(config), RngSeed(config.master_seed).child("filter"),
+        observations, config.system, np.asarray(config.x0), build_filter_config(config),
+        RngSeed(config.master_seed).child("filter"),
     )
     path = out / "filter_state.npz"
     with np.load(path) as z:

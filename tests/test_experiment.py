@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfdyn import experiment
+from cfdyn import artifacts, experiment
 from cfdyn.abduction import abduct_noise
 from cfdyn.counterfactual import CfTrajectorySet
+from cfdyn.dynamics import get_system
 from cfdyn.errors import ConfigError, NumericsError
 from cfdyn.experiment import (
     ARTIFACT_FILES,
@@ -20,6 +21,7 @@ from cfdyn.experiment import (
     config_hash,
     config_to_dict,
     expand_grid,
+    file_layout,
     get_preset,
     load_config,
     run_grid,
@@ -262,7 +264,7 @@ def test_stage_filter_frees_the_full_history_before_smoothing(monkeypatch):
     assert full[0]() is None
     # The kept rows are those keep_ancestral gathers from the same filter run.
     again = keep_ancestral(run_filter(
-        observations, config.system, experiment.build_prior(config), np.asarray(config.x0),
+        observations, config.system, np.asarray(config.x0),
         experiment.build_filter_config(config), RngSeed(config.master_seed).child("filter"),
     ))
     assert np.array_equal(history.states, again.states)
@@ -319,6 +321,18 @@ def test_products_round_trip_through_their_files(tmp_path):
         assert len(put) == len(loaded), name
         for a, b in zip(put, loaded):
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+
+
+def test_every_run_file_has_a_layout_and_an_unknown_name_raises(tmp_path):
+    config = tiny_config()
+    spec = get_system(config.system)
+    for name in ARTIFACT_FILES:
+        kind, _ = file_layout(name, config, spec)
+        assert hasattr(artifacts, "save_" + kind) and hasattr(artifacts, "load_" + kind), name
+    run = RunDir(config, tmp_path)
+    with pytest.raises(ValueError, match="process_noise.csv"):
+        run.put("process_noise.csv", np.zeros((config.horizon + 1, spec.dimension)))
+    assert list(tmp_path.iterdir()) == [] and run.products == {}
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,8 +9,6 @@ from cfdyn.dynamics import EXP_DECAY, LOGISTIC, LORENZ, _rk4, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
     FilterDiagnostics,
-    JitterKernel,
-    ParameterPrior,
     backward_smooth,
     filtered_means,
     init_particles,
@@ -40,24 +38,25 @@ from .oracles import (
 )
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
-TABLE1_PRIOR = ParameterPrior(low=[5.0, 20.0, 2.0], high=[15.0, 35.0, 4.0])
+TABLE1_BOUNDS = np.array([[5.0, 15.0], [20.0, 35.0], [2.0, 4.0]])
 DECAY_DELTA = float(-np.log(0.9))
 
 
-def _decay_config(n_inner, process_std=1.0, observation_std=1.0):
+def _decay_config(prior_bounds, n_inner, process_std=1.0, observation_std=1.0):
     return FilterConfig(
         num_outer=1,
         num_inner=n_inner,
         delta=DECAY_DELTA,
         process_std=process_std,
         observation_std=observation_std,
-        kernel=JitterKernel(scale=[0.0], clamp_to_prior=False),
+        prior_bounds=prior_bounds,
+        jitter_scale=0.0,
     )
 
 
 def _point_prior(theta, width=1e-12):
     theta = np.atleast_1d(theta)
-    return ParameterPrior(low=theta, high=theta + width)
+    return np.stack([theta, theta + width], axis=1)
 
 
 # ---------------------------------------------------------------- particles
@@ -68,51 +67,64 @@ def test_init_single_particle_weights_are_one():
     theta, states = init_particles(prior, 1, 1, np.array([0.0]), RngSeed(1))
     assert theta.shape == (1, 1) and states.shape == (1, 1, 1)
     obs = np.zeros((2, 1))
-    history = run_filter(obs, EXP_DECAY, prior, np.array([0.0]), _decay_config(1), RngSeed(1))
+    history = run_filter(obs, EXP_DECAY, np.array([0.0]), _decay_config(prior, 1), RngSeed(1))
     assert history.inner_weights[0].tolist() == [[1.0]]
     assert history.outer_weights[0].tolist() == [1.0]
 
 
 def test_init_respects_prior_support():
-    theta, _ = init_particles(TABLE1_PRIOR, 200, 3, np.zeros(3), RngSeed(2))
-    assert ((theta >= TABLE1_PRIOR.low) & (theta <= TABLE1_PRIOR.high)).all()
+    theta, _ = init_particles(TABLE1_BOUNDS, 200, 3, np.zeros(3), RngSeed(2))
+    assert ((theta >= TABLE1_BOUNDS[:, 0]) & (theta <= TABLE1_BOUNDS[:, 1])).all()
 
 
 def test_init_uniform_sample_mean():
-    theta, _ = init_particles(TABLE1_PRIOR, 10000, 1, np.zeros(3), RngSeed(3))
+    theta, _ = init_particles(TABLE1_BOUNDS, 10000, 1, np.zeros(3), RngSeed(3))
     assert abs(theta[:, 0].mean() - 10.0) < 0.2
 
 
 def test_init_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        ParameterPrior(low=[1.0], high=[1.0])
+    cases = [
+        ([[1.0, 1.0]], 0.05),  # low == high
+        ([[2.0, 1.0]], 0.05),  # low > high
+        ([[1.0, 2.0, 3.0]], 0.05),  # (p, 3)
+        ([1.0, 2.0], 0.05),  # 1-D
+        ([[1.0, 2.0]], -0.05),  # negative jitter scale
+    ]
+    for bounds, jitter_scale in cases:
+        with pytest.raises(ValueError):
+            FilterConfig(
+                num_outer=4,
+                num_inner=4,
+                delta=0.05,
+                process_std=1.0,
+                observation_std=1.0,
+                prior_bounds=bounds,
+                jitter_scale=jitter_scale,
+            )
 
 
 # ------------------------------------------------------------------- jitter
 
 
 def test_jitter_zero_scale_is_identity():
-    theta, _ = init_particles(TABLE1_PRIOR, 20, 2, np.zeros(3), RngSeed(4))
-    kernel = JitterKernel(scale=np.zeros(3), clamp_to_prior=False)
-    out = jitter(theta, kernel, RngSeed(4, 9))
-    assert np.array_equal(out, theta)
+    # On the point priors too, theta drawn inside and at exactly low and high:
+    # theta - low is exact there, so the reflection gives theta back.
+    for bounds in (TABLE1_BOUNDS, _point_prior(LORENZ_THETA), _point_prior(LORENZ_THETA, 2e-9)):
+        theta, _ = init_particles(bounds, 20, 2, np.zeros(3), RngSeed(4))
+        theta[0], theta[1] = bounds[:, 0], bounds[:, 1]
+        out = jitter(theta, np.zeros(3), bounds, RngSeed(4, 9))
+        assert out.tobytes() == theta.tobytes()
 
 
 def test_jitter_clamped_stays_in_bounds():
-    theta, _ = init_particles(TABLE1_PRIOR, 500, 1, np.zeros(3), RngSeed(5))
-    kernel = JitterKernel(
-        scale=np.array([5.0, 5.0, 5.0]),
-        clamp_to_prior=True,
-        low=TABLE1_PRIOR.low,
-        high=TABLE1_PRIOR.high,
-    )
-    out = jitter(theta, kernel, RngSeed(5, 9))
-    assert ((out >= TABLE1_PRIOR.low) & (out <= TABLE1_PRIOR.high)).all()
+    theta, _ = init_particles(TABLE1_BOUNDS, 500, 1, np.zeros(3), RngSeed(5))
+    out = jitter(theta, np.array([5.0, 5.0, 5.0]), TABLE1_BOUNDS, RngSeed(5, 9))
+    assert ((out >= TABLE1_BOUNDS[:, 0]) & (out <= TABLE1_BOUNDS[:, 1])).all()
 
 
 def test_jitter_spread_matches_scale():
-    kernel = JitterKernel(scale=np.array([0.1]), clamp_to_prior=False)
-    out = jitter(np.zeros((10000, 1)), kernel, RngSeed(6, 9))
+    wide = np.array([[-100.0, 100.0]])
+    out = jitter(np.zeros((10000, 1)), np.array([0.1]), wide, RngSeed(6, 9))
     assert abs(out[:, 0].std() - 0.1) < 0.005
 
 
@@ -159,14 +171,17 @@ def test_propagate_flags_nonfinite_particles():
 
 
 def test_jitter_draws_match_per_lane_child_generators():
-    theta, _ = init_particles(TABLE1_PRIOR, 7, 2, np.zeros(3), RngSeed(31))
-    kernel = JitterKernel(scale=np.array([0.3, 0.7, 0.05]), clamp_to_prior=False)
+    theta, _ = init_particles(TABLE1_BOUNDS, 7, 2, np.zeros(3), RngSeed(31))
+    std = np.array([0.3, 0.7, 0.05])
     rng = RngSeed(31, 5)
-    out = jitter(theta, kernel, rng)
-    want = np.stack([
-        theta[m] + kernel.scale * rng.child("lane", m).generator().normal(size=3)
-        for m in range(7)
-    ])
+    out = jitter(theta, std, TABLE1_BOUNDS, rng)
+    want = filtering._reflect(
+        np.stack([
+            theta[m] + std * rng.child("lane", m).generator().normal(size=3) for m in range(7)
+        ]),
+        TABLE1_BOUNDS[:, 0],
+        TABLE1_BOUNDS[:, 1],
+    )
     assert out.tobytes() == want.tobytes()
 
 
@@ -182,7 +197,7 @@ def _per_lane_propagate(states, theta, spec, delta, process_std, rng):
 
 @pytest.mark.parametrize("process_std", [1.0, 0.37, 0.0])
 def test_propagate_draws_match_per_lane_child_generators(process_std):
-    theta, states = init_particles(TABLE1_PRIOR, 5, 6, np.array([1.0, -2.0, 20.0]), RngSeed(32))
+    theta, states = init_particles(TABLE1_BOUNDS, 5, 6, np.array([1.0, -2.0, 20.0]), RngSeed(32))
     rng = RngSeed(32, 7)
     out, invalid = propagate(states, theta, LORENZ, 0.05, process_std, rng)
     assert not invalid.any()
@@ -213,7 +228,8 @@ def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(TABLE1_PRIOR, 4),
+        prior_bounds=TABLE1_BOUNDS,
+        jitter_scale=0.05,
     )
     seen = []
     batched = filtering.systematic_resample_rows
@@ -225,7 +241,7 @@ def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
 
     monkeypatch.setattr(filtering, "systematic_resample_rows", record)
     rng = RngSeed(35)
-    run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, rng)
+    run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, rng)
     want = [
         np.array([
             rng.child("step", t).child("inner_resample", lane).generator().uniform()
@@ -423,9 +439,10 @@ def test_degenerate_filter_recovers_noiseless_truth():
         delta=0.1,
         process_std=0.0,
         observation_std=1.0,
-        kernel=JitterKernel(scale=[0.0], clamp_to_prior=False),
+        prior_bounds=prior,
+        jitter_scale=0.0,
     )
-    history = run_filter(obs, EXP_DECAY, prior, np.array([1.0]), config, filter_seed)
+    history = run_filter(obs, EXP_DECAY, np.array([1.0]), config, filter_seed)
     assert np.array_equal(filtered_means(history), truth)
 
 
@@ -441,7 +458,7 @@ def test_filter_matches_independent_bootstrap_pf():
     obs = observe(truth, 1.0, root.child("obs"))
     prior = _point_prior(theta)
     filter_seed = root.child("filter")
-    history = run_filter(obs, EXP_DECAY, prior, np.array([0.0]), _decay_config(64), filter_seed)
+    history = run_filter(obs, EXP_DECAY, np.array([0.0]), _decay_config(prior, 64), filter_seed)
 
     drawn_theta = history.thetas[0, 0]
 
@@ -469,9 +486,10 @@ def test_filter_weights_normalized_every_step():
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(TABLE1_PRIOR, 8),
+        prior_bounds=TABLE1_BOUNDS,
+        jitter_scale=0.05,
     )
-    history = run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(19))
+    history = run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(19))
     assert np.allclose(history.inner_weights.sum(axis=2), 1.0, atol=1e-9)
     assert np.allclose(history.outer_weights.sum(axis=1), 1.0, atol=1e-9)
     smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
@@ -490,10 +508,11 @@ def test_filter_seed_determinism():
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(TABLE1_PRIOR, 6),
+        prior_bounds=TABLE1_BOUNDS,
+        jitter_scale=0.05,
     )
-    h1 = run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(21))
-    h2 = run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(21))
+    h1 = run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(21))
+    h2 = run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(21))
     assert np.array_equal(h1.states, h2.states)
     assert np.array_equal(h1.thetas, h2.thetas)
     assert np.array_equal(h1.outer_ancestors, h2.outer_ancestors)
@@ -510,10 +529,11 @@ def test_filter_without_inner_resampling_accumulates_weights():
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(TABLE1_PRIOR, 5),
+        prior_bounds=TABLE1_BOUNDS,
+        jitter_scale=0.05,
         inner_resampling=False,
     )
-    history = run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(51))
+    history = run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(51))
     assert np.allclose(history.inner_weights.sum(axis=2), 1.0, atol=1e-9)
     assert (history.inner_ancestors == np.arange(40)).all()
     # without resampling the inner weights should visibly degenerate over time
@@ -522,7 +542,7 @@ def test_filter_without_inner_resampling_accumulates_weights():
     assert ess_last.mean() < ess_first.mean()
 
 
-def _filter_by_hand(obs, system, prior, x0, config, rng):
+def _filter_by_hand(obs, system, x0, config, rng):
     """run_filter composed from its public array steps on its substream layout.
 
     Returns the six history arrays, in FilterHistory's field order, and the
@@ -530,13 +550,13 @@ def _filter_by_hand(obs, system, prior, x0, config, rng):
     """
     m, n = config.num_outer, config.num_inner
     diagnostics = FilterDiagnostics()
-    theta, states = init_particles(prior, m, n, x0, rng.child("init"))
+    theta, states = init_particles(config.prior_bounds, m, n, x0, rng.child("init"))
     weights = np.full((m, n), 1.0 / n)
     identity = np.tile(np.arange(n), (m, 1))
     steps = [(theta, states, weights, np.full(m, 1.0 / m), np.arange(m), identity)]
     for t in range(1, obs.shape[0]):
         step = rng.child("step", t)
-        theta = jitter(theta, config.kernel, step.child("jitter"))
+        theta = jitter(theta, config.jitter_std, config.prior_bounds, step.child("jitter"))
         states, invalid = propagate(
             states, theta, system, config.delta, config.process_std, step.child("propagate")
         )
@@ -565,11 +585,11 @@ def test_run_filter_equals_its_steps_composed_by_hand(case):
         # zeroed particles then grow from their process noise and overflow
         # again, lane by lane.
         system, x0 = EXP_DECAY, np.array([1.0])
-        prior = ParameterPrior(low=[-120.0], high=[-100.0])
+        prior = np.array([[-120.0, -100.0]])
         obs = np.zeros((16, 1))
         delta = 1e6
     else:
-        system, x0, prior, delta = LORENZ, np.array([1.0, 1.0, 1.0]), TABLE1_PRIOR, 0.05
+        system, x0, prior, delta = LORENZ, np.array([1.0, 1.0, 1.0]), TABLE1_BOUNDS, 0.05
         truth = simulate_hidden(system, LORENZ_THETA, x0, 6, delta, 1.0, RngSeed(60))
         obs = observe(truth, 1.0, RngSeed(60, 1))
     config = FilterConfig(
@@ -578,12 +598,13 @@ def test_run_filter_equals_its_steps_composed_by_hand(case):
         delta=delta,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(prior, 4),
+        prior_bounds=prior,
+        jitter_scale=0.05,
         inner_resampling=case != "no_inner_resampling",
     )
     rng = RngSeed(61)
-    history = run_filter(obs, system, prior, x0, config, rng)
-    arrays, diagnostics = _filter_by_hand(obs, system, prior, x0, config, rng)
+    history = run_filter(obs, system, x0, config, rng)
+    arrays, diagnostics = _filter_by_hand(obs, system, x0, config, rng)
     names = (
         "thetas", "states", "inner_weights", "outer_weights", "outer_ancestors", "inner_ancestors"
     )
@@ -597,6 +618,30 @@ def test_run_filter_equals_its_steps_composed_by_hand(case):
         assert got["inner_weight_underflows"] > 0 and got["outer_weight_underflows"] > 0
 
 
+@pytest.mark.parametrize(
+    "system, rows, x0, match",
+    [
+        (EXP_DECAY, 3, [0.0], r"prior_bounds has 3 rows, exp_decay needs one per parameter"),
+        (LORENZ, 2, [1.0, 1.0, 1.0], r"prior_bounds has 2 rows, lorenz needs one per parameter"),
+        (LORENZ, 3, [1.0, 1.0], r"x0 must be \(3,\) for lorenz, got \(2,\)"),
+        (LORENZ, 3, [1.0], r"x0 must be \(3,\) for lorenz, got \(1,\)"),
+    ],
+)
+def test_run_filter_rejects_bounds_or_x0_that_do_not_fit_the_system(system, rows, x0, match):
+    config = FilterConfig(
+        num_outer=2,
+        num_inner=3,
+        delta=0.05,
+        process_std=1.0,
+        observation_std=1.0,
+        prior_bounds=np.tile([1.0, 2.0], (rows, 1)),
+        jitter_scale=0.05,
+    )
+    obs = np.zeros((4, system.dimension))
+    with pytest.raises(ValueError, match=match):
+        run_filter(obs, system, np.array(x0), config, RngSeed(62))
+
+
 def test_lorenz_theta_estimate_within_prior_support():
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 120, 0.05, 1.0, RngSeed(22)
@@ -608,15 +653,17 @@ def test_lorenz_theta_estimate_within_prior_support():
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(TABLE1_PRIOR, 30),
+        prior_bounds=TABLE1_BOUNDS,
+        jitter_scale=0.05,
     )
     history = keep_ancestral(
-        run_filter(obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(23))
+        run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(23))
     )
     smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
     summary = posterior_summary(history, smoothed)
     assert np.isfinite(summary.theta_mean).all()
-    assert ((summary.theta_mean >= TABLE1_PRIOR.low) & (summary.theta_mean <= TABLE1_PRIOR.high)).all()
+    low, high = TABLE1_BOUNDS.T
+    assert ((summary.theta_mean >= low) & (summary.theta_mean <= high)).all()
 
 
 # ---------------------------------------------------------------- smoothing
@@ -629,9 +676,8 @@ def _decay_history(seed, n_inner=50, horizon=40):
         EXP_DECAY, theta, np.array([0.0]), horizon, DECAY_DELTA, 1.0, root.child("sim")
     )
     obs = observe(truth, 1.0, root.child("obs"))
-    history = run_filter(
-        obs, EXP_DECAY, _point_prior(theta), np.array([0.0]), _decay_config(n_inner), root.child("filter")
-    )
+    config = _decay_config(_point_prior(theta), n_inner)
+    history = run_filter(obs, EXP_DECAY, np.array([0.0]), config, root.child("filter"))
     return truth, obs, history
 
 
@@ -661,11 +707,10 @@ def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon, proces
         delta=0.05,
         process_std=process_std,
         observation_std=1.0,
-        kernel=JitterKernel.from_prior(TABLE1_PRIOR, num_outer),
+        prior_bounds=TABLE1_BOUNDS,
+        jitter_scale=0.05,
     )
-    return run_filter(
-        obs, LORENZ, TABLE1_PRIOR, np.array([1.0, 1.0, 1.0]), config, RngSeed(filter_seed)
-    )
+    return run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(filter_seed))
 
 
 @pytest.mark.parametrize("m, n", [(3, 255), (3, 256), (3, 257), (300, 300)])
