@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +91,9 @@ def _reals(field: str, values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _check_types(config: ExperimentConfig) -> None:
-    """Raise ConfigError naming the first field whose JSON type is wrong."""
+def _check_types(config: ExperimentConfig) -> ExperimentConfig:
+    """Raise ConfigError naming the first field whose JSON type is wrong;
+    return the config with `theta_true`, `x0` and `prior_bounds` as float tuples."""
     if not isinstance(config.system, str):
         _fail("system", f"must be a string, got {config.system!r}")
     for name in _INT_FIELDS:
@@ -101,24 +102,25 @@ def _check_types(config: ExperimentConfig) -> None:
     for name in _REAL_FIELDS:
         if not _is_real(getattr(config, name)):
             _fail(name, f"must be a finite number, got {getattr(config, name)!r}")
-    _reals("theta_true", config.theta_true)
-    _reals("x0", config.x0)
+    theta_true = _reals("theta_true", config.theta_true)
+    x0 = _reals("x0", config.x0)
     if not isinstance(config.prior_bounds, (list, tuple)):
         _fail("prior_bounds", "must be a list of (low, high) pairs")
-    for pair in config.prior_bounds:
-        _reals("prior_bounds", pair)
+    prior_bounds = tuple(_reals("prior_bounds", pair) for pair in config.prior_bounds)
     if not isinstance(config.inner_resampling, bool):
         _fail("inner_resampling", f"must be true or false, got {config.inner_resampling!r}")
     if not isinstance(config.intervention, dict):
         _fail("intervention", f"must be an object, got {config.intervention!r}")
     if not (config.output_dir is None or isinstance(config.output_dir, str)):
         _fail("output_dir", "must be a string")
+    return replace(config, theta_true=theta_true, x0=x0, prior_bounds=prior_bounds)
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Check every field's type, then its value against the model it references;
-    raise ConfigError naming the field."""
-    _check_types(config)
+    """Check every field's type, then its value; return the config with its
+    vectors as float tuples. `FilterConfig` checks the filter's settings, and
+    its ValueError comes back as a ConfigError naming the field."""
+    config = _check_types(config)
     try:
         spec = get_system(config.system)
     except ValueError as exc:
@@ -129,23 +131,12 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         _fail("x0", f"expected {spec.dimension} values for {spec.id}")
     if config.horizon < 1:
         _fail("horizon", "must be >= 1")
-    if config.delta <= 0:
-        _fail("delta", "must be positive")
-    if config.process_std < 0:
-        _fail("process_std", "must be >= 0")
-    if config.observation_std <= 0:
-        _fail("observation_std", "must be > 0")
     if len(config.prior_bounds) != spec.n_params:
         _fail("prior_bounds", f"expected {spec.n_params} (low, high) pairs")
-    for k, pair in enumerate(config.prior_bounds):
-        if len(pair) != 2 or not pair[0] < pair[1]:
-            _fail("prior_bounds", f"pair {k} must satisfy low < high, got {pair}")
-    if config.outer_particles < 1:
-        _fail("outer_particles", "must be >= 1")
-    if config.inner_particles < 1:
-        _fail("inner_particles", "must be >= 1")
-    if config.jitter_scale < 0:
-        _fail("jitter_scale", "must be >= 0")
+    try:
+        build_filter_config(config)
+    except ValueError as exc:
+        raise ConfigError(f"config field {exc}") from None
     intervention = config.intervention
     if "component" in intervention and not _is_int(intervention["component"]):
         _fail("intervention", f"component must be an integer, got {intervention['component']!r}")
@@ -178,13 +169,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     missing = set(_CONFIG_FIELDS) - {"output_dir"} - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    kwargs = dict(data)
-    kwargs["theta_true"] = _reals("theta_true", data["theta_true"])
-    kwargs["x0"] = _reals("x0", data["x0"])
-    if not isinstance(data["prior_bounds"], list):
-        _fail("prior_bounds", "must be a list of (low, high) pairs")
-    kwargs["prior_bounds"] = tuple(_reals("prior_bounds", pair) for pair in data["prior_bounds"])
-    return validate_config(ExperimentConfig(**kwargs))
+    return validate_config(ExperimentConfig(**data))
 
 
 def config_to_dict(config: ExperimentConfig, include_output: bool = True) -> dict:
@@ -307,16 +292,8 @@ def get_preset(name: str) -> ExperimentConfig:
 
 
 def build_filter_config(config: ExperimentConfig) -> FilterConfig:
-    return FilterConfig(
-        num_outer=config.outer_particles,
-        num_inner=config.inner_particles,
-        delta=config.delta,
-        process_std=config.process_std,
-        observation_std=config.observation_std,
-        prior_bounds=config.prior_bounds,
-        jitter_scale=config.jitter_scale,
-        inner_resampling=config.inner_resampling,
-    )
+    """The filter's settings: the config's fields of the same names."""
+    return FilterConfig(**{f.name: getattr(config, f.name) for f in fields(FilterConfig)})
 
 
 def stage_simulate(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -675,7 +652,7 @@ def run_pipeline(
     Every stage runs in one thread: `workers` (the CLI's `--threads`) is
     accepted and reaches nothing, so it cannot change a byte.
     """
-    validate_config(config)
+    config = validate_config(config)
     run = RunDir(config, resolve_out_dir(config, out_dir))
     for stage in STAGES:
         run_stage(stage, run)

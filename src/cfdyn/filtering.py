@@ -46,45 +46,53 @@ def _reflect(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """The nested filter's settings.
+    """The nested filter's settings, named as in `ExperimentConfig`.
 
-    `prior_bounds` (p, 2) holds each parameter's uniform prior as a low/high
-    pair: theta starts uniform in the bounds, and each step jitters it by
-    N(0, diag(jitter_std^2)) and reflects it back into them.
+    `prior_bounds` holds each parameter's uniform prior as a (low, high)
+    pair of floats: theta starts uniform in the bounds, and each step jitters
+    it by N(0, diag(jitter_std^2)) and reflects it back into them. Every check
+    names its field in quotes.
     """
 
-    num_outer: int
-    num_inner: int
+    outer_particles: int
+    inner_particles: int
     delta: float
     process_std: float
     observation_std: float
-    prior_bounds: np.ndarray
+    prior_bounds: tuple[tuple[float, float], ...]
     jitter_scale: float
     inner_resampling: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_outer < 1 or self.num_inner < 1:
-            raise ValueError("particle counts must be >= 1")
+        for name in ("outer_particles", "inner_particles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"'{name}' must be >= 1, got {getattr(self, name)}")
         if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise ValueError(f"'delta' must be positive, got {self.delta}")
         if self.process_std < 0:
-            raise ValueError(f"process_std must be >= 0, got {self.process_std}")
+            raise ValueError(f"'process_std' must be >= 0, got {self.process_std}")
         if self.observation_std <= 0:
-            raise ValueError(f"observation_std must be > 0, got {self.observation_std}")
-        bounds = np.asarray(self.prior_bounds, dtype=float)
-        if bounds.ndim != 2 or bounds.shape[1] != 2:
-            raise ValueError(f"prior_bounds must be (p, 2) low/high pairs, got {bounds.shape}")
-        if not (bounds[:, 0] < bounds[:, 1]).all():
-            raise ValueError(f"prior_bounds require low < high in every row, got {bounds.tolist()}")
+            raise ValueError(f"'observation_std' must be > 0, got {self.observation_std}")
+        bounds = []
+        for k, pair in enumerate(self.prior_bounds):
+            try:
+                low, high = map(float, pair)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"'prior_bounds' pair {k} must be two numbers (low, high), got {pair}"
+                ) from None
+            if not low < high:
+                raise ValueError(f"'prior_bounds' pair {k} must satisfy low < high, got {pair}")
+            bounds.append((low, high))
         if self.jitter_scale < 0:
-            raise ValueError(f"jitter_scale must be >= 0, got {self.jitter_scale}")
-        object.__setattr__(self, "prior_bounds", bounds)
+            raise ValueError(f"'jitter_scale' must be >= 0, got {self.jitter_scale}")
+        object.__setattr__(self, "prior_bounds", tuple(bounds))
 
     @property
     def jitter_std(self) -> np.ndarray:
         """Per-parameter jitter std, shrinking with M: jitter_scale * (high - low) / sqrt(M)."""
-        low, high = self.prior_bounds.T
-        return self.jitter_scale * (high - low) / np.sqrt(self.num_outer)
+        low, high = np.array(self.prior_bounds).T
+        return self.jitter_scale * (high - low) / np.sqrt(self.outer_particles)
 
 
 @dataclass
@@ -142,8 +150,8 @@ def init_particles(
     `prior_bounds` and states (M, N, d), every one at the (d,) point `x0`."""
     if num_outer < 1 or num_inner < 1:
         raise ValueError("particle counts must be >= 1")
-    low, high = prior_bounds.T
-    u = rng.child("theta_init").generator().uniform(size=(num_outer, prior_bounds.shape[0]))
+    low, high = np.asarray(prior_bounds, dtype=float).T
+    u = rng.child("theta_init").generator().uniform(size=(num_outer, low.shape[0]))
     theta = low + (high - low) * u
     point = np.asarray(x0, dtype=float)
     return theta, np.broadcast_to(point, (num_outer, num_inner, point.shape[0])).copy()
@@ -170,7 +178,7 @@ def jitter(theta: np.ndarray, std: np.ndarray, prior_bounds: np.ndarray, rng: Rn
         )
     # Lane m adds `normal(size=p)`, which is 0.0 + 1.0 * z.
     eps = np.add(0.0, _lane_normals(rng, theta.shape))
-    return _reflect(theta + std * eps, *prior_bounds.T)
+    return _reflect(theta + std * eps, *np.asarray(prior_bounds, dtype=float).T)
 
 
 def propagate(
@@ -349,16 +357,16 @@ def run_filter(
     horizon = observations.shape[0] - 1
     if horizon < 1:
         raise ValueError("need at least one observation after the initial time")
-    if config.prior_bounds.shape[0] != spec.n_params:
+    if len(config.prior_bounds) != spec.n_params:
         raise ValueError(
-            f"prior_bounds has {config.prior_bounds.shape[0]} rows, "
+            f"prior_bounds has {len(config.prior_bounds)} rows, "
             f"{spec.id} needs one per parameter {spec.parameter_names}"
         )
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
         raise ValueError(f"x0 must be ({spec.dimension},) for {spec.id}, got {x0.shape}")
 
-    m, n = config.num_outer, config.num_inner
+    m, n = config.outer_particles, config.inner_particles
     history = FilterHistory(
         thetas=np.empty((horizon + 1, m, spec.n_params)),
         states=np.empty((horizon + 1, m, n, spec.dimension)),
@@ -368,7 +376,8 @@ def run_filter(
         inner_ancestors=np.empty((horizon + 1, m, n), dtype=index_dtype(n)),
     )
     diagnostics = history.diagnostics
-    theta, states = init_particles(config.prior_bounds, m, n, x0, rng.child("init"))
+    bounds, std = np.array(config.prior_bounds), config.jitter_std
+    theta, states = init_particles(bounds, m, n, x0, rng.child("init"))
     weights = np.full((m, n), 1.0 / n)
 
     history.thetas[0] = theta
@@ -380,7 +389,7 @@ def run_filter(
 
     for t in range(1, horizon + 1):
         step = rng.child("step", t)
-        theta = jitter(theta, config.jitter_std, config.prior_bounds, step.child("jitter"))
+        theta = jitter(theta, std, bounds, step.child("jitter"))
         states, invalid = propagate(
             states, theta, spec, config.delta, config.process_std, step.child("propagate")
         )

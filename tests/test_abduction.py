@@ -48,8 +48,8 @@ def _degenerate_history(horizon=12):
     truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, horizon, 0.05, 1.0, RngSeed(41))
     obs = observe(truth, 1.0, RngSeed(41, 1))
     config = FilterConfig(
-        num_outer=1,
-        num_inner=1,
+        outer_particles=1,
+        inner_particles=1,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
@@ -142,8 +142,8 @@ def test_noiseless_truth_yields_small_abducted_mean():
     truth = simulate_hidden(LORENZ, LORENZ_THETA, X0, 150, 0.05, 0.0, RngSeed(43))
     obs = observe(truth, 0.01, RngSeed(43, 1))
     config = FilterConfig(
-        num_outer=10,
-        num_inner=30,
+        outer_particles=10,
+        inner_particles=30,
         delta=0.05,
         process_std=0.05,
         observation_std=0.01,

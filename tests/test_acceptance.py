@@ -67,8 +67,8 @@ def test_criterion_2_kalman_rts_oracle():
     start = time.perf_counter()
     a_eff = float(rk4_step(EXP_DECAY, np.array([1.0]), np.array([1.0]), DECAY_DELTA)[0])
     config = FilterConfig(
-        num_outer=1,
-        num_inner=500,
+        outer_particles=1,
+        inner_particles=500,
         delta=DECAY_DELTA,
         process_std=1.0,
         observation_std=1.0,

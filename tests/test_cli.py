@@ -530,3 +530,26 @@ def test_wrongly_typed_config_field_is_config_error(tmp_path, capsys, field, val
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"'{field}'" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("outer_particles", 0),
+        ("inner_particles", 0),
+        ("delta", 0.0),
+        ("process_std", -1.0),
+        ("observation_std", 0.0),
+        ("jitter_scale", -0.1),
+        ("prior_bounds", [[5.0, 15.0], [35.0, 20.0], [2.0, 4.0]]),
+        ("prior_bounds", [[5.0, 15.0], [20.0], [2.0, 4.0]]),
+    ],
+)
+def test_out_of_range_config_value_is_config_error(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, **{field: value})
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert f"'{field}'" in err, err
+    assert not out.exists()

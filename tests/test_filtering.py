@@ -44,8 +44,8 @@ DECAY_DELTA = float(-np.log(0.9))
 
 def _decay_config(prior_bounds, n_inner, process_std=1.0, observation_std=1.0):
     return FilterConfig(
-        num_outer=1,
-        num_inner=n_inner,
+        outer_particles=1,
+        inner_particles=n_inner,
         delta=DECAY_DELTA,
         process_std=process_std,
         observation_std=observation_std,
@@ -84,23 +84,36 @@ def test_init_uniform_sample_mean():
 
 def test_init_rejects_bad_bounds():
     cases = [
-        ([[1.0, 1.0]], 0.05),  # low == high
-        ([[2.0, 1.0]], 0.05),  # low > high
-        ([[1.0, 2.0, 3.0]], 0.05),  # (p, 3)
-        ([1.0, 2.0], 0.05),  # 1-D
-        ([[1.0, 2.0]], -0.05),  # negative jitter scale
+        ([[1.0, 1.0]], 0.05, "'prior_bounds' pair 0 must satisfy low < high"),
+        ([[2.0, 1.0]], 0.05, "'prior_bounds' pair 0 must satisfy low < high"),
+        ([[1.0, 2.0, 3.0]], 0.05, "'prior_bounds' pair 0 must be two numbers"),  # (p, 3)
+        ([1.0, 2.0], 0.05, "'prior_bounds' pair 0 must be two numbers"),  # 1-D
+        ([[1.0, 2.0], [3.0]], 0.05, "'prior_bounds' pair 1 must be two numbers"),  # ragged
+        ([[1.0, 2.0]], -0.05, "'jitter_scale' must be >= 0"),
     ]
-    for bounds, jitter_scale in cases:
-        with pytest.raises(ValueError):
+    for bounds, jitter_scale, match in cases:
+        with pytest.raises(ValueError, match=match):
             FilterConfig(
-                num_outer=4,
-                num_inner=4,
+                outer_particles=4,
+                inner_particles=4,
                 delta=0.05,
                 process_std=1.0,
                 observation_std=1.0,
                 prior_bounds=bounds,
                 jitter_scale=jitter_scale,
             )
+
+
+def test_filter_configs_of_equal_settings_compare_and_hash_equal():
+    settings = dict(
+        outer_particles=4, inner_particles=5, delta=0.05, process_std=1.0,
+        observation_std=1.0, jitter_scale=0.05,
+    )
+    a = FilterConfig(prior_bounds=TABLE1_BOUNDS, **settings)
+    b = FilterConfig(prior_bounds=TABLE1_BOUNDS.tolist(), **settings)
+    assert a == b and hash(a) == hash(b)
+    assert a.prior_bounds == ((5.0, 15.0), (20.0, 35.0), (2.0, 4.0))
+    assert a != replace(a, jitter_scale=0.1)
 
 
 # ------------------------------------------------------------------- jitter
@@ -223,8 +236,8 @@ def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
     )
     obs = observe(truth, 1.0, RngSeed(34, 1))
     config = FilterConfig(
-        num_outer=4,
-        num_inner=5,
+        outer_particles=4,
+        inner_particles=5,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
@@ -235,7 +248,7 @@ def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
     batched = filtering.systematic_resample_rows
 
     def record(weights, uniforms):
-        if weights.shape[0] == config.num_outer:  # the outer resample passes one row
+        if weights.shape[0] == config.outer_particles:  # the outer resample passes one row
             seen.append(uniforms.tobytes())
         return batched(weights, uniforms)
 
@@ -245,7 +258,7 @@ def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
     want = [
         np.array([
             rng.child("step", t).child("inner_resample", lane).generator().uniform()
-            for lane in range(config.num_outer)
+            for lane in range(config.outer_particles)
         ]).tobytes()
         for t in range(1, 7)
     ]
@@ -434,8 +447,8 @@ def test_degenerate_filter_recovers_noiseless_truth():
     )
     obs = observe(truth, 0.0, RngSeed(15, 1))
     config = FilterConfig(
-        num_outer=1,
-        num_inner=1,
+        outer_particles=1,
+        inner_particles=1,
         delta=0.1,
         process_std=0.0,
         observation_std=1.0,
@@ -481,8 +494,8 @@ def test_filter_weights_normalized_every_step():
     )
     obs = observe(truth, 1.0, RngSeed(18, 1))
     config = FilterConfig(
-        num_outer=8,
-        num_inner=12,
+        outer_particles=8,
+        inner_particles=12,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
@@ -503,8 +516,8 @@ def test_filter_seed_determinism():
     )
     obs = observe(truth, 1.0, RngSeed(20, 1))
     config = FilterConfig(
-        num_outer=6,
-        num_inner=7,
+        outer_particles=6,
+        inner_particles=7,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
@@ -524,8 +537,8 @@ def test_filter_without_inner_resampling_accumulates_weights():
     )
     obs = observe(truth, 1.0, RngSeed(50, 1))
     config = FilterConfig(
-        num_outer=5,
-        num_inner=40,
+        outer_particles=5,
+        inner_particles=40,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
@@ -548,7 +561,7 @@ def _filter_by_hand(obs, system, x0, config, rng):
     Returns the six history arrays, in FilterHistory's field order, and the
     diagnostics. The resampling gather is plain fancy indexing.
     """
-    m, n = config.num_outer, config.num_inner
+    m, n = config.outer_particles, config.inner_particles
     diagnostics = FilterDiagnostics()
     theta, states = init_particles(config.prior_bounds, m, n, x0, rng.child("init"))
     weights = np.full((m, n), 1.0 / n)
@@ -593,8 +606,8 @@ def test_run_filter_equals_its_steps_composed_by_hand(case):
         truth = simulate_hidden(system, LORENZ_THETA, x0, 6, delta, 1.0, RngSeed(60))
         obs = observe(truth, 1.0, RngSeed(60, 1))
     config = FilterConfig(
-        num_outer=4,
-        num_inner=5,
+        outer_particles=4,
+        inner_particles=5,
         delta=delta,
         process_std=1.0,
         observation_std=1.0,
@@ -629,8 +642,8 @@ def test_run_filter_equals_its_steps_composed_by_hand(case):
 )
 def test_run_filter_rejects_bounds_or_x0_that_do_not_fit_the_system(system, rows, x0, match):
     config = FilterConfig(
-        num_outer=2,
-        num_inner=3,
+        outer_particles=2,
+        inner_particles=3,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
@@ -648,8 +661,8 @@ def test_lorenz_theta_estimate_within_prior_support():
     )
     obs = observe(truth, 1.0, RngSeed(22, 1))
     config = FilterConfig(
-        num_outer=30,
-        num_inner=30,
+        outer_particles=30,
+        inner_particles=30,
         delta=0.05,
         process_std=1.0,
         observation_std=1.0,
@@ -702,8 +715,8 @@ def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon, proces
     )
     obs = observe(truth, 1.0, RngSeed(sim_seed, 1))
     config = FilterConfig(
-        num_outer=num_outer,
-        num_inner=num_inner,
+        outer_particles=num_outer,
+        inner_particles=num_inner,
         delta=0.05,
         process_std=process_std,
         observation_std=1.0,
