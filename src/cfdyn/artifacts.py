@@ -3,8 +3,9 @@
 All numeric series are UTF-8 CSV with one header line. Floats are written
 with shortest round-trip formatting so re-parsing reproduces the exact
 float64 values and re-running a configuration reproduces identical bytes.
-Each file is written and read under one layout, its header and its label
-columns (`experiment.file_layout`); a read checks both.
+Each file is written and read under one layout (`experiment.file_layout`):
+a CSV's header and label columns, the filter state's array sizes. A read
+checks the file against it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .abduction import NoisePosterior
-from .counterfactual import CfTrajectorySet
 from .errors import ArtifactError
 from .filtering import AncestralHistory, SmoothedWeights
 
@@ -193,10 +193,10 @@ def load_noise_posterior(path: Path, header: list[str], labels: list) -> NoisePo
     return NoisePosterior(mu=data[:, :d], sigma=data[:, d:])
 
 
-def save_ensemble(path: Path, ensemble: CfTrajectorySet, header: list[str], labels: list) -> None:
-    """Write the trajectories, trajectory-major; the thetas are cf_thetas.csv's own table."""
-    n, horizon1, d = ensemble.trajectories.shape
-    write_csv(path, header, labels, ensemble.trajectories.reshape(n * horizon1, d))
+def save_ensemble(path: Path, trajectories: np.ndarray, header: list[str], labels: list) -> None:
+    """Write the (n, T+1, d) trajectories, trajectory-major; their thetas are cf_thetas.csv."""
+    n, horizon1, d = trajectories.shape
+    write_csv(path, header, labels, trajectories.reshape(n * horizon1, d))
 
 
 @_reader
@@ -250,8 +250,11 @@ def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
                     entry.write(data[start : start + _NPZ_CHUNK])
 
 
-def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights]) -> None:
-    """Write the ancestral history and the smoothed weights; `lane` and `row` are derived, not stored."""
+def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights], *layout) -> None:
+    """Write the ancestral history and the smoothed weights; `lane` and `row` are derived, not stored.
+
+    `layout` is ignored: an npz stores its own shapes, and its reader checks them.
+    """
     history, smoothed = state
     save_npz(
         path,
@@ -268,8 +271,54 @@ def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights
     )
 
 
+def _check_shapes(path: Path, arrays: dict, needs: dict) -> None:
+    """Raise ArtifactError naming the arrays that do not have the shape `needs` names."""
+    shape = {key: arrays[key].shape for key in needs if arrays[key].shape != needs[key]}
+    if shape:
+        expected = {key: needs[key] for key in shape}
+        raise ArtifactError(f"{path} holds shape {shape}, the config needs {expected}")
+
+
+def _check_index(path: Path, key: str, index: np.ndarray, bound: int) -> None:
+    """Raise ArtifactError unless `index` has an integer dtype (any width:
+    narrow or int64) and values in [0, bound)."""
+    if index.dtype.kind not in "iu":
+        raise ArtifactError(f"{path} array {key} has dtype {index.dtype}, not an integer dtype")
+    if index.min() < 0 or index.max() >= bound:
+        raise ArtifactError(
+            f"{path} array {key} holds values in [{index.min()}, {index.max()}], "
+            f"outside [0, {bound})"
+        )
+
+
+def _check_filter_state(
+    path: Path, history: AncestralHistory, smoothed: SmoothedWeights,
+    t1: int, m: int, n: int, p: int, d: int,
+) -> None:
+    """Check a filter state against the layout (T+1, M, N, p, d), in the order its
+    arrays depend on each other; raise ArtifactError at the first misfit.
+
+    The lane arrays come first: `outer_ancestors` must index M lanes before the
+    row count S is derived from it. Then every compact member must have S rows,
+    `inner_ancestors` must index N particles, and last the smoothed weights
+    must cover every (t, lane).
+    """
+    arrays = {**vars(history), **vars(smoothed)}
+    _check_shapes(path, arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
+    _check_index(path, "outer_ancestors", history.outer_ancestors, m)
+    s = int(history.row.max()) + 1
+    _check_shapes(path, arrays, {
+        "thetas": (s, p), "states": (s, n, d), "inner_weights": (s, n), "inner_ancestors": (s, n),
+    })
+    _check_index(path, "inner_ancestors", history.inner_ancestors, n)
+    _check_shapes(path, arrays, {"w_tilde": (t1, m, n), "v_tilde": (t1, m)})
+
+
 @_reader
-def load_filter_state(path: Path) -> tuple[AncestralHistory, SmoothedWeights]:
+def load_filter_state(
+    path: Path, t1: int, m: int, n: int, p: int, d: int
+) -> tuple[AncestralHistory, SmoothedWeights]:
+    """The ancestral history and smoothed weights, checked against the layout (T+1, M, N, p, d)."""
     with np.load(path, allow_pickle=False) as z:
         history = AncestralHistory(
             thetas=z["thetas"],
@@ -280,6 +329,7 @@ def load_filter_state(path: Path) -> tuple[AncestralHistory, SmoothedWeights]:
             outer_ancestors=z["outer_ancestors"],
         )
         smoothed = SmoothedWeights(w_tilde=z["w_tilde"], v_tilde=z["v_tilde"])
+    _check_filter_state(path, history, smoothed, t1, m, n, p, d)
     return history, smoothed
 
 

@@ -72,9 +72,7 @@ def _cmd_plot(args) -> int:
     run = RunDir(config, resolve_out_dir(config, args.out))
     run.check_manifest(PLOT_INPUTS)
     plots = run.path / "plots"
-    written = render_plots(
-        run.get("cf_deterministic.csv"), run.get("cf_ensemble.csv"), *run.get("rmse.csv"), plots
-    )
+    written = render_plots(*map(run.get, PLOT_INPUTS), plots)
     print(f"plot: wrote {len(written)} SVG files to {plots}")
     return 0
 

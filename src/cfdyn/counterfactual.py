@@ -52,9 +52,11 @@ def intervene(x0: np.ndarray, intervention: dict) -> np.ndarray:
 
 @dataclass
 class CfTrajectorySet:
-    """Ensemble of generated counterfactual trajectories.
+    """Ensemble of generated counterfactual trajectories, as `generate_cf` returns it.
 
     A trajectory that went non-finite holds NaN from its first failing step on.
+    A run keeps the two arrays as two products, cf_ensemble.csv and
+    cf_thetas.csv, so a stage that reads the trajectories does not read the thetas.
     """
 
     trajectories: np.ndarray     # (N_cf, T+1, d)

@@ -390,13 +390,14 @@ def _new_manifest(config: ExperimentConfig) -> dict:
 
 def file_layout(name: str, config: ExperimentConfig, spec: SystemSpec) -> tuple[str, tuple]:
     """How run file `name` is stored under `config`: the kind of its converter
-    pair, `artifacts.save_<kind>`/`load_<kind>`, and the layout they take.
+    pair, `artifacts.save_<kind>`/`load_<kind>`, and the layout they take. The
+    loader checks the file against the layout.
 
     A CSV's layout is its header and its label columns, the grid that fixes the
     file's rows and their order: t = 0..T for a state series, 1..T for the
     noise posterior, (t, traj_id) trajectory-major for the ensemble, traj_id =
     0..n_cf-1 for its thetas, and the parameter names for the estimate.
-    filter_state.npz has none; `_check_filter_state` checks it once it is read.
+    filter_state.npz's layout is the config's (T+1, M, N, p, d).
     A name that is not a run file raises ValueError.
     """
     steps, n = np.arange(config.horizon + 1), config.n_cf
@@ -405,7 +406,8 @@ def file_layout(name: str, config: ExperimentConfig, spec: SystemSpec) -> tuple[
         return [f"{prefix}_{k + 1}" for k in range(spec.dimension)]
 
     if name == "filter_state.npz":
-        return "filter_state", ()
+        return "filter_state", (config.horizon + 1, config.outer_particles,
+                                config.inner_particles, spec.n_params, spec.dimension)
     if name == "observations.csv":
         return "observations", (["t", *columns("y")], [steps])
     if name == "theta_estimate.csv":
@@ -429,11 +431,11 @@ class RunDir:
 
     `put` writes a product to its file and keeps it; `get` returns a kept
     product, or loads it from its file, which must fit the config's
-    `file_layout`. Products are named by their file. A state series (truth,
-    estimate, reference) is a (T+1, d) array; the ensemble is a
-    `CfTrajectorySet` whose thetas are the cf_thetas.csv product. The
-    converters are looked up in `artifacts` when called, never held: perfbench
-    wraps each by name.
+    `file_layout`. Products are named by their file and are what its
+    converters take and return: a state series (truth, estimate, reference)
+    is a (T+1, d) array, the ensemble an (n_cf, T+1, d) array and its thetas
+    an (n_cf, p) array. The converters are looked up in `artifacts` when
+    called, never held: perfbench wraps each by name.
     """
 
     def __init__(self, config: ExperimentConfig, path: str | Path):
@@ -475,119 +477,56 @@ class RunDir:
 
     def get(self, name: str):
         if name not in self.products:
-            self.products[name] = self._load(name)
+            kind, layout = file_layout(name, self.config, self.spec)
+            self.products[name] = getattr(io, "load_" + kind)(self.path / name, *layout)
         return self.products[name]
-
-    def _load(self, name: str):
-        path = self.path / name
-        kind, layout = file_layout(name, self.config, self.spec)
-        product = getattr(io, "load_" + kind)(path, *layout)
-        if name == "filter_state.npz":
-            _check_filter_state(path, *product, self.config, self.spec)
-        elif name == "cf_ensemble.csv":
-            product = CfTrajectorySet(trajectories=product, thetas=self.get("cf_thetas.csv"))
-        return product
-
-
-def _check_shapes(path: Path, arrays: dict, needs: dict) -> None:
-    """Raise ArtifactError naming the arrays that do not have the shape `needs` names."""
-    shape = {key: arrays[key].shape for key in needs if arrays[key].shape != needs[key]}
-    if shape:
-        expected = {key: needs[key] for key in shape}
-        raise ArtifactError(f"{path} holds shape {shape}, the config needs {expected}")
-
-
-def _check_index(path: Path, key: str, index: np.ndarray, bound: int) -> None:
-    """Raise ArtifactError unless `index` has an integer dtype (any width:
-    narrow or int64) and values in [0, bound)."""
-    if index.dtype.kind not in "iu":
-        raise ArtifactError(f"{path} array {key} has dtype {index.dtype}, not an integer dtype")
-    if index.min() < 0 or index.max() >= bound:
-        raise ArtifactError(
-            f"{path} array {key} holds values in [{index.min()}, {index.max()}], "
-            f"outside [0, {bound})"
-        )
-
-
-def _check_filter_state(
-    path: Path,
-    history: AncestralHistory,
-    smoothed: SmoothedWeights,
-    config: ExperimentConfig,
-    spec: SystemSpec,
-) -> None:
-    """Check a loaded filter state against the config, in the order its arrays depend on
-    each other; raise ArtifactError at the first misfit.
-
-    The lane arrays come first: `outer_ancestors` must index M lanes before the
-    row count S is derived from it. Then every compact member must have S rows,
-    `inner_ancestors` must index N particles, and last the smoothed weights
-    must cover every (t, lane).
-    """
-    t1, m, n = config.horizon + 1, config.outer_particles, config.inner_particles
-    arrays = {**vars(history), **vars(smoothed)}
-    _check_shapes(path, arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
-    _check_index(path, "outer_ancestors", history.outer_ancestors, m)
-    s, p, d = int(history.row.max()) + 1, spec.n_params, spec.dimension
-    _check_shapes(path, arrays, {
-        "thetas": (s, p), "states": (s, n, d), "inner_weights": (s, n), "inner_ancestors": (s, n),
-    })
-    _check_index(path, "inner_ancestors", history.inner_ancestors, n)
-    _check_shapes(path, arrays, {"w_tilde": (t1, m, n), "v_tilde": (t1, m)})
 
 
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage: the files it reads and writes, and the code that does it.
 
-    `run` takes every input from the RunDir, puts every output in it, and
-    returns the stage's diagnostics for the manifest.
+    `run(config, *inputs)` takes the products of `inputs`, in that order, and
+    returns `(outputs, diagnostics)`: the products of `outputs`, in that order,
+    and the stage's diagnostics for the manifest. It names no file.
     """
 
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    run: Callable[[RunDir], dict]
+    run: Callable[..., tuple[tuple, dict]]
 
 
-def _simulate(run: RunDir) -> dict:
-    truth, observations = stage_simulate(run.config)
-    run.put("truth.csv", truth)
-    run.put("observations.csv", observations)
-    return {}
+def _simulate(config: ExperimentConfig) -> tuple[tuple, dict]:
+    return stage_simulate(config), {}
 
 
-def _filter(run: RunDir) -> dict:
-    history, smoothed, summary = stage_filter(run.config, run.get("observations.csv"))
-    run.put("state_estimate.csv", summary.state_mean)
-    run.put("theta_estimate.csv", (summary.theta_mean, summary.theta_std))
-    run.put("filter_state.npz", (history, smoothed))
-    return asdict(history.diagnostics)
+def _filter(config: ExperimentConfig, observations: np.ndarray) -> tuple[tuple, dict]:
+    history, smoothed, summary = stage_filter(config, observations)
+    outputs = (summary.state_mean, (summary.theta_mean, summary.theta_std), (history, smoothed))
+    return outputs, asdict(history.diagnostics)
 
 
-def _abduct(run: RunDir) -> dict:
-    history, smoothed = run.get("filter_state.npz")
-    noise = abduct_noise(history, smoothed, run.config.system, run.config.delta)
-    run.put("noise_posterior.csv", noise)
-    return {}
+def _abduct(config: ExperimentConfig, state: tuple) -> tuple[tuple, dict]:
+    return (abduct_noise(*state, config.system, config.delta),), {}
 
 
-def _counterfactual(run: RunDir) -> dict:
-    reference, ensemble = stage_counterfactual(
-        run.config, run.get("theta_estimate.csv"), run.get("noise_posterior.csv")
-    )
-    run.put("cf_deterministic.csv", reference)
-    run.put("cf_ensemble.csv", ensemble)
-    run.put("cf_thetas.csv", ensemble.thetas)
-    return {"cf_truncated_trajectories": int((ensemble.failure_index >= 0).sum())}
+def _counterfactual(
+    config: ExperimentConfig, theta_estimate: tuple, noise: NoisePosterior
+) -> tuple[tuple, dict]:
+    reference, ensemble = stage_counterfactual(config, theta_estimate, noise)
+    diagnostics = {"cf_truncated_trajectories": int((ensemble.failure_index >= 0).sum())}
+    return (reference, ensemble.trajectories, ensemble.thetas), diagnostics
 
 
-def _metrics(run: RunDir) -> dict:
-    raw = rmse_t(run.get("cf_ensemble.csv"), run.get("cf_deterministic.csv"))
-    factual = factual_rmse(run.get("state_estimate.csv"), run.get("truth.csv"))
-    run.put("rmse.csv", (raw, moving_average(raw, run.config.rmse_window)))
-    run.put("factual_rmse.csv", (factual, moving_average(factual, run.config.rmse_window)))
-    return {}
+def _metrics(
+    config: ExperimentConfig, truth: np.ndarray, estimate: np.ndarray,
+    reference: np.ndarray, trajectories: np.ndarray,
+) -> tuple[tuple, dict]:
+    raw = rmse_t(trajectories, reference)
+    factual = factual_rmse(estimate, truth)
+    window = config.rmse_window
+    return ((raw, moving_average(raw, window)), (factual, moving_average(factual, window))), {}
 
 
 STAGES = (
@@ -607,15 +546,14 @@ STAGES = (
     ),
     Stage(
         "metrics",
-        ("truth.csv", "state_estimate.csv", "cf_deterministic.csv", "cf_ensemble.csv",
-         "cf_thetas.csv"),
+        ("truth.csv", "state_estimate.csv", "cf_deterministic.csv", "cf_ensemble.csv"),
         ("rmse.csv", "factual_rmse.csv"),
         _metrics,
     ),
 )
 ARTIFACT_FILES = tuple(name for stage in STAGES for name in stage.outputs)
-# The run files `cfdyn plot` reads.
-PLOT_INPUTS = ("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv", "rmse.csv")
+# The run files `cfdyn plot` reads, in `svgplot.render_plots`'s argument order.
+PLOT_INPUTS = ("cf_deterministic.csv", "cf_ensemble.csv", "rmse.csv")
 
 
 def run_stage(stage: Stage, run: RunDir) -> None:
@@ -631,7 +569,9 @@ def run_stage(stage: Stage, run: RunDir) -> None:
         run.manifest = _new_manifest(run.config)
     else:
         run.check_manifest(stage.inputs)
-    diagnostics = stage.run(run)
+    outputs, diagnostics = stage.run(run.config, *map(run.get, stage.inputs))
+    for name, product in zip(stage.outputs, outputs, strict=True):
+        run.put(name, product)
     run.manifest["diagnostics"].update(diagnostics)
     for name in stage.outputs:
         run.manifest["artifacts"][name] = io.sha256_file(run.path / name)

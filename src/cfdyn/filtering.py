@@ -73,8 +73,14 @@ class FilterConfig:
             raise ValueError(f"'process_std' must be >= 0, got {self.process_std}")
         if self.observation_std <= 0:
             raise ValueError(f"'observation_std' must be > 0, got {self.observation_std}")
+        try:
+            pairs = list(self.prior_bounds)
+        except TypeError:
+            raise ValueError(
+                f"'prior_bounds' must be a list of (low, high) pairs, got {self.prior_bounds!r}"
+            ) from None
         bounds = []
-        for k, pair in enumerate(self.prior_bounds):
+        for k, pair in enumerate(pairs):
             try:
                 low, high = map(float, pair)
             except (TypeError, ValueError):

@@ -3,28 +3,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counterfactual import CfTrajectorySet
 
-
-def rmse_t(ensemble: CfTrajectorySet, reference: np.ndarray) -> np.ndarray:
-    """Root mean square of ensemble-to-reference (T+1, d) phase distances, per step.
+def rmse_t(trajectories: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Root mean square of the (n, T+1, d) trajectories' phase distances to the
+    (T+1, d) reference, per step.
 
     Each step averages over the trajectories still finite there (a truncated
     one holds NaN from its failing step on); it is NaN only where none is.
     Where the plain sum of squared distances overflows, the step's distances
     are first divided by its largest coordinate distance.
     """
-    if ensemble.n_trajectories < 1:
+    if len(trajectories) < 1:
         raise ValueError("ensemble is empty")
-    if ensemble.trajectories.shape[1:] != reference.shape:
+    if trajectories.shape[1:] != reference.shape:
         raise ValueError(
-            f"ensemble shape {ensemble.trajectories.shape[1:]} does not match "
-            f"reference {reference.shape}"
+            f"ensemble shape {trajectories.shape[1:]} does not match reference {reference.shape}"
         )
-    finite = np.isfinite(ensemble.trajectories).all(axis=2)
+    finite = np.isfinite(trajectories).all(axis=2)
     count = finite.sum(axis=0)
     with np.errstate(over="ignore"):
-        diff = ensemble.trajectories - reference[None, :, :]
+        diff = trajectories - reference[None, :, :]
         total = np.where(finite, np.einsum("itd,itd->it", diff, diff), 0.0).sum(axis=0)
     out = np.full(total.shape, np.nan)
     some = count > 0

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .counterfactual import CfTrajectorySet
-
 _WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 34, 48
 
@@ -123,19 +121,20 @@ def _finite_range(*arrays: np.ndarray) -> tuple[float, float]:
 
 def render_plots(
     reference: np.ndarray,
-    ensemble: CfTrajectorySet,
-    rmse_raw: np.ndarray,
-    rmse_smoothed: np.ndarray,
+    trajectories: np.ndarray,
+    rmse: tuple[np.ndarray, np.ndarray],
     plots_dir: str | Path,
 ) -> list[Path]:
     """Write ensemble/reference time series, phase projections, and RMSE plots.
 
-    `reference` is the (T+1, d) deterministic counterfactual.
+    `reference` is the (T+1, d) deterministic counterfactual, `trajectories`
+    the (n, T+1, d) ensemble and `rmse` the (rmse, rmse_smoothed) pair.
 
     Returns the written paths. Raises on an empty ensemble before writing anything.
     """
-    if ensemble.n_trajectories < 1 or ensemble.trajectories.size == 0:
+    if trajectories.size == 0:
         raise ValueError("ensemble is empty; nothing to plot")
+    rmse_raw, rmse_smoothed = rmse
 
     plots_dir = Path(plots_dir)
     plots_dir.mkdir(parents=True, exist_ok=True)
@@ -149,10 +148,10 @@ def render_plots(
             xlabel="time step",
             ylabel=f"x_{k + 1}",
             xlim=(0.0, float(steps[-1])),
-            ylim=_finite_range(ensemble.trajectories[:, :, k], reference[:, k]),
+            ylim=_finite_range(trajectories[:, :, k], reference[:, k]),
         )
-        for i in range(ensemble.n_trajectories):
-            panel.path(steps, ensemble.trajectories[i, :, k], ENSEMBLE_COLOR,
+        for i in range(len(trajectories)):
+            panel.path(steps, trajectories[i, :, k], ENSEMBLE_COLOR,
                        "trajectory", width=0.7, opacity=0.45)
         panel.path(steps, reference[:, k], REFERENCE_COLOR, "reference", width=1.6)
         path = plots_dir / f"cf_timeseries_x{k + 1}.svg"
@@ -165,11 +164,11 @@ def render_plots(
                 title=f"phase projection x_{a + 1} vs x_{b + 1}",
                 xlabel=f"x_{a + 1}",
                 ylabel=f"x_{b + 1}",
-                xlim=_finite_range(ensemble.trajectories[:, :, a], reference[:, a]),
-                ylim=_finite_range(ensemble.trajectories[:, :, b], reference[:, b]),
+                xlim=_finite_range(trajectories[:, :, a], reference[:, a]),
+                ylim=_finite_range(trajectories[:, :, b], reference[:, b]),
             )
-            for i in range(ensemble.n_trajectories):
-                panel.path(ensemble.trajectories[i, :, a], ensemble.trajectories[i, :, b],
+            for i in range(len(trajectories)):
+                panel.path(trajectories[i, :, a], trajectories[i, :, b],
                            ENSEMBLE_COLOR, "trajectory", width=0.7, opacity=0.45)
             panel.path(reference[:, a], reference[:, b],
                        REFERENCE_COLOR, "reference", width=1.6)

@@ -197,7 +197,7 @@ def test_criterion_5_logistic_baseline():
         reference, ensemble = stage_counterfactual(
             config, (summary.theta_mean, summary.theta_std), noise
         )
-        series = moving_average(rmse_t(ensemble, reference), config.rmse_window)
+        series = moving_average(rmse_t(ensemble.trajectories, reference), config.rmse_window)
         tenth = max(1, len(series) // 10)
         heads.append(series[:tenth].mean())
         tails.append(series[-tenth:].mean())
@@ -269,16 +269,11 @@ def test_criterion_7_weight_and_moment_invariants():
     cases += trials
 
     # closed-form RMSE examples
-    from cfdyn.counterfactual import CfTrajectorySet
-
     ref = np.zeros((1, 1))
-    ens = CfTrajectorySet(trajectories=np.array([[[3.0]], [[4.0]]]), thetas=np.zeros((2, 1)))
-    assert abs(rmse_t(ens, ref)[0] - np.sqrt(12.5)) < 1e-12
-    offset = CfTrajectorySet(trajectories=np.full((1, 4, 3), 2.0), thetas=np.zeros((1, 1)))
+    assert abs(rmse_t(np.array([[[3.0]], [[4.0]]]), ref)[0] - np.sqrt(12.5)) < 1e-12
     ref3 = np.zeros((4, 3))
-    assert np.allclose(rmse_t(offset, ref3), 2.0 * np.sqrt(3.0), rtol=1e-14)
-    copies = CfTrajectorySet(trajectories=np.zeros((3, 4, 3)), thetas=np.zeros((3, 1)))
-    assert np.array_equal(rmse_t(copies, ref3), np.zeros(4))
+    assert np.allclose(rmse_t(np.full((1, 4, 3), 2.0), ref3), 2.0 * np.sqrt(3.0), rtol=1e-14)
+    assert np.array_equal(rmse_t(np.zeros((3, 4, 3)), ref3), np.zeros(4))
     cases += 3
 
     report(7, "weight/moment invariants", f"{cases} randomized cases passed")

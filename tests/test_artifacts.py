@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,16 @@ from cfdyn.artifacts import (
     load_trajectory,
     read_table,
     save_ensemble,
+    save_filter_state,
     save_npz,
     save_trajectory,
     write_csv,
 )
-from cfdyn.counterfactual import CfTrajectorySet
+from cfdyn.dynamics import get_system
 from cfdyn.errors import ArtifactError
+from cfdyn.experiment import file_layout, stage_filter, stage_simulate
+
+from .test_experiment import tiny_config
 
 
 def _sha256(path):
@@ -28,6 +33,10 @@ def _load_as_written(path):
     """Load `path` as a series under its own header line, on the grid t = 0, 1, ... of its lines."""
     text = path.read_text(encoding="utf-8")
     return load_trajectory(path, text.split("\n")[0].split(","), [range(text.count("\n") - 1)])
+
+
+_TINY = tiny_config()
+_SPEC = get_system(_TINY.system)
 
 
 def _ensemble_layout(n, horizon1, d):
@@ -61,7 +70,30 @@ def test_garbage_filter_state_is_artifact_error(tmp_path):
     path = tmp_path / "filter_state.npz"
     path.write_bytes(b"\x80\x04not an archive" * 10)
     with pytest.raises(ArtifactError, match="filter_state.npz"):
-        load_filter_state(path)
+        load_filter_state(path, *file_layout("filter_state.npz", _TINY, _SPEC)[1])
+
+
+def test_filter_state_of_another_outer_particle_count_is_artifact_error(tmp_path):
+    history, smoothed, _ = stage_filter(_TINY, stage_simulate(_TINY)[1])
+    path = tmp_path / "filter_state.npz"
+    layout = file_layout("filter_state.npz", _TINY, _SPEC)[1]
+    save_filter_state(path, (history, smoothed), *layout)
+    assert load_filter_state(path, *layout)[1].w_tilde.shape == smoothed.w_tilde.shape
+    other = file_layout("filter_state.npz", replace(_TINY, outer_particles=5), _SPEC)[1]
+    with pytest.raises(ArtifactError, match="filter_state.npz holds shape .*outer_weights"):
+        load_filter_state(path, *other)
+
+
+def test_cf_thetas_off_the_trajectory_grid_is_artifact_error(tmp_path):
+    path = tmp_path / "cf_thetas.csv"
+    layout = file_layout("cf_thetas.csv", _TINY, _SPEC)[1]
+    save_trajectory(path, np.ones((_TINY.n_cf, _SPEC.n_params)), *layout)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = "7" + lines[1][1:]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ArtifactError, match="cf_thetas.csv") as info:
+        load_trajectory(path, *layout)
+    assert "line 2: traj_id is 7, the config's grid has 0" in str(info.value)
 
 
 def test_csv_cut_mid_line_is_artifact_error(tmp_path):
@@ -187,18 +219,16 @@ def test_block_streamed_csv_has_the_bytes_of_one_joined_string(tmp_path):
 
 def test_ensemble_csv_io_holds_at_most_three_tables(tmp_path):
     gen = np.random.default_rng(9)
-    ensemble = CfTrajectorySet(
-        trajectories=gen.normal(size=(50, 501, 3)) * 10.0, thetas=gen.normal(size=(50, 3))
-    )
+    trajectories, table = gen.normal(size=(50, 501, 3)) * 10.0, gen.normal(size=(50, 3))
     path, thetas = tmp_path / "cf_ensemble.csv", tmp_path / "cf_thetas.csv"
     table_nbytes = 50 * 501 * (2 + 3) * 8  # t, traj_id and x_1..x_3 as float64
     thetas_layout = (["traj_id", "s", "r", "b"], [range(50)])
     peaks = {}
     for name, call in [
-        ("save", lambda: (save_ensemble(path, ensemble, *_ensemble_layout(50, 501, 3)),
-                          save_trajectory(thetas, ensemble.thetas, *thetas_layout))),
-        ("load", lambda: CfTrajectorySet(load_ensemble(path, *_ensemble_layout(50, 501, 3)),
-                                         load_trajectory(thetas, *thetas_layout))),
+        ("save", lambda: (save_ensemble(path, trajectories, *_ensemble_layout(50, 501, 3)),
+                          save_trajectory(thetas, table, *thetas_layout))),
+        ("load", lambda: (load_ensemble(path, *_ensemble_layout(50, 501, 3)),
+                          load_trajectory(thetas, *thetas_layout))),
     ]:
         tracemalloc.start()
         try:
@@ -206,8 +236,8 @@ def test_ensemble_csv_io_holds_at_most_three_tables(tmp_path):
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert result.trajectories.tobytes() == ensemble.trajectories.tobytes()
-    assert result.thetas.tobytes() == ensemble.thetas.tobytes()
+    assert result[0].tobytes() == trajectories.tobytes()
+    assert result[1].tobytes() == table.tobytes()
     assert max(peaks.values()) <= 3 * table_nbytes, peaks
 
 

@@ -326,10 +326,6 @@ MALFORMED_INPUTS = {
                              "line 3: t is 3, the config's grid has 2"),
     "reference rows": ("cf_deterministic.csv", "metrics", _swap_lines(3, 4), "line 3: t is 2"),
     "rmse rows": ("rmse.csv", "plot", _swap_lines(3, 4), "line 3: t is 2"),
-    "theta traj_id, metrics": ("cf_thetas.csv", "metrics", _edit_line(2, lambda s: "7" + s[1:]),
-                               "line 2: traj_id is 7, the config's grid has 0"),
-    "theta traj_id, plot": ("cf_thetas.csv", "plot", _edit_line(2, lambda s: "7" + s[1:]),
-                            "line 2: traj_id is 7"),
     "theta estimate rows": ("theta_estimate.csv", "counterfactual", _swap_lines(2, 3),
                             "line 2: parameter is rho, the config's grid has sigma"),
     "renamed header": ("truth.csv", "metrics",
@@ -478,6 +474,17 @@ def _change_one_value(path):
         path.write_text(text[:digit] + str(int(text[digit]) - 1) + text[digit + 1:], encoding="utf-8")
 
 
+def test_metrics_and_plot_do_not_read_cf_thetas(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    rmse = (out / "rmse.csv").read_bytes()
+    (out / "cf_thetas.csv").unlink()
+    assert main(["metrics", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["plot", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "rmse.csv").read_bytes() == rmse
+
+
 def test_input_changed_since_the_manifest_is_io_error(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"
@@ -488,7 +495,7 @@ def test_input_changed_since_the_manifest_is_io_error(tmp_path, capsys):
         ("filter_state.npz", "abduct"),
         ("noise_posterior.csv", "counterfactual"),
         ("cf_ensemble.csv", "metrics"),
-        ("cf_thetas.csv", "plot"),
+        ("rmse.csv", "plot"),
     ):
         path = out / name
         original = path.read_bytes()

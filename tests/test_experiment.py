@@ -290,10 +290,7 @@ def _arrays(product) -> list[np.ndarray]:
         return [product]
     if isinstance(product, tuple):
         return [array for part in product for array in _arrays(part)]
-    held = [value for value in vars(product).values() if isinstance(value, np.ndarray)]
-    if isinstance(product, CfTrajectorySet):
-        held.append(product.failure_index)
-    return held
+    return [value for value in vars(product).values() if isinstance(value, np.ndarray)]
 
 
 def test_products_round_trip_through_their_files(tmp_path):
@@ -311,8 +308,8 @@ def test_products_round_trip_through_their_files(tmp_path):
     )
     with np.errstate(over="ignore", invalid="ignore"):
         fused = run_pipeline(config, tmp_path / "run")
-    failures = fused.products["cf_ensemble.csv"].failure_index
-    assert 0 < (failures >= 0).sum() < config.n_cf
+    truncated = ~np.isfinite(fused.products["cf_ensemble.csv"]).all(axis=(1, 2))
+    assert 0 < truncated.sum() < config.n_cf
     fresh = RunDir(config, tmp_path / "run")
     fresh.check_manifest(ARTIFACT_FILES)
     assert sorted(fused.products) == sorted(ARTIFACT_FILES)
@@ -350,9 +347,10 @@ def test_metrics_of_a_truncated_ensemble_average_its_finite_rows(tmp_path):
     )
     with np.errstate(over="ignore", invalid="ignore"):  # the rollouts overflow
         run = run_pipeline(config, tmp_path / "run")
-    ensemble, reference = run.products["cf_ensemble.csv"], run.products["cf_deterministic.csv"]
+    ensemble = CfTrajectorySet(run.products["cf_ensemble.csv"], run.products["cf_thetas.csv"])
+    reference = run.products["cf_deterministic.csv"]
     assert list(ensemble.failure_index) == [15, 26, 30, 34, -1, 31, 30, 36]
-    raw = rmse_t(ensemble, reference)
+    raw = rmse_t(ensemble.trajectories, reference)
     smoothed = moving_average(raw, config.rmse_window)
     stored = run.products["rmse.csv"]
     assert np.array_equal(raw, stored[0]) and np.array_equal(smoothed, stored[1])

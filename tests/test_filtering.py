@@ -89,6 +89,8 @@ def test_init_rejects_bad_bounds():
         ([[1.0, 2.0, 3.0]], 0.05, "'prior_bounds' pair 0 must be two numbers"),  # (p, 3)
         ([1.0, 2.0], 0.05, "'prior_bounds' pair 0 must be two numbers"),  # 1-D
         ([[1.0, 2.0], [3.0]], 0.05, "'prior_bounds' pair 1 must be two numbers"),  # ragged
+        (5, 0.05, "'prior_bounds' must be a list of"),  # not iterable
+        (None, 0.05, "'prior_bounds' must be a list of"),
         ([[1.0, 2.0]], -0.05, "'jitter_scale' must be >= 0"),
     ]
     for bounds, jitter_scale, match in cases:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cfdyn.counterfactual import CfTrajectorySet
 from cfdyn.metrics import (
     divergence_onset,
     factual_rmse,
@@ -11,11 +10,8 @@ from cfdyn.metrics import (
 
 
 def _ensemble(trajectories):
-    trajectories = np.asarray(trajectories, dtype=float)
-    return CfTrajectorySet(
-        trajectories=trajectories,
-        thetas=np.zeros((trajectories.shape[0], 1)),
-    )
+    """An (n, T+1, d) ensemble array, as `rmse_t` takes it."""
+    return np.asarray(trajectories, dtype=float)
 
 
 # --------------------------------------------------------------------- rmse

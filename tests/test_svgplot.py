@@ -4,7 +4,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cfdyn.counterfactual import CfTrajectorySet
 from cfdyn.svgplot import _Panel, render_plots
 
 from .oracles import svg_path_per_point
@@ -13,17 +12,14 @@ from .oracles import svg_path_per_point
 def _setup(n_traj=3, horizon=25, d=3, seed=0):
     rng = np.random.default_rng(seed)
     reference = rng.normal(size=(horizon + 1, d))
-    ensemble = CfTrajectorySet(
-        trajectories=rng.normal(size=(n_traj, horizon + 1, d)),
-        thetas=rng.normal(size=(n_traj, 3)),
-    )
+    ensemble = rng.normal(size=(n_traj, horizon + 1, d))
     rmse = rng.uniform(size=horizon + 1)
-    return reference, ensemble, rmse
+    return reference, ensemble, (rmse, rmse)
 
 
 def test_figures_are_well_formed_svg(tmp_path):
     reference, ensemble, rmse = _setup()
-    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
+    written = render_plots(reference, ensemble, rmse, tmp_path)
     assert len(written) == 3 + 3 + 1
     for path in written:
         root = ET.parse(path).getroot()
@@ -32,7 +28,7 @@ def test_figures_are_well_formed_svg(tmp_path):
 
 def test_one_path_per_trajectory_per_panel(tmp_path):
     reference, ensemble, rmse = _setup(n_traj=5)
-    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
+    written = render_plots(reference, ensemble, rmse, tmp_path)
     for path in written:
         text = path.read_text()
         n_traj_paths = len(re.findall(r'class="trajectory"', text))
@@ -44,11 +40,8 @@ def test_one_path_per_trajectory_per_panel(tmp_path):
 
 def test_singleton_ensemble_coincides_with_reference(tmp_path):
     reference, _, rmse = _setup(d=1)
-    ensemble = CfTrajectorySet(
-        trajectories=reference[None].copy(),
-        thetas=np.zeros((1, 3)),
-    )
-    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
+    ensemble = reference[None].copy()
+    written = render_plots(reference, ensemble, rmse, tmp_path)
     series = next(p for p in written if p.name == "cf_timeseries_x1.svg")
     text = series.read_text()
     d_attrs = re.findall(r'class="(trajectory|reference)" d="([^"]+)"', text)
@@ -58,20 +51,17 @@ def test_singleton_ensemble_coincides_with_reference(tmp_path):
 
 def test_empty_ensemble_writes_nothing(tmp_path):
     reference, _, rmse = _setup()
-    empty = CfTrajectorySet(
-        trajectories=np.zeros((0, 26, 3)),
-        thetas=np.zeros((0, 3)),
-    )
+    empty = np.zeros((0, 26, 3))
     target = tmp_path / "plots"
     with pytest.raises(ValueError):
-        render_plots(reference, empty, rmse, rmse, target)
+        render_plots(reference, empty, rmse, target)
     assert not target.exists()
 
 
 def test_truncated_trajectories_split_paths(tmp_path):
     reference, ensemble, rmse = _setup(n_traj=2)
-    ensemble.trajectories[1, 10:] = np.nan
-    written = render_plots(reference, ensemble, rmse, rmse, tmp_path)
+    ensemble[1, 10:] = np.nan
+    written = render_plots(reference, ensemble, rmse, tmp_path)
     series = next(p for p in written if p.name == "cf_timeseries_x1.svg")
     assert 'class="trajectory"' in series.read_text()
 
@@ -79,8 +69,8 @@ def test_truncated_trajectories_split_paths(tmp_path):
 def test_rendering_is_deterministic(tmp_path):
     reference, ensemble, rmse = _setup()
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    a = render_plots(reference, ensemble, rmse, rmse, a_dir)
-    b = render_plots(reference, ensemble, rmse, rmse, b_dir)
+    a = render_plots(reference, ensemble, rmse, a_dir)
+    b = render_plots(reference, ensemble, rmse, b_dir)
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
 
