@@ -31,7 +31,9 @@ class NoisePosterior:
         sigma = np.asarray(self.sigma, dtype=float)
         if mu.shape != sigma.shape or mu.ndim != 2:
             raise ValueError(f"mu and sigma must share a (T, d) shape, got {mu.shape}/{sigma.shape}")
-        if (sigma < 0).any():
+        if not np.isfinite(mu).all():
+            raise ValueError("noise means must be finite")
+        if not (sigma >= 0).all():  # NaN compares False
             raise ValueError("noise variances must be >= 0")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)

@@ -146,6 +146,17 @@ def read_table(path: Path, header: list[str], labels: list, text: int = 0) -> np
     return np.ascontiguousarray(data[:, n_labels:])
 
 
+def _finite(path: Path, header: list[str], labels: list, values: np.ndarray) -> np.ndarray:
+    """The value columns `read_table` read from `path`, if every cell is finite;
+    else raise ArtifactError naming the first line and column that is not."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, column = bad[0]
+        raise ArtifactError(f"{path} line {row + 2}: {header[len(labels) + column]} is "
+                            f"{float(values[row, column])!r}, not a finite number")
+    return values
+
+
 def _reader(load):
     """Re-raise what `load` cannot parse as a one-line ArtifactError naming the file."""
 
@@ -176,7 +187,7 @@ def save_trajectory(path: Path, table: np.ndarray, header: list[str], labels: li
 
 @_reader
 def load_trajectory(path: Path, header: list[str], labels: list) -> np.ndarray:
-    return read_table(path, header, labels)
+    return _finite(path, header, labels, read_table(path, header, labels))
 
 
 save_observations, load_observations = save_trajectory, load_trajectory
@@ -188,7 +199,7 @@ def save_noise_posterior(path: Path, noise: NoisePosterior, header: list[str], l
 
 @_reader
 def load_noise_posterior(path: Path, header: list[str], labels: list) -> NoisePosterior:
-    data = read_table(path, header, labels)
+    data = _finite(path, header, labels, read_table(path, header, labels))
     d = data.shape[1] // 2
     return NoisePosterior(mu=data[:, :d], sigma=data[:, d:])
 
@@ -223,7 +234,7 @@ def load_rmse(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, 
 @_reader
 def load_theta_estimate(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, np.ndarray]:
     """The (mean, std) columns, the `parameter` text column checked against `labels`."""
-    values = read_table(path, header, labels, text=1)
+    values = _finite(path, header, labels, read_table(path, header, labels, text=1))
     return values[:, 0], values[:, 1]
 
 

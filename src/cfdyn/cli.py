@@ -7,9 +7,10 @@ entry of `experiment.STAGES` and extends the run's manifest.json; `plot`
 passes the same manifest check and loads its inputs through the same
 `RunDir` layout checks. Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 I/O error (also an input artifact that is corrupt,
-truncated, of the wrong shape, with misordered rows or a renamed header
-column, or no longer of the sha256 the manifest lists, and a manifest that is
-missing, written for another config or not yet listing the command's inputs).
+truncated, of the wrong shape, with misordered rows, a renamed header column
+or a non-finite value where the pipeline writes finite ones, or no longer of
+the sha256 the manifest lists, and a manifest that is missing, written for
+another config or not yet listing the command's inputs).
 """
 from __future__ import annotations
 

@@ -254,22 +254,18 @@ def inner_weights(
     ll[invalid] = -np.inf
     diagnostics.nonfinite_particles += int(invalid.sum())
     score = ll + _log_nonzero(weights)
-    m, n = score.shape
     mx = np.max(score, axis=1)
-    weights = np.empty_like(score)
-    log_mean = np.empty(m)
     dead = ~np.isfinite(mx)
-    if dead.any():
-        weights[dead] = 1.0 / n
-        log_mean[dead] = -np.inf
-        diagnostics.inner_weight_underflows += int(dead.sum())
-    alive = ~dead
-    if alive.any():
-        shifted = np.exp(score[alive] - mx[alive, None])
+    # A dead lane's 0 / 0 and log(0) are overwritten below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = np.exp(score - np.where(dead, 0.0, mx)[:, None])
         total = shifted.sum(axis=1)
-        weights[alive] = shifted / total[:, None]
+        weights = shifted / total[:, None]
         # weighted mean likelihood: sum_n w_prev(n) p(y | x_n)
-        log_mean[alive] = mx[alive] + np.log(total)
+        log_mean = mx + np.log(total)
+    weights[dead] = 1.0 / score.shape[1]
+    log_mean[dead] = -np.inf
+    diagnostics.inner_weight_underflows += int(dead.sum())
     return weights, log_mean
 
 
@@ -294,18 +290,20 @@ def systematic_resample_rows(weights: np.ndarray, uniforms: np.ndarray) -> np.nd
 
     Row r places its positions at (uniforms[r] + k) / n and selects, for each,
     the number of cumulative weights strictly below it, clipped to n - 1: what
-    a per-row `np.searchsorted(cumsum, positions, side="left")` returns. The
-    counts come from one stable merge that puts positions ahead of equal
-    cumulative weights, so ties resolve exactly as in the per-row search
-    (offsetting each row's cumsum by its row index would round differently).
+    a per-row `np.searchsorted(cumsum, positions, side="left")` returns, ties
+    included: cnt[r, j], the positions at or below cum[r, j], is guessed from
+    cum * n - u and corrected once each way against the positions themselves,
+    and position k has #{j : cnt[r, j] <= k} weights below it.
     """
     r, n = weights.shape
-    positions = (uniforms[:, None] + np.arange(n)) / n
-    merged = np.concatenate([positions, np.cumsum(weights, axis=1)], axis=1)
-    order = np.argsort(merged, axis=1, kind="stable")
-    # Positions are increasing, so each row meets them in order k = 0..n-1.
-    below = np.cumsum(order >= n, axis=1)[order < n].reshape(r, n)
-    return np.minimum(below, n - 1)
+    u = uniforms[:, None]
+    cum = np.cumsum(weights, axis=1)
+    cnt = np.clip(np.floor(cum * n - u) + 1.0, 0.0, n)
+    cnt += (cnt < n) & ((u + cnt) / n <= cum)
+    cnt -= (cnt > 0) & ((u + (cnt - 1.0)) / n > cum)
+    flat = cnt.astype(np.intp) + (n + 1) * np.arange(r)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=r * (n + 1)).reshape(r, n + 1)
+    return np.minimum(np.cumsum(counts[:, :n], axis=1), n - 1)
 
 
 def index_dtype(size: int) -> np.dtype:
@@ -338,7 +336,7 @@ def run_filter(
 
     Parameters
     ----------
-    observations : ndarray (T+1, d)
+    observations : ndarray (T+1, d), finite (a NaN is rejected, not read as missing)
         obs[0] aligns with the initial state and is not assimilated.
     system, config : model and filter settings; config.prior_bounds holds
         one row per parameter of the system.
@@ -360,6 +358,9 @@ def run_filter(
         raise ValueError(
             f"observations must be (T+1, {spec.dimension}), got {observations.shape}"
         )
+    if not np.isfinite(observations).all():
+        t, k = np.argwhere(~np.isfinite(observations))[0]
+        raise ValueError(f"observations must be finite, row {t} column {k} is {observations[t, k]}")
     horizon = observations.shape[0] - 1
     if horizon < 1:
         raise ValueError("need at least one observation after the initial time")
@@ -613,31 +614,29 @@ def _lineage_log_scores(
     w_next: np.ndarray,
     delta: float,
     var: float,
-    chunk: int,
+    block: np.ndarray,
 ) -> np.ndarray:
     """log sum_k p(x_{t+1}(k) | x_t(n), theta) w_next[j, k] for every final lane j, (M, N).
 
     Lanes j that share u = lane[t + 1, j] form one group: x_t, x_{t+1} and
     theta_{t+1} depend only on u, and only the backward weights `w_next[j]`
-    differ. Each group's block comes from `_group_factors`, centred on the
-    group's filter-heaviest next-step particle; it is exponentiated unshifted
-    where its bound allows and shifted by each row's max otherwise, and every
-    member's row sums come from one matmul with the members' weights.
+    differ. One `_group_factors` call builds every group's factors, centred on
+    its filter-heaviest next-step particle. Each group's (N, N) exponent block
+    goes into `block`, exponentiated unshifted where its bound allows and
+    shifted by each row's max otherwise; every member's row sums come from one
+    matmul with the members' weights.
 
     A (row, lane) pair whose sum is below `_TRUST_FLOOR` (the lane's weight
     sits where the shifted row underflows) or not finite, or whose row term
     (gap and shift) is not finite, is recomputed by `_exact_rows` from the
-    group's own factors. The groups, in order of u, are taken `chunk` at a
-    time into one reused exponent block; a group's result depends only on
-    that group.
+    group's own factors.
     """
     m, n = w_next.shape[0], history.num_inner
     lane, row_of = history.lane, history.row
-    # Final lanes ordered by u; group g holds members[starts[g]:starts[g + 1]].
+    # Final lanes ordered by u, split into one run of members per group.
     members = np.argsort(lane[t + 1], kind="stable")
     counts = np.bincount(lane[t + 1])
     groups = np.flatnonzero(counts)
-    starts = np.concatenate([[0], np.cumsum(counts[groups])])
     rows_to = row_of[t + 1, groups]
     x_from = history.states[row_of[t, history.outer_ancestors[t][groups]]]
     x_to = history.states[rows_to]
@@ -645,37 +644,26 @@ def _lineage_log_scores(
     centre = np.argmax(history.inner_weights[rows_to], axis=1)
     log_norm = -0.5 * spec.dimension * (_LOG_2PI + np.log(var))
     log_s = np.empty((m, n))
-    # One exponent block per step, reused by its chunks: a fresh ~1 MiB block
-    # per chunk fragmented the heap and raised peak RSS by ~14 MB in repeated
-    # lorenz-n200 runs.
-    block = np.empty((min(chunk, groups.size), n, n))
-    for lo in range(0, groups.size, chunk):
-        hi = min(lo + chunk, groups.size)
-        # Non-finite values and log(0) are caught below and recomputed by
-        # `_exact_rows`.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a, b, gap, fast = _group_factors(
-                spec, x_from[lo:hi], x_to[lo:hi], theta_to[lo:hi], centre[lo:hi], delta, var
-            )
-            e = np.matmul(a, b, out=block[:hi - lo])
-            row = log_norm - gap
-            if not fast.all():
-                shift = np.where(fast[:, None, None], 0.0, np.max(e, axis=2, keepdims=True))
-                e -= shift
-                row += shift[:, :, 0]
+    # Non-finite values and log(0) are caught below and recomputed by `_exact_rows`.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, gap, fast = _group_factors(spec, x_from, x_to, theta_to, centre, delta, var)
+        row = log_norm - gap
+        for c, lanes in enumerate(np.split(members, np.cumsum(counts[groups])[:-1])):
+            e = np.matmul(a[c], b[c], out=block)
+            if not fast[c]:
+                shift = np.max(e, axis=1)
+                e -= shift[:, None]
+                row[c] += shift
             np.exp(e, out=e)
-            row_ok = np.isfinite(row)
-            for c in range(hi - lo):
-                lanes = members[starts[lo + c]:starts[lo + c + 1]]
-                sums = e[c] @ w_next[lanes].T
-                log_s[lanes] = (np.log(sums) + row[c, :, None]).T
-                # NaN compares False, so a NaN sum is recomputed too.
-                ok = (sums >= _TRUST_FLOOR) & (sums < np.inf) & row_ok[c, :, None]
-                rows, cols = np.nonzero(~ok)
-                if rows.size:
-                    log_w = _log_nonzero(w_next[lanes[cols]])
-                    exact = _exact_rows(a[c, rows], b[c], log_w)
-                    log_s[lanes[cols], rows] = exact + (log_norm - gap[c, rows])
+            sums = e @ w_next[lanes].T
+            log_s[lanes] = (np.log(sums) + row[c, :, None]).T
+            # NaN compares False, so a NaN sum is recomputed too.
+            ok = (sums >= _TRUST_FLOOR) & (sums < np.inf) & np.isfinite(row[c])[:, None]
+            rows, cols = np.nonzero(~ok)
+            if rows.size:
+                log_w = _log_nonzero(w_next[lanes[cols]])
+                exact = _exact_rows(a[c, rows], b[c], log_w)
+                log_s[lanes[cols], rows] = exact + (log_norm - gap[c, rows])
     return log_s
 
 
@@ -720,16 +708,15 @@ def backward_smooth(
     v_cur = history.outer_weights[t_end].copy()
     w_tilde[t_end] = v_cur[:, None] * w_norm
     v_tilde[t_end] = v_cur
-    underflows = 0
 
     var = process_std * process_std
-    # Chunks of groups whose (C, N, N) block is ~1 MiB of float64, so the
-    # kernel's passes over it stay in a core's L2 cache.
-    chunk = max(1, 131_072 // (n * n))
+    # One (N, N) exponent block for every group of every step: fresh blocks
+    # fragmented the heap and raised peak RSS by ~14 MB in lorenz-n200 runs.
+    block = np.empty((n, n))
     for t in range(t_end - 1, -1, -1):
         w_filt = history.inner_weights[row[t, lane[t]]]
         if process_std > 0:
-            log_s = _lineage_log_scores(spec, history, t, w_norm, delta, var, chunk)
+            log_s = _lineage_log_scores(spec, history, t, w_norm, delta, var, block)
         else:
             # Degenerate transition density: every lane is dead below and
             # keeps its filtered weights, as any underflowed lane does.
@@ -743,8 +730,7 @@ def backward_smooth(
             w_filt,
             np.exp(log_raw - np.where(dead, 0.0, log_r)[:, None]),
         )
-        if dead.any():
-            underflows += int(dead.sum())
+        history.diagnostics.smoother_underflows += int(dead.sum())
 
         log_v = _log_nonzero(v_cur) + np.where(dead, -np.inf, log_r)
         norm = _logsumexp(log_v[None, :], axis=1)[0]
@@ -755,7 +741,6 @@ def backward_smooth(
         w_tilde[t] = v_cur[:, None] * w_norm
         v_tilde[t] = v_cur
 
-    history.diagnostics.smoother_underflows += underflows
     return SmoothedWeights(w_tilde=w_tilde, v_tilde=v_tilde)
 
 

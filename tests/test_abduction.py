@@ -162,3 +162,12 @@ def test_noise_posterior_validation():
         NoisePosterior(mu=np.zeros((5, 3)), sigma=np.zeros((4, 3)))
     with pytest.raises(ValueError):
         NoisePosterior(mu=np.zeros((5, 3)), sigma=-np.ones((5, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        mu = np.zeros((5, 3))
+        mu[2, 1] = bad
+        with pytest.raises(ValueError, match="noise means must be finite"):
+            NoisePosterior(mu=mu, sigma=np.zeros((5, 3)))
+    sigma = np.zeros((5, 3))
+    sigma[4, 0] = np.nan
+    with pytest.raises(ValueError, match="noise variances"):
+        NoisePosterior(mu=np.zeros((5, 3)), sigma=sigma)

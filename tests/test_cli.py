@@ -369,6 +369,56 @@ def test_wrong_shape_inputs_are_io_errors(tmp_path, capsys):
         relist(out, name)
 
 
+# The pipeline writes these three files finite: (file, the stage that reads
+# it, the line and field edited, the column the message names).
+FINITE_INPUTS = [
+    ("observations.csv", "filter", 6, 2, "y_2"),
+    ("theta_estimate.csv", "counterfactual", 2, 1, "mean"),
+    ("noise_posterior.csv", "counterfactual", 4, 6, "sigma_3"),
+]
+
+
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                                          ("1e400", "inf")])
+@pytest.mark.parametrize("name, stage, line, field, column", FINITE_INPUTS)
+def test_nonfinite_value_in_a_finite_input_is_io_error(
+    tmp_path, capsys, name, stage, line, field, column, value, shown
+):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    path = out / name
+
+    def put(text):
+        fields = text.split(",")
+        fields[field] = value
+        return ",".join(fields)
+
+    path.write_text(_edit_line(line, put)(path.read_text(encoding="utf-8")), encoding="utf-8")
+    relist(out, name)
+    capsys.readouterr()
+    assert main([stage, "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    message = f"{name} line {line}: {column} is {shown}, not a finite number"
+    assert err.startswith("I/O error:") and message in err, err
+    assert err.count("\n") == 1
+
+
+def test_pipeline_nans_in_the_ensemble_and_rmse_still_load(tmp_path):
+    # exp_decay at seed 77 from the absolute state 2e307: 7 of the 8
+    # counterfactual rows overflow and are NaN-padded in cf_ensemble.csv.
+    config = write_config(
+        tmp_path, system="exp_decay", theta_true=[0.2], x0=[1.0], prior_bounds=[[-1.0, 1.0]],
+        intervention={"absolute": [2e307]}, n_cf=8,
+    )
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):  # the rollouts overflow
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "nan" in (out / "cf_ensemble.csv").read_text(encoding="utf-8")
+    assert main(["metrics", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["plot", "--config", str(config), "--out", str(out)]) == 0
+
+
 def test_stage_needs_a_manifest_of_the_same_config(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"

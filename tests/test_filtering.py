@@ -341,6 +341,25 @@ def test_inner_weights_underflow_falls_back_to_uniform():
     assert diagnostics.inner_weight_underflows == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_inner_weights_dead_lane_leaves_its_neighbours_bit_for_bit():
+    # Lane 1's particles are all invalid, so its every score is -inf.
+    states = RngSeed(90).generator().normal(size=(3, 5, 2))
+    prior = RngSeed(91).generator().dirichlet(np.ones(5), size=3)
+    invalid = np.zeros((3, 5), dtype=bool)
+    invalid[1] = True
+    obs = np.array([0.3, -0.2])
+    diagnostics = FilterDiagnostics()
+    w, log_mean_lik = inner_weights(states, prior, invalid, obs, 0.7, diagnostics)
+    live = [0, 2]
+    w_live, log_mean_live = inner_weights(
+        states[live], prior[live], invalid[live], obs, 0.7, FilterDiagnostics()
+    )
+    assert np.array_equal(w[live], w_live) and np.array_equal(log_mean_lik[live], log_mean_live)
+    assert (w[1] == 1.0 / 5).all() and log_mean_lik[1] == -np.inf
+    assert diagnostics.inner_weight_underflows == 1 and diagnostics.nonfinite_particles == 5
+
+
 # ------------------------------------------------------------ outer weights
 
 
@@ -424,6 +443,34 @@ def test_batched_resample_resolves_exact_ties_like_searchsorted_left():
         got = systematic_resample_rows(weights, uniforms)
         assert np.array_equal(got, systematic_resample_per_row(weights, uniforms))
     assert systematic_resample_rows(np.full((1, 4), 0.25), np.zeros(1)).tolist() == [[0, 0, 1, 2]]
+
+
+def test_batched_resample_matches_per_row_search_where_cumsums_hit_positions():
+    gen = RngSeed(41).generator()
+    for n in (2, 4, 8, 16):
+        for u in (0.25, 0.5, 0.75):
+            positions = (u + np.arange(n)) / n
+            # Each row's cumulative sums are a random subset of its positions, then 1.
+            ends = [np.append(np.sort(gen.choice(positions, size=k, replace=False)), 1.0)
+                    for k in gen.integers(1, n, size=6)]
+            weights = np.zeros((6, n))
+            for row, end in zip(weights, ends):
+                row[np.sort(gen.choice(n, size=end.size, replace=False))] = np.diff(end, prepend=0.0)
+            cum = np.cumsum(weights, axis=1)
+            assert all(np.isin(end[:-1], cum[r]).all() for r, end in enumerate(ends))
+            uniforms = np.full(6, u)
+            got = systematic_resample_rows(weights, uniforms)
+            assert np.array_equal(got, systematic_resample_per_row(weights, uniforms))
+
+
+def test_batched_resample_matches_per_row_search_when_the_sum_misses_one():
+    for n in (3, 4, 10, 50):
+        weights = np.full((7, n), 1.0 / n)
+        weights[:, -1] += np.arange(-3, 4) * np.spacing(1.0)
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            uniforms = np.full(7, u)
+            got = systematic_resample_rows(weights, uniforms)
+            assert np.array_equal(got, systematic_resample_per_row(weights, uniforms))
 
 
 def test_resample_carries_inner_clouds():
@@ -657,6 +704,19 @@ def test_run_filter_rejects_bounds_or_x0_that_do_not_fit_the_system(system, rows
         run_filter(obs, system, np.array(x0), config, RngSeed(62))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_filter_rejects_nonfinite_observations(bad):
+    # A NaN is not read as a missing observation: it is rejected like inf.
+    obs = np.zeros((4, 3))
+    obs[2, 1] = bad
+    config = FilterConfig(
+        outer_particles=2, inner_particles=3, delta=0.05, process_std=1.0,
+        observation_std=1.0, prior_bounds=TABLE1_BOUNDS, jitter_scale=0.05,
+    )
+    with pytest.raises(ValueError, match=f"row 2 column 1 is {bad}"):
+        run_filter(obs, LORENZ, np.ones(3), config, RngSeed(63))
+
+
 def test_lorenz_theta_estimate_within_prior_support():
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), 120, 0.05, 1.0, RngSeed(22)
@@ -764,37 +824,6 @@ def _distinct_next_lanes(history) -> np.ndarray:
     """U_t = |unique(lane[t + 1])| for t = T-1 down to 0, the smoother's step order."""
     lane = lane_alignment(history.outer_ancestors)
     return np.array([np.unique(lane[t + 1]).size for t in range(history.horizon - 1, -1, -1)])
-
-
-def test_smoother_worker_count_does_not_change_results(monkeypatch):
-    # The smoother runs in one thread whatever `workers` or `--threads` say
-    # upstream. What a worker's span used to cover, a run of whole chunks of
-    # lineage groups, must not change a bit: each group's scores depend only
-    # on that group, so every chunk size gives the same weights.
-    scores = filtering._lineage_log_scores
-    chunks = []
-
-    def recording_scores(*args):
-        chunks.append(args[-1])
-        return scores(*args)
-
-    monkeypatch.setattr(filtering, "_lineage_log_scores", recording_scores)
-    for seeds, m, n, horizon in (((26, 27), 12, 10, 30), ((28, 29), 9, 200, 4)):
-        history = keep_ancestral(_lorenz_history(*seeds, m, n, horizon))
-        a = backward_smooth(history, LORENZ, 0.05, 1.0)
-        for chunk in (1, 2, m):
-            monkeypatch.setattr(
-                filtering, "_lineage_log_scores", lambda *args, c=chunk: scores(*args[:-1], c)
-            )
-            b = backward_smooth(history, LORENZ, 0.05, 1.0)
-            assert np.array_equal(a.w_tilde, b.w_tilde)
-            assert np.array_equal(a.v_tilde, b.v_tilde)
-        monkeypatch.setattr(filtering, "_lineage_log_scores", recording_scores)
-    # At N=10 a chunk holds 1310 lineage groups, so all 12 lanes fit in one;
-    # at N=200 a chunk holds 131072 // 200**2 = 3 groups, and each of the T=4
-    # steps has 7-9 distinct lanes, so 3 chunks.
-    assert chunks == [1310] * 30 + [3] * 4
-    assert all(-(-u // 3) == 3 for u in _distinct_next_lanes(history))
 
 
 def _smoother_matches_pairwise_oracle(history, process_std) -> int:
@@ -925,12 +954,18 @@ def test_grouped_smoother_matches_pairwise_oracle(monkeypatch, process_std):
 
 
 def test_smoother_builds_one_kernel_block_per_distinct_lane(monkeypatch):
+    # The second history has N = 200 and 7-9 distinct lanes per step: all of
+    # a step's groups still take one factor call.
     calls = _record_kernel_paths(monkeypatch)
-    history = _lorenz_history(80, 81, 12, 30, 20)
-    backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
-    built = sum(flags.size for kind, flags in calls if kind == "group")
-    # sum_t |unique(lane[t + 1])| = 64 blocks, not M * T = 240.
-    assert built == _distinct_next_lanes(history).sum() == 64
+    for seeds, m, n, horizon, blocks in (((80, 81), 12, 30, 20, 64), ((28, 29), 9, 200, 4, 30)):
+        calls.clear()
+        history = _lorenz_history(*seeds, m, n, horizon)
+        backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
+        # One `_group_factors` call per step, one group per distinct lane:
+        # sum_t |unique(lane[t + 1])| blocks, not M * T.
+        groups = [flags.size for kind, flags in calls if kind == "group"]
+        assert groups == list(_distinct_next_lanes(history))
+        assert sum(groups) == blocks < m * horizon
 
 
 def test_abduction_on_coalesced_lineages_matches_two_pass_oracle():
