@@ -58,22 +58,21 @@ def abduct_noise(
     mu_t is the smoothed-weight average of the particle residuals; sigma_t is
     their weighted population variance, both componentwise. Residual pairs
     follow the recorded resampling lineage, so each particle is differenced
-    against the parent that actually produced it; both lie on the final
-    lanes' lineages, the rows an `AncestralHistory` keeps. Final lanes that
-    share a lane at t share its residuals, so RK4 runs once per distinct lane
-    and the residuals are gathered back to the M final lanes; the moments sum
-    over all M lanes, as if each had its own.
+    against the parent that actually produced it: row r's particles against
+    row `history.parent[r]`'s, picked by `inner_ancestors`. Final lanes that
+    share a row at t share its residuals, so RK4 runs once per distinct row
+    of `history.rows[t]`, one block per step, and the residuals are gathered
+    back to the M final lanes; the moments sum over all M lanes, as if each
+    had its own.
     """
     spec = get_system(system)
     t_end = history.horizon
-    lane, row = history.lane, history.row
     mu = np.empty((t_end, spec.dimension))
     sigma = np.empty((t_end, spec.dimension))
     for t in range(1, t_end + 1):
-        distinct, inverse = np.unique(lane[t], return_inverse=True)
-        prev = row[t - 1, history.outer_ancestors[t - 1][distinct]]  # rows of lane[t - 1]
+        at, inverse = np.unique(history.rows[t], return_inverse=True)
+        prev = history.parent[at]
         parents = take_particles(history.states, prev, history.inner_ancestors[prev])
-        at = row[t, distinct]
         pred = _rk4(spec, parents, history.thetas[at][:, None, :], delta)
         resid = (history.states[at] - pred)[inverse]  # (M, N, d)
         w = smoothed.w_tilde[t]

@@ -233,9 +233,14 @@ def load_rmse(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, 
 
 @_reader
 def load_theta_estimate(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (mean, std) columns, the `parameter` text column checked against `labels`."""
+    """The (mean, std) columns, the `parameter` text column checked against `labels`;
+    raise ArtifactError at the first std below 0."""
     values = _finite(path, header, labels, read_table(path, header, labels, text=1))
-    return values[:, 0], values[:, 1]
+    mean, std = values.T
+    if (std < 0).any():
+        row = int(np.argmax(std < 0))
+        raise ArtifactError(f"{path} line {row + 2}: {header[-1]} is {float(std[row])!r}, below 0")
+    return mean, std
 
 
 _NPZ_CHUNK = 1 << 20
@@ -262,7 +267,7 @@ def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights], *layout) -> None:
-    """Write the ancestral history and the smoothed weights; `lane` and `row` are derived, not stored.
+    """Write the ancestral history and the smoothed weights; `rows` and `parent` are derived, not stored.
 
     `layout` is ignored: an npz stores its own shapes, and its reader checks them.
     """
@@ -310,14 +315,14 @@ def _check_filter_state(
     arrays depend on each other; raise ArtifactError at the first misfit.
 
     The lane arrays come first: `outer_ancestors` must index M lanes before the
-    row count S is derived from it. Then every compact member must have S rows,
-    `inner_ancestors` must index N particles, and last the smoothed weights
-    must cover every (t, lane).
+    row count S, one `parent` entry per row, is derived from it. Then every
+    compact member must have S rows, `inner_ancestors` must index N
+    particles, and last the smoothed weights must cover every (t, lane).
     """
     arrays = {**vars(history), **vars(smoothed)}
     _check_shapes(path, arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
     _check_index(path, "outer_ancestors", history.outer_ancestors, m)
-    s = int(history.row.max()) + 1
+    s = history.parent.size
     _check_shapes(path, arrays, {
         "thetas": (s, p), "states": (s, n, d), "inner_weights": (s, n), "inner_ancestors": (s, n),
     })

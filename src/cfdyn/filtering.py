@@ -311,17 +311,17 @@ def index_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(size - 1)
 
 
-def take_particles(block: np.ndarray, lanes: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """block[lanes[j], inner[j, i]] for every (j, i), as one gather.
+def take_particles(block: np.ndarray, rows: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """block[rows[j], inner[j, i]] for every (j, i), as one gather.
 
-    `block` is (R, N, ...): the M lanes of one step, or the rows of an
-    `AncestralHistory`; `lanes` (J,) and `inner` (J, K) may hold any
-    integer dtype. The gather is one `np.take` on the flat (R * N, ...) view,
-    with the flat index built in np.intp: a narrow lane index times N would
-    wrap or raise.
+    `block` is (R, N, ...): the M lanes of one step, or the S rows of an
+    `AncestralHistory`; `rows` (J,) and `inner` (J, K) may hold any integer
+    dtype. The gather is one `np.take` on the flat (R * N, ...) view, with
+    the flat index built in np.intp: a narrow lane index times N would wrap
+    or raise.
     """
     m, n = block.shape[:2]
-    flat = lanes.astype(np.intp)[:, None] * n + inner.astype(np.intp)
+    flat = rows.astype(np.intp)[:, None] * n + inner.astype(np.intp)
     return np.take(block.reshape(m * n, *block.shape[2:]), flat, axis=0)
 
 
@@ -440,43 +440,39 @@ def filtered_means(history: FilterHistory) -> np.ndarray:
     return np.einsum("tmn,tmnd->td", joint, history.states)
 
 
-def lane_alignment(outer_ancestors: np.ndarray) -> np.ndarray:
-    """Trace final-time lanes back through the outer resampling ancestry.
+def lineages(outer_ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index the lane-steps on the final lanes' lineages as compact rows.
 
-    Returns lane (T+1, M) in `index_dtype(M)`: lane[t, j] is the
-    pre-resample lane index at time t on the lineage that ends in final lane j.
+    Final lane j's lineage passes lane u_t(j) at step t, with u_T(j) = j and
+    u_t(j) = outer_ancestors[t, u_{t+1}(j)]. The lane-steps (t, u) it passes
+    are numbered in step order and, within a step, in lane order. Returns
+    rows (T+1, M), where rows[t, j] is the number of (t, u_t(j)), and steps,
+    lanes (S,), the (t, u) of each number; S = rows.max() + 1.
     """
     t1, m = outer_ancestors.shape
     lane = np.empty((t1, m), dtype=index_dtype(m))
     lane[-1] = np.arange(m)
     for t in range(t1 - 2, -1, -1):
         lane[t] = outer_ancestors[t][lane[t + 1]]
-    return lane
-
-
-def ancestral_rows(lane: np.ndarray) -> np.ndarray:
-    """Row map (T+1, M) of the lane-steps on the final lanes' lineages.
-
-    (t, u) is kept when u is in lane[t]. Kept lane-steps are numbered in step
-    order and, within a step, in lane order; row[t, u] is that number, or -1
-    for a lane-step that is not kept. The count of kept lane-steps, S, is
-    row.max() + 1.
-    """
-    kept = np.zeros(lane.shape, dtype=bool)
-    kept[np.arange(lane.shape[0])[:, None], lane] = True
-    return np.where(kept, np.cumsum(kept).reshape(kept.shape) - 1, -1)
+    kept = np.zeros((t1, m), dtype=bool)
+    kept[np.arange(t1)[:, None], lane] = True
+    number = np.cumsum(kept).reshape(kept.shape) - 1
+    steps, lanes = np.nonzero(kept)
+    return np.take_along_axis(number, lane, axis=1), steps, lanes
 
 
 @dataclass
 class AncestralHistory:
     """The filter history kept only along the final lanes' lineages.
 
-    The compact members hold, in the row order of `ancestral_rows`, the
-    lane-steps (t, u) with u in lane[t]: `states[row[t, u]]` is the
-    `FilterHistory`'s `states[t][u]`, and likewise for `thetas`,
-    `inner_weights` and `inner_ancestors`. `outer_weights` and
-    `outer_ancestors` keep every lane. `lane` and `row` are derived from
-    `outer_ancestors` on first use and are not stored.
+    The compact members hold one row per lane-step (t, u) on those lineages,
+    in the order of `lineages`: `rows[t, j]` is the row final lane j's
+    lineage passes at step t, and a row's `states` are the `FilterHistory`'s
+    `states[t][u]`, and likewise for `thetas`, `inner_weights` and
+    `inner_ancestors`. `parent[r]` is the row one step earlier on the same
+    lineage, whose resampled cloud row r propagated (-1 at t = 0).
+    `outer_weights` and `outer_ancestors` keep every lane; `rows` and
+    `parent` are derived from `outer_ancestors` on first use, not stored.
     """
 
     thetas: np.ndarray           # (S, p)
@@ -488,12 +484,14 @@ class AncestralHistory:
     diagnostics: FilterDiagnostics = field(default_factory=FilterDiagnostics)
 
     @cached_property
-    def lane(self) -> np.ndarray:
-        return lane_alignment(self.outer_ancestors)
+    def rows(self) -> np.ndarray:
+        return lineages(self.outer_ancestors)[0]
 
     @cached_property
-    def row(self) -> np.ndarray:
-        return ancestral_rows(self.lane)
+    def parent(self) -> np.ndarray:
+        parent = np.full(self.rows.max() + 1, -1)
+        parent[self.rows[1:]] = self.rows[:-1]
+        return parent
 
     @property
     def horizon(self) -> int:
@@ -519,7 +517,7 @@ def keep_ancestral(history: FilterHistory) -> AncestralHistory:
     only along those lineages, which coalesce going backward; every other
     lane-step is dropped. The result shares `history.diagnostics`.
     """
-    steps, lanes = np.nonzero(ancestral_rows(lane_alignment(history.outer_ancestors)) >= 0)
+    _, steps, lanes = lineages(history.outer_ancestors)
     return AncestralHistory(
         thetas=history.thetas[steps, lanes],
         states=history.states[steps, lanes],
@@ -535,8 +533,8 @@ def keep_ancestral(history: FilterHistory) -> AncestralHistory:
 class SmoothedWeights:
     """Backward-smoothed weights, aligned to final-time outer lanes.
 
-    With lane = `lane_alignment(history.outer_ancestors)`, `w_tilde[t, j, n]`
-    weights particle n of lane lane[t, j] at step t and is jointly normalized
+    `w_tilde[t, j, n]` weights particle n of row `history.rows[t, j]`, the
+    row final lane j's lineage passes at step t, and is jointly normalized
     over (j, n) at each t; `v_tilde[t]` are the smoothed lane weights.
     """
 
@@ -618,13 +616,13 @@ def _lineage_log_scores(
 ) -> np.ndarray:
     """log sum_k p(x_{t+1}(k) | x_t(n), theta) w_next[j, k] for every final lane j, (M, N).
 
-    Lanes j that share u = lane[t + 1, j] form one group: x_t, x_{t+1} and
-    theta_{t+1} depend only on u, and only the backward weights `w_next[j]`
-    differ. One `_group_factors` call builds every group's factors, centred on
-    its filter-heaviest next-step particle. Each group's (N, N) exponent block
-    goes into `block`, exponentiated unshifted where its bound allows and
-    shifted by each row's max otherwise; every member's row sums come from one
-    matmul with the members' weights.
+    Lanes j that share row r = rows[t + 1, j] form one group: x_{t+1} and
+    theta_{t+1} are row r's, x_t is row parent[r]'s, and only the backward
+    weights `w_next[j]` differ. One `_group_factors` call builds every
+    group's factors, centred on its filter-heaviest next-step particle. Each
+    group's (N, N) exponent block goes into `block`, exponentiated unshifted
+    where its bound allows and shifted by each row's max otherwise; every
+    member's row sums come from one matmul with the members' weights.
 
     A (row, lane) pair whose sum is below `_TRUST_FLOOR` (the lane's weight
     sits where the shifted row underflows) or not finite, or whose row term
@@ -632,23 +630,20 @@ def _lineage_log_scores(
     group's own factors.
     """
     m, n = w_next.shape[0], history.num_inner
-    lane, row_of = history.lane, history.row
-    # Final lanes ordered by u, split into one run of members per group.
-    members = np.argsort(lane[t + 1], kind="stable")
-    counts = np.bincount(lane[t + 1])
-    groups = np.flatnonzero(counts)
-    rows_to = row_of[t + 1, groups]
-    x_from = history.states[row_of[t, history.outer_ancestors[t][groups]]]
-    x_to = history.states[rows_to]
-    theta_to = history.thetas[rows_to]
-    centre = np.argmax(history.inner_weights[rows_to], axis=1)
+    # Final lanes ordered by row, split into one run of members per group.
+    groups, counts = np.unique(history.rows[t + 1], return_counts=True)
+    members = np.argsort(history.rows[t + 1], kind="stable")
+    x_from = history.states[history.parent[groups]]
+    x_to = history.states[groups]
+    theta_to = history.thetas[groups]
+    centre = np.argmax(history.inner_weights[groups], axis=1)
     log_norm = -0.5 * spec.dimension * (_LOG_2PI + np.log(var))
     log_s = np.empty((m, n))
     # Non-finite values and log(0) are caught below and recomputed by `_exact_rows`.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a, b, gap, fast = _group_factors(spec, x_from, x_to, theta_to, centre, delta, var)
         row = log_norm - gap
-        for c, lanes in enumerate(np.split(members, np.cumsum(counts[groups])[:-1])):
+        for c, lanes in enumerate(np.split(members, np.cumsum(counts)[:-1])):
             e = np.matmul(a[c], b[c], out=block)
             if not fast[c]:
                 shift = np.max(e, axis=1)
@@ -683,11 +678,11 @@ def backward_smooth(
     and the joint (outer x inner) weights are normalized per time step.
 
     The recursion reads the history only on the final lanes' lineages, which
-    is what an `AncestralHistory` (`keep_ancestral`) keeps: lane lane[t, j]
-    at step t is row `history.row[t, lane[t, j]]`. The lineages coalesce
-    going backward, so at step t only the U_t = |unique(lane[t + 1])|
-    distinct lanes need RK4 and an (N, N) kernel block: `_lineage_log_scores`
-    builds one per distinct lane and shares it among the final lanes on it,
+    is what an `AncestralHistory` (`keep_ancestral`) keeps: final lane j
+    reads row `history.rows[t, j]` at step t. The lineages coalesce going
+    backward, so at step t only the U_t = |unique(rows[t + 1])| distinct
+    rows need RK4 and an (N, N) kernel block: `_lineage_log_scores` builds
+    one per distinct row and shares it among the final lanes on it,
     recomputing exactly the few row sums the shared block cannot carry (see
     there). The cost is O(sum_t U_t * N^2) rather than O(T * M * N^2).
 
@@ -699,12 +694,11 @@ def backward_smooth(
     spec = get_system(system)
     t_end = history.horizon
     m, n = history.num_outer, history.num_inner
-    lane, row = history.lane, history.row
     w_tilde = np.empty((t_end + 1, m, n))
     v_tilde = np.empty_like(history.outer_weights)
 
     # Base case: at t = T the smoothed weights are the filtered weights.
-    w_norm = history.inner_weights[row[t_end]]
+    w_norm = history.inner_weights[history.rows[t_end]]
     v_cur = history.outer_weights[t_end].copy()
     w_tilde[t_end] = v_cur[:, None] * w_norm
     v_tilde[t_end] = v_cur
@@ -714,7 +708,7 @@ def backward_smooth(
     # fragmented the heap and raised peak RSS by ~14 MB in lorenz-n200 runs.
     block = np.empty((n, n))
     for t in range(t_end - 1, -1, -1):
-        w_filt = history.inner_weights[row[t, lane[t]]]
+        w_filt = history.inner_weights[history.rows[t]]
         if process_std > 0:
             log_s = _lineage_log_scores(spec, history, t, w_norm, delta, var, block)
         else:
@@ -760,20 +754,19 @@ def posterior_summary(
     """Collapse smoothed weights into point estimates.
 
     State means use the joint smoothed weights at each step, over the
-    particles of the final lanes' lineages (rows `history.row[t, lane[t]]`).
+    particles of the final lanes' lineages (rows `history.rows[t]`).
     The parameter estimate averages final-time particles under the fully
     smoothed lane weights.
     """
     t_end = history.horizon
-    lane, row = history.lane, history.row
     x_hat = np.empty((t_end + 1, history.dimension))
     for t in range(t_end + 1):
-        aligned = history.states[row[t, lane[t]]]
+        aligned = history.states[history.rows[t]]
         x_hat[t] = np.einsum("mn,mnd->d", smoothed.w_tilde[t], aligned)
     x_hat_sum = smoothed.w_tilde.sum(axis=(1, 2))
     x_hat /= x_hat_sum[:, None]
 
-    theta = history.thetas[row[t_end, lane[t_end]]]
+    theta = history.thetas[history.rows[t_end]]
     v = smoothed.v_tilde[min(1, t_end)]
     theta_mean = v @ theta
     theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))

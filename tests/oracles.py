@@ -15,6 +15,9 @@ the one-particle forms of the filter's likelihood and the abduction residual.
 The two-pass particle reorders move particles along the lineage with
 `np.take_along_axis` and int64 fancy indices, one axis at a time; the
 package's one flat gather must match them bit for bit at every index dtype.
+The lineage trace walks each final lane back one step at a time in Python
+ints and numbers the lane-steps it passes with a dict per step; the other
+lineage oracles align lanes with it.
 """
 from __future__ import annotations
 
@@ -26,12 +29,16 @@ from cfdyn.dynamics import _rk4, get_system, rk4_step
 from cfdyn.seeding import RngSeed
 
 
-def kalman_filter_rts(ys: np.ndarray, a: float, q: float, r: float,
-                      m0: float, p0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact filtered and RTS-smoothed means for a scalar linear-Gaussian SSM.
+def kalman_filter_rts(ys: np.ndarray, a: float, q: float, r: float, m0: float, p0: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact filtered and RTS-smoothed moments for a scalar linear-Gaussian SSM.
 
     x_t = a x_{t-1} + u (var q), y_t = x_t + w (var r); y[0] is not
-    assimilated (it aligns with the known initial state).
+    assimilated (it aligns with the known initial state). Returns the
+    filtered means m_{t|t} and the smoothed means m_{t|T} and variances
+    P_{t|T}, each (T+1,), and the lag-one covariances
+    C_{t,t-1|T} = J_{t-1} P_{t|T} for t = 1..T, (T,), with the smoother gain
+    J_t = P_{t|t} a / P_{t+1|t}.
     """
     horizon = len(ys) - 1
     means = [m0]
@@ -54,10 +61,14 @@ def kalman_filter_rts(ys: np.ndarray, a: float, q: float, r: float,
     pred_vars = np.array(pred_vars)
 
     smoothed = means.copy()
+    smoothed_vars = variances.copy()
+    lag_one = np.empty(horizon)
     for t in range(horizon - 1, -1, -1):
         c = variances[t] * a / pred_vars[t + 1]
         smoothed[t] = means[t] + c * (smoothed[t + 1] - pred_means[t + 1])
-    return means, smoothed
+        smoothed_vars[t] = variances[t] + c * c * (smoothed_vars[t + 1] - pred_vars[t + 1])
+        lag_one[t] = c * smoothed_vars[t + 1]
+    return means, smoothed, smoothed_vars, lag_one
 
 
 def bootstrap_particle_filter(
@@ -229,19 +240,39 @@ def reorder_two_pass(states: np.ndarray, inner: np.ndarray, outer: np.ndarray) -
     return within[outer.astype(np.int64)]
 
 
+def lineage_trace(outer_ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lane, rows), each (T+1, M) int64, traced one final lane at a time.
+
+    lane[t, j] is the lane final lane j's lineage passes at step t:
+    lane[T, j] = j and lane[t, j] = outer_ancestors[t, lane[t + 1, j]].
+    rows[t, j] numbers (t, lane[t, j]) among the distinct lane-steps the
+    lineages pass, counted step by step and, within a step, lane by lane.
+    """
+    t_end, m = outer_ancestors.shape[0] - 1, outer_ancestors.shape[1]
+    lane = np.empty((t_end + 1, m), dtype=np.int64)
+    for j in range(m):
+        u = j
+        for t in range(t_end, -1, -1):
+            lane[t, j] = u
+            u = int(outer_ancestors[t - 1, u]) if t else u
+    rows = np.empty_like(lane)
+    start = 0
+    for t in range(t_end + 1):
+        number = {u: start + k for k, u in enumerate(sorted(set(lane[t].tolist())))}
+        rows[t] = [number[u] for u in lane[t].tolist()]
+        start += len(number)
+    return lane, rows
+
+
 def abduct_noise_two_pass(history, smoothed, system, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Weighted residual moments per step, each parent block gathered in two passes.
 
-    Lanes are traced back through `outer_ancestors` and aligned by int64
-    fancy index, then each lane's parents are picked with
-    `np.take_along_axis`; returns (mu, sigma), each (T, d).
+    Lanes are traced back by `lineage_trace` and aligned by int64 fancy
+    index, then each lane's parents are picked with `np.take_along_axis`;
+    returns (mu, sigma), each (T, d).
     """
     spec = get_system(system)
-    t_end, m = history.outer_ancestors.shape[0] - 1, history.outer_ancestors.shape[1]
-    lane = np.empty((t_end + 1, m), dtype=np.int64)
-    lane[-1] = np.arange(m)
-    for t in range(t_end - 1, -1, -1):
-        lane[t] = history.outer_ancestors[t][lane[t + 1]]
+    lane, _ = lineage_trace(history.outer_ancestors)
     inner = history.inner_ancestors.astype(np.int64)
     mu, sigma = [], []
     for t in range(1, history.states.shape[0]):
@@ -307,10 +338,7 @@ def backward_smooth_pairwise(history, system, delta: float,
     m, n = history.inner_weights.shape[1:]
     var = process_std * process_std
     log_norm = -0.5 * spec.dimension * (math.log(2.0 * math.pi) + math.log(var))
-    lane = np.empty((t_end + 1, m), dtype=np.int64)
-    lane[-1] = np.arange(m)
-    for t in range(t_end - 1, -1, -1):
-        lane[t] = history.outer_ancestors[t][lane[t + 1]]
+    lane, _ = lineage_trace(history.outer_ancestors)
 
     w_tilde = np.empty((t_end + 1, m, n))
     v_tilde = np.empty((t_end + 1, m))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfdyn.abduction import NoisePosterior, abduct_noise
-from cfdyn.dynamics import LORENZ, rk4_step
+from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
     FilterHistory,
@@ -14,7 +14,7 @@ from cfdyn.filtering import (
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import observe, simulate_hidden
 
-from .oracles import particle_residual
+from .oracles import kalman_filter_rts, particle_residual
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 X0 = np.array([1.0, 1.0, 1.0])
@@ -171,3 +171,39 @@ def test_noise_posterior_validation():
     sigma[4, 0] = np.nan
     with pytest.raises(ValueError, match="noise variances"):
         NoisePosterior(mu=np.zeros((5, 3)), sigma=sigma)
+
+
+@pytest.mark.slow
+def test_noise_moments_match_the_exact_linear_gaussian_posterior():
+    # Acceptance criterion 2's setup and seeds. There u_t given y_{0:T} is
+    # Gaussian with mean m_{t|T} - a m_{t-1|T} and variance
+    # P_{t|T} + a^2 P_{t-1|T} - 2a C_{t,t-1|T}, from the RTS smoother.
+    delta = float(-np.log(0.9))
+    a = float(rk4_step(EXP_DECAY, np.array([1.0]), np.array([1.0]), delta)[0])
+    config = FilterConfig(
+        outer_particles=1,
+        inner_particles=500,
+        delta=delta,
+        process_std=1.0,
+        observation_std=1.0,
+        prior_bounds=[[1.0 - 1e-12, 1.0 + 1e-12]],
+        jitter_scale=0.0,
+    )
+    for seed in range(5000, 5020):
+        root = RngSeed(seed)
+        truth = simulate_hidden(
+            EXP_DECAY, np.array([1.0]), np.array([0.0]), 200, delta, 1.0, root.child("sim")
+        )
+        ys = observe(truth, 1.0, root.child("obs"))
+        history = keep_ancestral(
+            run_filter(ys, EXP_DECAY, np.array([0.0]), config, root.child("filter"))
+        )
+        noise = abduct_noise(history, backward_smooth(history, EXP_DECAY, delta, 1.0),
+                             EXP_DECAY, delta)
+        _, m, p, c = kalman_filter_rts(ys[:, 0], a, 1.0, 1.0, 0.0, 0.0)
+        exact_mu = m[1:] - a * m[:-1]
+        exact_var = p[1:] + a * a * p[:-1] - 2.0 * a * c
+        error = np.abs(noise.mu[:, 0] - exact_mu).mean()
+        ratio = np.median(np.sqrt(noise.sigma[:, 0] / exact_var))
+        assert error < 0.15, (seed, error)
+        assert 0.9 <= ratio <= 1.1, (seed, ratio)

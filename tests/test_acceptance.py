@@ -87,7 +87,7 @@ def test_criterion_2_kalman_rts_oracle():
         kept = keep_ancestral(history)
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
         summary = posterior_summary(kept, smoothed)
-        kf, rts = kalman_filter_rts(ys[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
+        kf, rts, _, _ = kalman_filter_rts(ys[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         mads_filtered.append(np.abs(filtered_means(history)[:, 0] - kf).mean())
         mads_smoothed.append(np.abs(summary.state_mean[:, 0] - rts).mean())
     elapsed = time.perf_counter() - start

@@ -7,8 +7,8 @@ import pytest
 
 from cfdyn.cli import main
 from cfdyn.experiment import ARTIFACT_FILES
-from cfdyn.filtering import lane_alignment
 
+from .oracles import lineage_trace
 from .test_experiment import TINY
 
 
@@ -175,7 +175,7 @@ def test_filter_state_stores_narrow_indices_and_reads_int64_ones(tmp_path):
         "outer_ancestors", "w_tilde", "v_tilde",
     ])
     # One row per lane-step on a final lane's lineage; T + 1 = 41, M = 6, N = 8.
-    rows = sum(np.unique(step).size for step in lane_alignment(arrays["outer_ancestors"]))
+    rows = int(lineage_trace(arrays["outer_ancestors"])[1].max()) + 1
     assert rows < 41 * 6
     assert arrays["thetas"].shape == (rows, 3) and arrays["states"].shape == (rows, 8, 3)
     assert arrays["inner_weights"].shape == arrays["inner_ancestors"].shape == (rows, 8)
@@ -376,13 +376,22 @@ FINITE_INPUTS = [
     ("theta_estimate.csv", "counterfactual", 2, 1, "mean"),
     ("noise_posterior.csv", "counterfactual", 4, 6, "sigma_3"),
 ]
+NONFINITE = [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf")]
+# Each case: the file's fields above, the value written and the message expected.
+BAD_CELLS = [
+    pytest.param(*case, value, f"{case[4]} is {shown}, not a finite number",
+                 id="-".join(map(str, (*case, value, shown))))
+    for value, shown in NONFINITE for case in FINITE_INPUTS
+] + [
+    # The pipeline writes each std as sqrt(max(0, ...)).
+    pytest.param("theta_estimate.csv", "counterfactual", 3, 2, "std", "-0.25",
+                 "std is -0.25, below 0", id="theta_estimate.csv-counterfactual-3-2-std-negative"),
+]
 
 
-@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
-                                          ("1e400", "inf")])
-@pytest.mark.parametrize("name, stage, line, field, column", FINITE_INPUTS)
+@pytest.mark.parametrize("name, stage, line, field, column, value, expected", BAD_CELLS)
 def test_nonfinite_value_in_a_finite_input_is_io_error(
-    tmp_path, capsys, name, stage, line, field, column, value, shown
+    tmp_path, capsys, name, stage, line, field, column, value, expected
 ):
     config = write_config(tmp_path)
     out = tmp_path / "run"
@@ -399,7 +408,7 @@ def test_nonfinite_value_in_a_finite_input_is_io_error(
     capsys.readouterr()
     assert main([stage, "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    message = f"{name} line {line}: {column} is {shown}, not a finite number"
+    message = f"{name} line {line}: {expected}"
     assert err.startswith("I/O error:") and message in err, err
     assert err.count("\n") == 1
 

@@ -15,7 +15,7 @@ from cfdyn.filtering import (
     inner_weights,
     jitter,
     keep_ancestral,
-    lane_alignment,
+    lineages,
     outer_weights,
     posterior_summary,
     propagate,
@@ -33,6 +33,7 @@ from .oracles import (
     bootstrap_particle_filter,
     gaussian_log_likelihood,
     kalman_filter_rts,
+    lineage_trace,
     reorder_two_pass,
     systematic_resample_per_row,
 )
@@ -805,7 +806,9 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
         assert np.array_equal(history.states[t + 1], base + np.add(0.0, 1.0 * z))
 
     smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
-    assert lane_alignment(history.outer_ancestors).dtype == history.outer_ancestors.dtype
+    # The narrow lane trace inside `lineages` numbers the rows the int64 trace does.
+    assert np.array_equal(lineages(history.outer_ancestors)[0],
+                          lineage_trace(history.outer_ancestors)[1])
     wide = replace(
         history,
         outer_ancestors=history.outer_ancestors.astype(np.int64),
@@ -821,9 +824,10 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
 
 
 def _distinct_next_lanes(history) -> np.ndarray:
-    """U_t = |unique(lane[t + 1])| for t = T-1 down to 0, the smoother's step order."""
-    lane = lane_alignment(history.outer_ancestors)
-    return np.array([np.unique(lane[t + 1]).size for t in range(history.horizon - 1, -1, -1)])
+    """U_t, the distinct lanes the traced lineages pass at t + 1, for t = T-1
+    down to 0, the smoother's step order."""
+    lane, _ = lineage_trace(history.outer_ancestors)
+    return np.array([len(set(lane[t + 1].tolist())) for t in range(history.horizon - 1, -1, -1)])
 
 
 def _smoother_matches_pairwise_oracle(history, process_std) -> int:
@@ -970,7 +974,7 @@ def test_smoother_builds_one_kernel_block_per_distinct_lane(monkeypatch):
 
 def test_abduction_on_coalesced_lineages_matches_two_pass_oracle():
     history = _lorenz_history(80, 81, 12, 30, 20)
-    lane = lane_alignment(history.outer_ancestors)
+    lane, _ = lineage_trace(history.outer_ancestors)
     # Below t = T every step has fewer distinct lanes than final lanes.
     assert all(np.unique(lane[t]).size < 12 for t in range(history.horizon))
     kept = keep_ancestral(history)
@@ -988,30 +992,31 @@ def test_smoothed_means_track_rts_oracle():
         kept = keep_ancestral(history)
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
         summary = posterior_summary(kept, smoothed)
-        kf, rts = kalman_filter_rts(obs[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
+        kf, rts, _, _ = kalman_filter_rts(obs[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         assert np.abs(filtered_means(history)[:, 0] - kf).mean() < 0.15
         assert np.abs(summary.state_mean[:, 0] - rts).mean() < 0.15
 
 
-def test_lane_alignment_identity_without_resampling_shuffle():
-    anc = np.tile(np.arange(5), (7, 1))
-    lane = lane_alignment(anc)
-    assert np.array_equal(lane, np.tile(np.arange(5), (7, 1)))
+def test_lineages_identity_without_resampling_shuffle():
+    # No lane is ever replaced, so every lane-step is kept, in step-major order.
+    rows, steps, lanes = lineages(np.tile(np.arange(5, dtype=np.uint8), (7, 1)))
+    assert np.array_equal(rows, np.arange(35).reshape(7, 5))
+    assert np.array_equal(steps, np.repeat(np.arange(7), 5))
+    assert np.array_equal(lanes, np.tile(np.arange(5), 7))
 
 
 def test_keep_ancestral_gathers_exactly_the_final_lanes_lineages():
     history = _lorenz_history(80, 81, 12, 30, 20)
     kept = keep_ancestral(history)
-    lane = lane_alignment(history.outer_ancestors)
-    assert np.array_equal(kept.lane, lane)
+    lane, traced = lineage_trace(history.outer_ancestors)
+    assert np.array_equal(kept.rows, traced)
     rows = 0
     for t in range(history.horizon + 1):
         distinct = np.unique(lane[t])
-        assert np.array_equal(np.flatnonzero(kept.row[t] >= 0), distinct)
-        at = kept.row[t, distinct]
+        at = np.unique(kept.rows[t])
         assert np.array_equal(at, rows + np.arange(distinct.size))
         rows += distinct.size
-        assert np.array_equal(kept.states[kept.row[t, lane[t]]], history.states[t][lane[t]])
+        assert np.array_equal(kept.states[kept.rows[t]], history.states[t][lane[t]])
         for key in ("thetas", "states", "inner_weights", "inner_ancestors"):
             assert np.array_equal(getattr(kept, key)[at], getattr(history, key)[t][distinct]), key
     # The 64 lane-steps of t = 1..T that the smoother builds blocks for, plus
@@ -1020,6 +1025,24 @@ def test_keep_ancestral_gathers_exactly_the_final_lanes_lineages():
     assert kept.inner_ancestors.dtype == history.inner_ancestors.dtype
     assert kept.outer_weights is history.outer_weights
     assert kept.outer_ancestors is history.outer_ancestors
+
+
+@pytest.mark.parametrize("seeds, m, n, horizon", [((80, 81), 12, 30, 20), ((28, 29), 9, 20, 4)])
+def test_rows_and_parent_index_the_traced_lineages(seeds, m, n, horizon):
+    history = _lorenz_history(*seeds, m, n, horizon)
+    kept = keep_ancestral(history)
+    lane, traced = lineage_trace(history.outer_ancestors)
+    rows, steps, lanes = lineages(history.outer_ancestors)
+    assert np.array_equal(rows, traced) and np.array_equal(kept.rows, traced)
+    # Row r is the lane-step (steps[r], lanes[r]).
+    assert np.array_equal(steps[rows], np.repeat(np.arange(horizon + 1)[:, None], m, axis=1))
+    assert np.array_equal(lanes[rows], lane)
+    for t in range(1, horizon + 1):
+        assert np.array_equal(kept.parent[rows[t]], rows[t - 1])
+    assert np.array_equal(np.flatnonzero(kept.parent == -1), np.unique(rows[0]))
+    for t in range(horizon + 1):
+        # Within a step, rows increase with the lane.
+        assert np.array_equal(lane[t][:, None] < lane[t], rows[t][:, None] < rows[t])
 
 
 def test_smoother_counts_underflows_on_the_filters_diagnostics():
