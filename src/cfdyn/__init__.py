@@ -37,7 +37,6 @@ from .filtering import (
     FilterConfig,
     FilterDiagnostics,
     FilterHistory,
-    PosteriorSummary,
     SmoothedWeights,
     backward_smooth,
     filtered_means,
@@ -73,7 +72,6 @@ __all__ = [
     "NoisePosterior",
     "NumericsError",
     "PRESETS",
-    "PosteriorSummary",
     "ROSSLER",
     "RngSeed",
     "RunDir",

@@ -146,14 +146,16 @@ def read_table(path: Path, header: list[str], labels: list, text: int = 0) -> np
     return np.ascontiguousarray(data[:, n_labels:])
 
 
-def _finite(path: Path, header: list[str], labels: list, values: np.ndarray) -> np.ndarray:
-    """The value columns `read_table` read from `path`, if every cell is finite;
-    else raise ArtifactError naming the first line and column that is not."""
-    bad = np.argwhere(~np.isfinite(values))
+def _in_domain(path: Path, header: list[str], labels: list, values: np.ndarray,
+               bad=None, domain: str = "a finite number") -> np.ndarray:
+    """The value columns `read_table` read from `path`, unless a cell is `bad`
+    (by default, not finite); then raise ArtifactError naming the first such
+    line and column, and the `domain` its value is not in."""
+    bad = np.argwhere(~np.isfinite(values) if bad is None else bad)
     if bad.size:
         row, column = bad[0]
         raise ArtifactError(f"{path} line {row + 2}: {header[len(labels) + column]} is "
-                            f"{float(values[row, column])!r}, not a finite number")
+                            f"{float(values[row, column])!r}, not {domain}")
     return values
 
 
@@ -187,7 +189,7 @@ def save_trajectory(path: Path, table: np.ndarray, header: list[str], labels: li
 
 @_reader
 def load_trajectory(path: Path, header: list[str], labels: list) -> np.ndarray:
-    return _finite(path, header, labels, read_table(path, header, labels))
+    return _in_domain(path, header, labels, read_table(path, header, labels))
 
 
 save_observations, load_observations = save_trajectory, load_trajectory
@@ -199,7 +201,7 @@ def save_noise_posterior(path: Path, noise: NoisePosterior, header: list[str], l
 
 @_reader
 def load_noise_posterior(path: Path, header: list[str], labels: list) -> NoisePosterior:
-    data = _finite(path, header, labels, read_table(path, header, labels))
+    data = _in_domain(path, header, labels, read_table(path, header, labels))
     d = data.shape[1] // 2
     return NoisePosterior(mu=data[:, :d], sigma=data[:, d:])
 
@@ -212,9 +214,21 @@ def save_ensemble(path: Path, trajectories: np.ndarray, header: list[str], label
 
 @_reader
 def load_ensemble(path: Path, header: list[str], labels: list) -> np.ndarray:
-    """The (n, T+1, d) trajectories on the trajectory-major (t, traj_id) grid `labels`."""
+    """The (n, T+1, d) trajectories on the trajectory-major (t, traj_id) grid `labels`.
+
+    A trajectory's rows are finite from t = 0 until one is NaN in every cell,
+    and NaN from that row to t = T; raise ArtifactError naming a cell off
+    that domain.
+    """
     values = read_table(path, header, labels)
-    return values.reshape(int(labels[1][-1]) + 1, -1, values.shape[1])
+    trajectories = values.reshape(int(labels[1][-1]) + 1, -1, values.shape[1])
+    truncated = np.logical_or.accumulate(np.isnan(trajectories).all(axis=2), axis=1)
+    truncated[:, 0] = False
+    truncated = truncated.reshape(-1, 1)
+    _in_domain(path, header, labels, values, ~truncated & ~np.isfinite(values))
+    _in_domain(path, header, labels, values, truncated & ~np.isnan(values),
+               "nan: the trajectory is nan from an earlier row on")
+    return trajectories
 
 
 def save_rmse(path: Path, pair: tuple, header: list[str], labels: list) -> None:
@@ -227,7 +241,11 @@ save_theta_estimate = save_rmse
 
 @_reader
 def load_rmse(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (rmse, rmse_smoothed) columns: each value is NaN or >= 0, and
+    rmse_smoothed is never inf. Raise ArtifactError naming a cell that is not."""
     values = read_table(path, header, labels)
+    _in_domain(path, header, labels, values, ~(np.isnan(values) | (values >= 0)), "nan or >= 0")
+    _in_domain(path, header, labels, values, np.isinf(values) & [False, True], "nan or finite")
     return values[:, 0], values[:, 1]
 
 
@@ -235,12 +253,9 @@ def load_rmse(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, 
 def load_theta_estimate(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, np.ndarray]:
     """The (mean, std) columns, the `parameter` text column checked against `labels`;
     raise ArtifactError at the first std below 0."""
-    values = _finite(path, header, labels, read_table(path, header, labels, text=1))
-    mean, std = values.T
-    if (std < 0).any():
-        row = int(np.argmax(std < 0))
-        raise ArtifactError(f"{path} line {row + 2}: {header[-1]} is {float(std[row])!r}, below 0")
-    return mean, std
+    values = _in_domain(path, header, labels, read_table(path, header, labels, text=1))
+    _in_domain(path, header, labels, values, (values < 0) & [False, True], ">= 0")
+    return values[:, 0], values[:, 1]
 
 
 _NPZ_CHUNK = 1 << 20
@@ -334,8 +349,11 @@ def _check_filter_state(
 def load_filter_state(
     path: Path, t1: int, m: int, n: int, p: int, d: int
 ) -> tuple[AncestralHistory, SmoothedWeights]:
-    """The ancestral history and smoothed weights, checked against the layout (T+1, M, N, p, d)."""
-    with np.load(path, allow_pickle=False) as z:
+    """The ancestral history and smoothed weights, checked against the layout (T+1, M, N, p, d).
+
+    The file is opened here, not by `np.load`, which leaves it open when it is not a zip.
+    """
+    with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
         history = AncestralHistory(
             thetas=z["thetas"],
             states=z["states"],

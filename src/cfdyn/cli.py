@@ -8,9 +8,10 @@ passes the same manifest check and loads its inputs through the same
 `RunDir` layout checks. Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 I/O error (also an input artifact that is corrupt,
 truncated, of the wrong shape, with misordered rows, a renamed header column
-or a non-finite value where the pipeline writes finite ones, or no longer of
-the sha256 the manifest lists, and a manifest that is missing, written for
-another config or not yet listing the command's inputs).
+or a value off its file's domain, such as a non-finite value where the
+pipeline writes finite ones or a negative RMSE, or no longer of the sha256
+the manifest lists, and a manifest that is missing, written for another
+config or not yet listing the command's inputs).
 """
 from __future__ import annotations
 

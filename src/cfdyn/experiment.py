@@ -20,14 +20,11 @@ import numpy as np
 
 from . import artifacts as io
 from .abduction import NoisePosterior, abduct_noise
-from .counterfactual import REGIMES, CfTrajectorySet, deterministic_cf, generate_cf, intervene
+from .counterfactual import REGIMES, deterministic_cf, generate_cf, intervene
 from .dynamics import SystemSpec, get_system
 from .errors import ArtifactError, ConfigError
 from .filtering import (
-    AncestralHistory,
     FilterConfig,
-    PosteriorSummary,
-    SmoothedWeights,
     backward_smooth,
     keep_ancestral,
     posterior_summary,
@@ -296,7 +293,7 @@ def build_filter_config(config: ExperimentConfig) -> FilterConfig:
     return FilterConfig(**{f.name: getattr(config, f.name) for f in fields(FilterConfig)})
 
 
-def stage_simulate(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+def stage_simulate(config: ExperimentConfig) -> tuple[tuple, dict]:
     seed = RngSeed(config.master_seed)
     truth = simulate_hidden(
         config.system,
@@ -308,12 +305,10 @@ def stage_simulate(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         seed.child("simulate"),
     )
     observations = observe(truth, config.observation_std, seed.child("observe"))
-    return truth, observations
+    return (truth, observations), {}
 
 
-def stage_filter(
-    config: ExperimentConfig, observations: np.ndarray
-) -> tuple[AncestralHistory, SmoothedWeights, PosteriorSummary]:
+def stage_filter(config: ExperimentConfig, observations: np.ndarray) -> tuple[tuple, dict]:
     """Filter, keep the final lanes' lineages, smooth and summarise.
 
     The full `run_filter` history is dropped before the smoother runs; only
@@ -328,15 +323,19 @@ def stage_filter(
         seed.child("filter"),
     ))
     smoothed = backward_smooth(history, config.system, config.delta, config.process_std)
-    summary = posterior_summary(history, smoothed)
-    return history, smoothed, summary
+    state_mean, theta_estimate = posterior_summary(history, smoothed)
+    return (state_mean, theta_estimate, (history, smoothed)), asdict(history.diagnostics)
+
+
+def stage_abduct(config: ExperimentConfig, state: tuple) -> tuple[tuple, dict]:
+    return (abduct_noise(*state, config.system, config.delta),), {}
 
 
 def stage_counterfactual(
     config: ExperimentConfig,
     theta_estimate: tuple[np.ndarray, np.ndarray],
     noise: NoisePosterior,
-) -> tuple[np.ndarray, CfTrajectorySet]:
+) -> tuple[tuple, dict]:
     """The noise-free reference and the ensemble of the config's intervention.
 
     `theta_estimate` is the filter's (theta_mean, theta_std). The regime picks
@@ -366,7 +365,18 @@ def stage_counterfactual(
         config.n_cf,
         seed.child("counterfactual"),
     )
-    return reference, ensemble
+    diagnostics = {"cf_truncated_trajectories": int((ensemble.failure_index >= 0).sum())}
+    return (reference, ensemble.trajectories, ensemble.thetas), diagnostics
+
+
+def stage_metrics(
+    config: ExperimentConfig, truth: np.ndarray, estimate: np.ndarray,
+    reference: np.ndarray, trajectories: np.ndarray,
+) -> tuple[tuple, dict]:
+    raw = rmse_t(trajectories, reference)
+    factual = factual_rmse(estimate, truth)
+    window = config.rmse_window
+    return ((raw, moving_average(raw, window)), (factual, moving_average(factual, window))), {}
 
 
 def resolve_out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
@@ -497,58 +507,26 @@ class Stage:
     run: Callable[..., tuple[tuple, dict]]
 
 
-def _simulate(config: ExperimentConfig) -> tuple[tuple, dict]:
-    return stage_simulate(config), {}
-
-
-def _filter(config: ExperimentConfig, observations: np.ndarray) -> tuple[tuple, dict]:
-    history, smoothed, summary = stage_filter(config, observations)
-    outputs = (summary.state_mean, (summary.theta_mean, summary.theta_std), (history, smoothed))
-    return outputs, asdict(history.diagnostics)
-
-
-def _abduct(config: ExperimentConfig, state: tuple) -> tuple[tuple, dict]:
-    return (abduct_noise(*state, config.system, config.delta),), {}
-
-
-def _counterfactual(
-    config: ExperimentConfig, theta_estimate: tuple, noise: NoisePosterior
-) -> tuple[tuple, dict]:
-    reference, ensemble = stage_counterfactual(config, theta_estimate, noise)
-    diagnostics = {"cf_truncated_trajectories": int((ensemble.failure_index >= 0).sum())}
-    return (reference, ensemble.trajectories, ensemble.thetas), diagnostics
-
-
-def _metrics(
-    config: ExperimentConfig, truth: np.ndarray, estimate: np.ndarray,
-    reference: np.ndarray, trajectories: np.ndarray,
-) -> tuple[tuple, dict]:
-    raw = rmse_t(trajectories, reference)
-    factual = factual_rmse(estimate, truth)
-    window = config.rmse_window
-    return ((raw, moving_average(raw, window)), (factual, moving_average(factual, window))), {}
-
-
 STAGES = (
-    Stage("simulate", (), ("truth.csv", "observations.csv"), _simulate),
+    Stage("simulate", (), ("truth.csv", "observations.csv"), stage_simulate),
     Stage(
         "filter",
         ("observations.csv",),
         ("state_estimate.csv", "theta_estimate.csv", "filter_state.npz"),
-        _filter,
+        stage_filter,
     ),
-    Stage("abduct", ("filter_state.npz",), ("noise_posterior.csv",), _abduct),
+    Stage("abduct", ("filter_state.npz",), ("noise_posterior.csv",), stage_abduct),
     Stage(
         "counterfactual",
         ("theta_estimate.csv", "noise_posterior.csv"),
         ("cf_deterministic.csv", "cf_ensemble.csv", "cf_thetas.csv"),
-        _counterfactual,
+        stage_counterfactual,
     ),
     Stage(
         "metrics",
         ("truth.csv", "state_estimate.csv", "cf_deterministic.csv", "cf_ensemble.csv"),
         ("rmse.csv", "factual_rmse.csv"),
-        _metrics,
+        stage_metrics,
     ),
 )
 ARTIFACT_FILES = tuple(name for stage in STAGES for name in stage.outputs)

@@ -738,20 +738,12 @@ def backward_smooth(
     return SmoothedWeights(w_tilde=w_tilde, v_tilde=v_tilde)
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Smoothed point estimates: state trajectory, parameter mean and spread."""
-
-    state_mean: np.ndarray  # (T+1, d)
-    theta_mean: np.ndarray
-    theta_std: np.ndarray
-
-
 def posterior_summary(
     history: AncestralHistory,
     smoothed: SmoothedWeights,
-) -> PosteriorSummary:
-    """Collapse smoothed weights into point estimates.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Collapse smoothed weights into point estimates: the (T+1, d) state mean
+    and the (theta_mean, theta_std) pair.
 
     State means use the joint smoothed weights at each step, over the
     particles of the final lanes' lineages (rows `history.rows[t]`).
@@ -771,4 +763,4 @@ def posterior_summary(
     theta_mean = v @ theta
     theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))
 
-    return PosteriorSummary(state_mean=x_hat, theta_mean=theta_mean, theta_std=theta_std)
+    return x_hat, (theta_mean, theta_std)

@@ -86,10 +86,10 @@ def test_criterion_2_kalman_rts_oracle():
         history = run_filter(ys, EXP_DECAY, np.array([0.0]), config, root.child("filter"))
         kept = keep_ancestral(history)
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
-        summary = posterior_summary(kept, smoothed)
+        state_mean, _ = posterior_summary(kept, smoothed)
         kf, rts, _, _ = kalman_filter_rts(ys[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         mads_filtered.append(np.abs(filtered_means(history)[:, 0] - kf).mean())
-        mads_smoothed.append(np.abs(summary.state_mean[:, 0] - rts).mean())
+        mads_smoothed.append(np.abs(state_mean[:, 0] - rts).mean())
     elapsed = time.perf_counter() - start
     assert max(mads_filtered) < 0.15, f"filtered MAD {max(mads_filtered):.4f}"
     assert max(mads_smoothed) < 0.15, f"smoothed MAD {max(mads_smoothed):.4f}"
@@ -110,9 +110,9 @@ def test_criterion_3_factual_estimation_quality():
     values = []
     for seed in range(10):
         config = replace(base, master_seed=1000 + seed)
-        truth, observations = stage_simulate(config)
-        _, _, summary = stage_filter(config, observations)
-        series = moving_average(factual_rmse(summary.state_mean, truth), config.rmse_window)
+        (truth, observations), _ = stage_simulate(config)
+        (state_mean, _, _), _ = stage_filter(config, observations)
+        series = moving_average(factual_rmse(state_mean, truth), config.rmse_window)
         per_dimension = series.mean() / np.sqrt(3.0)
         values.append(per_dimension)
         passed += per_dimension < 3.0 * config.observation_std
@@ -137,9 +137,9 @@ def test_criterion_4_divergence_regime_ordering():
     onset_rows = []
     for seed in range(10):
         config = replace(base, master_seed=2000 + seed)
-        truth, observations = stage_simulate(config)
-        history, smoothed, summary = stage_filter(config, observations)
-        noise = abduct_noise(history, smoothed, config.system, config.delta)
+        (truth, observations), _ = stage_simulate(config)
+        (_, (theta_mean, theta_std), state), _ = stage_filter(config, observations)
+        noise = abduct_noise(*state, config.system, config.delta)
         x0_cf = intervene(np.asarray(config.x0), config.intervention)
         reference = deterministic_cf(
             config.system, np.asarray(config.theta_true), x0_cf, config.horizon, config.delta
@@ -147,11 +147,11 @@ def test_criterion_4_divergence_regime_ordering():
         span = reference.max(axis=0) - reference.min(axis=0)
         threshold = 0.10 * float(np.linalg.norm(span))
         seed_obj = RngSeed(config.master_seed)
-        pinned = np.zeros_like(summary.theta_std)
+        pinned = np.zeros_like(theta_std)
         regimes = {
             "true": (np.asarray(config.theta_true), pinned),
-            "point": (summary.theta_mean, pinned),
-            "posterior": (summary.theta_mean, summary.theta_std),
+            "point": (theta_mean, pinned),
+            "posterior": (theta_mean, theta_std),
         }
         onsets = {}
         for slot, (mode, (theta, theta_std)) in enumerate(regimes.items()):
@@ -191,17 +191,15 @@ def test_criterion_5_logistic_baseline():
     heads, tails, terminals = [], [], []
     for seed in range(10):
         config = replace(base, master_seed=3000 + seed)
-        truth, observations = stage_simulate(config)
-        history, smoothed, summary = stage_filter(config, observations)
-        noise = abduct_noise(history, smoothed, config.system, config.delta)
-        reference, ensemble = stage_counterfactual(
-            config, (summary.theta_mean, summary.theta_std), noise
-        )
-        series = moving_average(rmse_t(ensemble.trajectories, reference), config.rmse_window)
+        (truth, observations), _ = stage_simulate(config)
+        (_, theta_estimate, state), _ = stage_filter(config, observations)
+        noise = abduct_noise(*state, config.system, config.delta)
+        (reference, trajectories, _), _ = stage_counterfactual(config, theta_estimate, noise)
+        series = moving_average(rmse_t(trajectories, reference), config.rmse_window)
         tenth = max(1, len(series) // 10)
         heads.append(series[:tenth].mean())
         tails.append(series[-tenth:].mean())
-        terminals.append(ensemble.trajectories[:, -1, 0].mean())
+        terminals.append(trajectories[:, -1, 0].mean())
     elapsed = time.perf_counter() - start
     for seed in range(10):
         assert tails[seed] < heads[seed], (

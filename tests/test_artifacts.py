@@ -74,7 +74,8 @@ def test_garbage_filter_state_is_artifact_error(tmp_path):
 
 
 def test_filter_state_of_another_outer_particle_count_is_artifact_error(tmp_path):
-    history, smoothed, _ = stage_filter(_TINY, stage_simulate(_TINY)[1])
+    (_, observations), _ = stage_simulate(_TINY)
+    (_, _, (history, smoothed)), _ = stage_filter(_TINY, observations)
     path = tmp_path / "filter_state.npz"
     layout = file_layout("filter_state.npz", _TINY, _SPEC)[1]
     save_filter_state(path, (history, smoothed), *layout)
@@ -171,6 +172,29 @@ def test_ensemble_with_a_non_integer_trajectory_id_is_artifact_error(tmp_path):
     assert load_ensemble(path, *_ensemble_layout(1, 2, 1)).tolist() == [[[1.0], [2.0]]]
     with pytest.raises(ArtifactError, match="cf_thetas.csv line 2 has 3 fields"):
         load_trajectory(thetas, ["traj_id", "r"], [range(1)])
+
+
+# (trajectory, step, the row written there, the line and message expected)
+ENSEMBLE_ROWS_OFF_THE_DOMAIN = [
+    (1, 3, [14.0, 15.0], "line 9: x_1 is 14.0, not nan: the trajectory is nan from an earlier row on"),
+    (1, 3, [np.nan, -np.inf], "line 9: x_2 is -inf, not nan"),
+    (0, 1, [np.nan, 3.0], "line 3: x_1 is nan, not a finite number"),
+    (0, 0, [np.nan, np.nan], "line 2: x_1 is nan, not a finite number"),
+    (0, 2, [4.0, np.inf], "line 4: x_2 is inf, not a finite number"),
+]
+
+
+@pytest.mark.parametrize("traj, step, row, message", ENSEMBLE_ROWS_OFF_THE_DOMAIN)
+def test_ensemble_is_nan_only_from_a_trajectory_s_first_nan_row_on(tmp_path, traj, step, row, message):
+    path, layout = tmp_path / "cf_ensemble.csv", _ensemble_layout(2, 4, 2)
+    trajectories = np.arange(16.0).reshape(2, 4, 2)
+    trajectories[1, 2:] = np.nan  # truncated at t = 2, as the rollouts write it
+    save_ensemble(path, trajectories, *layout)
+    assert np.array_equal(load_ensemble(path, *layout), trajectories, equal_nan=True)
+    trajectories[traj, step] = row
+    save_ensemble(path, trajectories, *layout)
+    with pytest.raises(ArtifactError, match=f"cf_ensemble.csv {message}"):
+        load_ensemble(path, *layout)
 
 
 def test_csv_round_trip_keeps_every_bit(tmp_path):

@@ -385,7 +385,22 @@ BAD_CELLS = [
 ] + [
     # The pipeline writes each std as sqrt(max(0, ...)).
     pytest.param("theta_estimate.csv", "counterfactual", 3, 2, "std", "-0.25",
-                 "std is -0.25, below 0", id="theta_estimate.csv-counterfactual-3-2-std-negative"),
+                 "std is -0.25, not >= 0", id="theta_estimate.csv-counterfactual-3-2-std-negative"),
+] + [
+    # cf_ensemble.csv may hold NaN only in a truncated trajectory's rows, all
+    # NaN from its failing step on; line 5 is trajectory 0 at t = 3, and the
+    # rows after it stay finite. The rmse files hold NaN or values >= 0, and
+    # rmse_smoothed is never inf.
+    pytest.param(name, stage, line, field, column, value, expected,
+                 id="-".join(map(str, (name, stage, line, field, column, value))))
+    for name, stage, line, field, column, value, expected in [
+        ("cf_ensemble.csv", "metrics", 5, 3, "x_2", "inf", "x_2 is inf, not a finite number"),
+        ("cf_ensemble.csv", "plot", 5, 3, "x_2", "inf", "x_2 is inf, not a finite number"),
+        ("cf_ensemble.csv", "metrics", 5, 3, "x_2", "nan", "x_2 is nan, not a finite number"),
+        ("rmse.csv", "plot", 4, 1, "rmse", "-1.0", "rmse is -1.0, not nan or >= 0"),
+        ("rmse.csv", "plot", 4, 1, "rmse", "-inf", "rmse is -inf, not nan or >= 0"),
+        ("rmse.csv", "plot", 4, 2, "rmse_smoothed", "inf", "rmse_smoothed is inf, not nan or finite"),
+    ]
 ]
 
 

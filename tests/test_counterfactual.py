@@ -76,8 +76,8 @@ def test_intervention_form_validation():
 def _regime_thetas(regime, theta_mean, theta_std):
     config = replace(PRESETS["lorenz"], horizon=5, n_cf=4, theta_regime=regime)
     noise = NoisePosterior(mu=np.zeros((5, 3)), sigma=np.full((5, 3), 0.25))
-    _, ensemble = stage_counterfactual(config, (theta_mean, theta_std), noise)
-    return config, ensemble.thetas
+    (_, _, thetas), _ = stage_counterfactual(config, (theta_mean, theta_std), noise)
+    return config, thetas
 
 
 def test_true_regime_returns_true_theta():

@@ -1,7 +1,7 @@
 import json
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +101,7 @@ def test_every_preset_simulates_at_seeds_0_to_9():
                 with pytest.raises(NumericsError):
                     stage_simulate(seeded)
                 continue
-            truth, observations = stage_simulate(seeded)
+            (truth, observations), _ = stage_simulate(seeded)
             assert np.isfinite(truth).all(), (name, seed)
             assert np.isfinite(observations).all(), (name, seed)
 
@@ -242,7 +242,7 @@ def test_pipeline_worker_count_invariant(tmp_path):
 
 def test_stage_filter_frees_the_full_history_before_smoothing(monkeypatch):
     config = tiny_config()
-    _, observations = stage_simulate(config)
+    (_, observations), _ = stage_simulate(config)
     full = []
     live_at_smoothing = []
     run_filter, backward_smooth = experiment.run_filter, experiment.backward_smooth
@@ -258,7 +258,7 @@ def test_stage_filter_frees_the_full_history_before_smoothing(monkeypatch):
 
     monkeypatch.setattr(experiment, "run_filter", recording_run_filter)
     monkeypatch.setattr(experiment, "backward_smooth", checking_backward_smooth)
-    history, _, _ = stage_filter(config, observations)
+    (_, _, (history, _)), _ = stage_filter(config, observations)
     assert isinstance(history, AncestralHistory)
     assert live_at_smoothing == [False]
     assert full[0]() is None
@@ -272,25 +272,29 @@ def test_stage_filter_frees_the_full_history_before_smoothing(monkeypatch):
 
 def test_posterior_regime_with_zero_spread_matches_point(tmp_path):
     config = tiny_config()
-    truth, observations = stage_simulate(config)
-    history, smoothed, summary = stage_filter(config, observations)
-    noise = abduct_noise(history, smoothed, config.system, config.delta)
+    (_, observations), _ = stage_simulate(config)
+    (_, (theta_mean, theta_std), state), _ = stage_filter(config, observations)
+    noise = abduct_noise(*state, config.system, config.delta)
     point = replace(config, theta_regime="point", n_cf=4)
     degenerate = replace(config, theta_regime="posterior", n_cf=4)
-    _, a = stage_counterfactual(point, (summary.theta_mean, summary.theta_std), noise)
-    zero = np.zeros_like(summary.theta_std)
-    _, b = stage_counterfactual(degenerate, (summary.theta_mean, zero), noise)
-    assert np.array_equal(a.trajectories, b.trajectories)
-    assert np.array_equal(a.thetas, b.thetas)
+    (_, trajectories, thetas), _ = stage_counterfactual(point, (theta_mean, theta_std), noise)
+    zero = np.zeros_like(theta_std)
+    (_, *pinned), _ = stage_counterfactual(degenerate, (theta_mean, zero), noise)
+    assert np.array_equal(trajectories, pinned[0])
+    assert np.array_equal(thetas, pinned[1])
 
 
 def _arrays(product) -> list[np.ndarray]:
-    """Every array a product holds, derived ones included, in a fixed order."""
+    """Every array a product holds, in a fixed order: a record's array fields,
+    and for an `AncestralHistory` its derived `rows` and `parent` as well, read
+    on each side whatever the run has already derived."""
     if isinstance(product, np.ndarray):
         return [product]
     if isinstance(product, tuple):
         return [array for part in product for array in _arrays(part)]
-    return [value for value in vars(product).values() if isinstance(value, np.ndarray)]
+    stored = [getattr(product, f.name) for f in fields(product)]
+    derived = [product.rows, product.parent] if isinstance(product, AncestralHistory) else []
+    return [value for value in stored + derived if isinstance(value, np.ndarray)]
 
 
 def test_products_round_trip_through_their_files(tmp_path):

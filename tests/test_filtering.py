@@ -736,10 +736,10 @@ def test_lorenz_theta_estimate_within_prior_support():
         run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(23))
     )
     smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
-    summary = posterior_summary(history, smoothed)
-    assert np.isfinite(summary.theta_mean).all()
+    _, (theta_mean, _) = posterior_summary(history, smoothed)
+    assert np.isfinite(theta_mean).all()
     low, high = TABLE1_BOUNDS.T
-    assert ((summary.theta_mean >= low) & (summary.theta_mean <= high)).all()
+    assert ((theta_mean >= low) & (theta_mean <= high)).all()
 
 
 # ---------------------------------------------------------------- smoothing
@@ -991,10 +991,10 @@ def test_smoothed_means_track_rts_oracle():
         truth, obs, history = _decay_history(seed, n_inner=300, horizon=120)
         kept = keep_ancestral(history)
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
-        summary = posterior_summary(kept, smoothed)
+        state_mean, _ = posterior_summary(kept, smoothed)
         kf, rts, _, _ = kalman_filter_rts(obs[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         assert np.abs(filtered_means(history)[:, 0] - kf).mean() < 0.15
-        assert np.abs(summary.state_mean[:, 0] - rts).mean() < 0.15
+        assert np.abs(state_mean[:, 0] - rts).mean() < 0.15
 
 
 def test_lineages_identity_without_resampling_shuffle():
@@ -1071,9 +1071,9 @@ def test_posterior_summary_single_particle():
     _, _, history = _decay_history(33, n_inner=1, horizon=10)
     kept = keep_ancestral(history)
     smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
-    summary = posterior_summary(kept, smoothed)
-    assert np.array_equal(summary.state_mean, history.states[:, 0, 0, :])
-    assert summary.theta_std[0] == 0.0
+    state_mean, (_, theta_std) = posterior_summary(kept, smoothed)
+    assert np.array_equal(state_mean, history.states[:, 0, 0, :])
+    assert theta_std[0] == 0.0
 
 
 def test_posterior_summary_two_particle_closed_form():
@@ -1100,11 +1100,11 @@ def test_posterior_summary_two_particle_closed_form():
         w_tilde=np.stack([v[:, None], v[:, None]]),
         v_tilde=np.stack([v, v]),
     )
-    summary = posterior_summary(keep_ancestral(history), smoothed)
+    state_mean, (theta_mean, theta_std) = posterior_summary(keep_ancestral(history), smoothed)
     # weighted mean of states 1,1,5 and thetas 2,2,6 under (0.25,0.25,0.5)
-    assert abs(summary.state_mean[1, 0] - 3.0) < 1e-12
-    assert abs(summary.theta_mean[0] - 4.0) < 1e-12
-    assert abs(summary.theta_std[0] - 2.0) < 1e-12
+    assert abs(state_mean[1, 0] - 3.0) < 1e-12
+    assert abs(theta_mean[0] - 4.0) < 1e-12
+    assert abs(theta_std[0] - 2.0) < 1e-12
 
 
 def test_posterior_summary_uniform_weights_plain_average():
@@ -1116,5 +1116,5 @@ def test_posterior_summary_uniform_weights_plain_average():
         w_tilde=np.full((t1, m, n), 1.0 / (m * n)),
         v_tilde=np.full((t1, m), 1.0 / m),
     )
-    summary = posterior_summary(keep_ancestral(history), smoothed)
-    assert np.allclose(summary.state_mean, history.states.mean(axis=(1, 2)))
+    state_mean, _ = posterior_summary(keep_ancestral(history), smoothed)
+    assert np.allclose(state_mean, history.states.mean(axis=(1, 2)))
