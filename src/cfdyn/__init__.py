@@ -5,7 +5,7 @@ parameters with a nested particle filter plus backward smoothing, abduct the
 process noise, and generate counterfactual trajectories under
 initial-condition interventions.
 """
-from .abduction import NoisePosterior, abduct_noise
+from .abduction import abduct_noise
 from .counterfactual import CfTrajectorySet, deterministic_cf, generate_cf, intervene
 from .dynamics import (
     EXP_DECAY,
@@ -69,7 +69,6 @@ __all__ = [
     "LOGISTIC",
     "LORENZ",
     "NOISE_GRID",
-    "NoisePosterior",
     "NumericsError",
     "PRESETS",
     "ROSSLER",

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .abduction import NoisePosterior
 from .errors import ArtifactError
 from .filtering import AncestralHistory, SmoothedWeights
 
@@ -195,15 +194,18 @@ def load_trajectory(path: Path, header: list[str], labels: list) -> np.ndarray:
 save_observations, load_observations = save_trajectory, load_trajectory
 
 
-def save_noise_posterior(path: Path, noise: NoisePosterior, header: list[str], labels: list) -> None:
-    write_csv(path, header, labels, np.hstack([noise.mu, noise.sigma]))
+def save_noise_posterior(path: Path, noise: tuple, header: list[str], labels: list) -> None:
+    """Write the (mu, var) pair of (T, d) noise moments side by side."""
+    write_csv(path, header, labels, np.hstack(noise))
 
 
 @_reader
-def load_noise_posterior(path: Path, header: list[str], labels: list) -> NoisePosterior:
-    data = _in_domain(path, header, labels, read_table(path, header, labels))
-    d = data.shape[1] // 2
-    return NoisePosterior(mu=data[:, :d], sigma=data[:, d:])
+def load_noise_posterior(path: Path, header: list[str], labels: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (mu, var) pair; raise ArtifactError at the first variance below 0."""
+    values = _in_domain(path, header, labels, read_table(path, header, labels))
+    d = values.shape[1] // 2
+    _in_domain(path, header, labels, values, (values < 0) & (np.arange(2 * d) >= d), ">= 0")
+    return values[:, :d], values[:, d:]
 
 
 def save_ensemble(path: Path, trajectories: np.ndarray, header: list[str], labels: list) -> None:
@@ -326,13 +328,18 @@ def _check_filter_state(
     path: Path, history: AncestralHistory, smoothed: SmoothedWeights,
     t1: int, m: int, n: int, p: int, d: int,
 ) -> None:
-    """Check a filter state against the layout (T+1, M, N, p, d), in the order its
-    arrays depend on each other; raise ArtifactError at the first misfit.
+    """Check a filter state against the layout (T+1, M, N, p, d) and its value
+    domain, in the order its arrays depend on each other; raise ArtifactError
+    at the first misfit.
 
     The lane arrays come first: `outer_ancestors` must index M lanes before the
     row count S, one `parent` entry per row, is derived from it. Then every
     compact member must have S rows, `inner_ancestors` must index N
-    particles, and last the smoothed weights must cover every (t, lane).
+    particles, and the smoothed weights must cover every (t, lane). Last come
+    the values: the six members other than the index arrays must have a float
+    dtype, `thetas` and `states` must be finite, the four weight arrays finite
+    and >= 0, and every step of `w_tilde` must have a positive sum, by which
+    abduction divides.
     """
     arrays = {**vars(history), **vars(smoothed)}
     _check_shapes(path, arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
@@ -343,6 +350,19 @@ def _check_filter_state(
     })
     _check_index(path, "inner_ancestors", history.inner_ancestors, n)
     _check_shapes(path, arrays, {"w_tilde": (t1, m, n), "v_tilde": (t1, m)})
+    for key in ("thetas", "states", "inner_weights", "outer_weights", "w_tilde", "v_tilde"):
+        value, weights = arrays[key], key not in ("thetas", "states")
+        if value.dtype.kind != "f":
+            raise ArtifactError(f"{path} array {key} has dtype {value.dtype}, not a float dtype")
+        bad = ~np.isfinite(value) | (value < 0) if weights else ~np.isfinite(value)
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0].tolist())
+            raise ArtifactError(f"{path} array {key} holds {float(value[at])!r} at {at}, "
+                                f"not a finite number{' >= 0' if weights else ''}")
+    sums = smoothed.w_tilde.sum(axis=(1, 2))
+    if not (sums > 0).all():
+        t = int(np.argmin(sums > 0))
+        raise ArtifactError(f"{path} array w_tilde sums to {float(sums[t])!r} at step {t}, not > 0")
 
 
 @_reader

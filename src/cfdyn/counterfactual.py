@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abduction import NoisePosterior
 from .dynamics import SystemSpec, get_system, rollout
 from .errors import NumericsError
 from .seeding import RngSeed
@@ -81,7 +80,7 @@ def generate_cf(
     system: str | SystemSpec,
     theta: np.ndarray,
     theta_std: np.ndarray,
-    noise: NoisePosterior,
+    noise: tuple[np.ndarray, np.ndarray],
     x0_cf: np.ndarray,
     horizon: int,
     delta: float,
@@ -92,40 +91,43 @@ def generate_cf(
 
     Trajectory i runs under theta + theta_std * z_i, with z_i ~ N(0, I) drawn
     on its own "theta" substream (a zero `theta_std` pins every trajectory to
-    `theta`), and its own noise sequence u_t ~ N(mu_t, diag(sigma_t)) from the
-    abducted posterior. The substreams are indexed by trajectory, so ensembles
-    are reproducible and independent of the ensemble size. All trajectories
-    then step together as one `rollout` block. A trajectory that goes
-    non-finite is truncated at the failing step (NaN-padded) and flagged
-    rather than aborting the ensemble.
+    `theta`), and its own noise sequence u_t ~ N(mu_t, diag(var_t)) from
+    `noise`, the abducted (mu, var) pair of (T, d) arrays with T >= `horizon`.
+    The substreams are indexed by trajectory, so ensembles are reproducible
+    and independent of the ensemble size. All trajectories then step together
+    as one `rollout` block. A trajectory that goes non-finite is truncated at
+    the failing step (NaN-padded) and flagged rather than aborting the
+    ensemble. Raises ValueError on a shape that does not fit, a non-finite
+    noise mean, or a `theta_std` or noise variance that is not >= 0.
     """
     spec = get_system(system)
     theta = np.asarray(theta, dtype=float)
     theta_std = np.asarray(theta_std, dtype=float)
     x0_cf = np.asarray(x0_cf, dtype=float)
+    mu, var = (np.asarray(part, dtype=float) for part in noise)
     if x0_cf.shape != (spec.dimension,):
         raise ValueError(f"x0_cf has shape {x0_cf.shape}, expected ({spec.dimension},)")
     if theta_std.shape != theta.shape:
         raise ValueError(f"theta_std has shape {theta_std.shape}, theta has {theta.shape}")
-    if noise.dimension != spec.dimension:
-        raise ValueError(
-            f"noise posterior has dimension {noise.dimension}, {spec.id} has {spec.dimension}"
-        )
-    if noise.horizon < horizon:
-        raise ValueError(
-            f"noise posterior covers {noise.horizon} steps, need {horizon}"
-        )
+    if var.shape != mu.shape or mu.ndim != 2 or len(mu) < horizon or mu.shape[1] != spec.dimension:
+        raise ValueError(f"noise (mu, var) has shapes {mu.shape} and {var.shape}, "
+                         f"{spec.id} needs two ({horizon} or more, {spec.dimension})")
+    if not np.isfinite(mu).all():
+        raise ValueError("noise means must be finite")
+    for name, spread in (("theta_std", theta_std), ("noise variances", var)):
+        if not (spread >= 0).all():  # NaN compares False
+            raise ValueError(f"{name} must be >= 0, got {float(spread[~(spread >= 0)][0])!r}")
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
 
     thetas = np.empty((n_trajectories, theta.shape[0]))
     u = np.empty((n_trajectories, horizon, spec.dimension))
-    noise_std = np.sqrt(noise.sigma[:horizon])
+    noise_std = np.sqrt(var[:horizon])
     for i in range(n_trajectories):
         traj_seed = rng.child("traj", i)
         z = traj_seed.child("theta").generator().normal(size=theta.shape[0])
         thetas[i] = theta + theta_std * z
-        u[i] = noise.mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
+        u[i] = mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
             size=(horizon, spec.dimension)
         )
     x0_rows = np.broadcast_to(x0_cf, (n_trajectories, spec.dimension))

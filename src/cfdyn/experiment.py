@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts as io
-from .abduction import NoisePosterior, abduct_noise
+from .abduction import abduct_noise
 from .counterfactual import REGIMES, deterministic_cf, generate_cf, intervene
 from .dynamics import SystemSpec, get_system
 from .errors import ArtifactError, ConfigError
@@ -334,14 +334,15 @@ def stage_abduct(config: ExperimentConfig, state: tuple) -> tuple[tuple, dict]:
 def stage_counterfactual(
     config: ExperimentConfig,
     theta_estimate: tuple[np.ndarray, np.ndarray],
-    noise: NoisePosterior,
+    noise: tuple[np.ndarray, np.ndarray],
 ) -> tuple[tuple, dict]:
     """The noise-free reference and the ensemble of the config's intervention.
 
-    `theta_estimate` is the filter's (theta_mean, theta_std). The regime picks
-    the parameters the ensemble draws from: "true" runs every trajectory under
-    theta_true, "point" under theta_mean, and "posterior" draws each from
-    N(theta_mean, diag(theta_std^2)).
+    `theta_estimate` is the filter's (theta_mean, theta_std) and `noise` the
+    abducted (mu, var) pair. The regime picks the parameters the ensemble
+    draws from: "true" runs every trajectory under theta_true, "point" under
+    theta_mean, and "posterior" draws each from N(theta_mean,
+    diag(theta_std^2)).
     """
     seed = RngSeed(config.master_seed)
     theta_mean, theta_std = theta_estimate
@@ -423,6 +424,7 @@ def file_layout(name: str, config: ExperimentConfig, spec: SystemSpec) -> tuple[
     if name == "theta_estimate.csv":
         return "theta_estimate", (["parameter", "mean", "std"], [spec.parameter_names])
     if name == "noise_posterior.csv":
+        # The sigma_k columns hold the variances, which the code calls var.
         return "noise_posterior", (["t", *columns("mu"), *columns("sigma")], [steps[1:]])
     if name == "cf_ensemble.csv":
         grid = [np.tile(steps, n), np.repeat(np.arange(n), len(steps))]

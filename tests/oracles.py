@@ -202,7 +202,8 @@ def generate_cf_per_trajectory(system, theta, theta_std, noise, x0_cf, horizon, 
     thetas, failure steps with -1 for clean rows).
     """
     spec = get_system(system)
-    noise_std = np.sqrt(noise.sigma[:horizon])
+    mu, var = noise
+    noise_std = np.sqrt(var[:horizon])
     trajectories, thetas, failures = [], [], []
     for i in range(n_trajectories):
         traj_seed = rng.child("traj", i)
@@ -211,7 +212,7 @@ def generate_cf_per_trajectory(system, theta, theta_std, noise, x0_cf, horizon, 
         else:
             z = traj_seed.child("theta").generator().normal(size=theta.shape[0])
             row = theta + theta_std * z
-        u = noise.mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
+        u = mu[:horizon] + noise_std * traj_seed.child("noise").generator().normal(
             size=(horizon, spec.dimension)
         )
         states, failure = roll_one(spec, np.asarray(x0_cf, dtype=float), row, horizon, delta, u)

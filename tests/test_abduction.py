@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfdyn.abduction import NoisePosterior, abduct_noise
+from cfdyn.abduction import abduct_noise
 from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
@@ -63,7 +63,7 @@ def _degenerate_history(horizon=12):
 
 def test_single_particle_posterior_is_exact_residual():
     history, smoothed = _degenerate_history()
-    noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+    mu, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
     for t in range(1, history.horizon + 1):
         expected = particle_residual(
             history.states[t, 0, 0],
@@ -72,8 +72,8 @@ def test_single_particle_posterior_is_exact_residual():
             LORENZ,
             0.05,
         )
-        assert np.allclose(noise.mu[t - 1], expected, atol=1e-14)
-        assert np.array_equal(noise.sigma[t - 1], np.zeros(3))
+        assert np.allclose(mu[t - 1], expected, atol=1e-14)
+        assert np.array_equal(var[t - 1], np.zeros(3))
 
 
 def _manual_history(residuals, weights):
@@ -106,9 +106,9 @@ def _manual_history(residuals, weights):
 def test_symmetric_two_particle_moments():
     r = np.array([0.7, -1.1, 2.0])
     history, smoothed = _manual_history(np.stack([r, -r]), [0.5, 0.5])
-    noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
-    assert np.allclose(noise.mu[0], 0.0, atol=1e-12)
-    assert np.allclose(noise.sigma[0], r**2, rtol=1e-12)
+    mu, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+    assert np.allclose(mu[0], 0.0, atol=1e-12)
+    assert np.allclose(var[0], r**2, rtol=1e-12)
 
 
 def test_weighted_mean_stays_within_residual_envelope():
@@ -118,10 +118,10 @@ def test_weighted_mean_stays_within_residual_envelope():
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
         history, smoothed = _manual_history(residuals, w)
-        noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+        mu, _ = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
         lo = residuals.min(axis=0) - 1e-12
         hi = residuals.max(axis=0) + 1e-12
-        assert ((noise.mu[0] >= lo) & (noise.mu[0] <= hi)).all()
+        assert ((mu[0] >= lo) & (mu[0] <= hi)).all()
 
 
 def test_variance_matches_two_pass_oracle():
@@ -131,10 +131,10 @@ def test_variance_matches_two_pass_oracle():
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
         history, smoothed = _manual_history(residuals, w)
-        noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+        _, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
         mean = (w[:, None] * residuals).sum(axis=0)
-        var = (w[:, None] * (residuals - mean) ** 2).sum(axis=0)
-        rel = np.abs(noise.sigma[0] - var) / np.maximum(var, 1e-30)
+        expected = (w[:, None] * (residuals - mean) ** 2).sum(axis=0)
+        rel = np.abs(var[0] - expected) / np.maximum(expected, 1e-30)
         assert (rel < 1e-10).all()
 
 
@@ -152,25 +152,9 @@ def test_noiseless_truth_yields_small_abducted_mean():
     )
     history = keep_ancestral(run_filter(obs, LORENZ, X0, config, RngSeed(44)))
     smoothed = backward_smooth(history, LORENZ, 0.05, 0.05)
-    noise = abduct_noise(history, smoothed, LORENZ, 0.05)
-    mean_norm = np.sqrt((noise.mu**2).sum(axis=1)).mean()
+    mu, _ = abduct_noise(history, smoothed, LORENZ, 0.05)
+    mean_norm = np.sqrt((mu**2).sum(axis=1)).mean()
     assert mean_norm < 0.05
-
-
-def test_noise_posterior_validation():
-    with pytest.raises(ValueError):
-        NoisePosterior(mu=np.zeros((5, 3)), sigma=np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        NoisePosterior(mu=np.zeros((5, 3)), sigma=-np.ones((5, 3)))
-    for bad in (np.nan, np.inf, -np.inf):
-        mu = np.zeros((5, 3))
-        mu[2, 1] = bad
-        with pytest.raises(ValueError, match="noise means must be finite"):
-            NoisePosterior(mu=mu, sigma=np.zeros((5, 3)))
-    sigma = np.zeros((5, 3))
-    sigma[4, 0] = np.nan
-    with pytest.raises(ValueError, match="noise variances"):
-        NoisePosterior(mu=np.zeros((5, 3)), sigma=sigma)
 
 
 @pytest.mark.slow
@@ -198,12 +182,12 @@ def test_noise_moments_match_the_exact_linear_gaussian_posterior():
         history = keep_ancestral(
             run_filter(ys, EXP_DECAY, np.array([0.0]), config, root.child("filter"))
         )
-        noise = abduct_noise(history, backward_smooth(history, EXP_DECAY, delta, 1.0),
-                             EXP_DECAY, delta)
+        mu, var = abduct_noise(history, backward_smooth(history, EXP_DECAY, delta, 1.0),
+                               EXP_DECAY, delta)
         _, m, p, c = kalman_filter_rts(ys[:, 0], a, 1.0, 1.0, 0.0, 0.0)
         exact_mu = m[1:] - a * m[:-1]
         exact_var = p[1:] + a * a * p[:-1] - 2.0 * a * c
-        error = np.abs(noise.mu[:, 0] - exact_mu).mean()
-        ratio = np.median(np.sqrt(noise.sigma[:, 0] / exact_var))
+        error = np.abs(mu[:, 0] - exact_mu).mean()
+        ratio = np.median(np.sqrt(var[:, 0] / exact_var))
         assert error < 0.15, (seed, error)
         assert 0.9 <= ratio <= 1.1, (seed, ratio)

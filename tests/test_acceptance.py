@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfdyn.cli import main
-from cfdyn.abduction import NoisePosterior, abduct_noise
+from cfdyn.abduction import abduct_noise
 from cfdyn.counterfactual import deterministic_cf, generate_cf, intervene
 from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
 from cfdyn.experiment import (
@@ -223,7 +223,7 @@ def test_criterion_6_identity_counterfactual():
             for t in range(1, 301)
         ]
     )
-    recorded = NoisePosterior(mu=mu, sigma=np.zeros_like(mu))
+    recorded = (mu, np.zeros_like(mu))
     ensemble = generate_cf(LORENZ, theta, np.zeros(3), recorded, x0, 300, 0.05, 2, RngSeed(6001))
     worst = np.abs(ensemble.trajectories - truth[None]).max()
     assert worst < 1e-9

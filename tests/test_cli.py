@@ -220,6 +220,33 @@ def test_wrong_row_count_in_filter_state_is_io_error(tmp_path, capsys):
     _abduct_fails_naming(config, out, capsys, "states")
 
 
+def test_filter_state_off_its_value_domain_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("simulate", "filter"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    path = out / "filter_state.npz"
+    with np.load(path) as z:
+        original = dict(z)
+
+    def put(array, at, value):
+        array = array.copy()
+        array[at] = value
+        return array
+
+    cases = {
+        "w_tilde": (put(original["w_tilde"], 7, 0.0), "array w_tilde sums to 0.0 at step 7, not > 0"),
+        "v_tilde": (put(original["v_tilde"], (3, 2), np.nan),
+                    "array v_tilde holds nan at (3, 2), not a finite number >= 0"),
+        "states": (put(original["states"], (5, 1, 2), -np.inf),
+                   "array states holds -inf at (5, 1, 2), not a finite number"),
+        "thetas": (original["thetas"].astype(bool), "array thetas has dtype bool, not a float dtype"),
+    }
+    for key, (array, message) in cases.items():
+        np.savez(path, **{**original, key: array})
+        _abduct_fails_naming(config, out, capsys, message)
+
+
 def test_filter_state_in_the_full_history_layout_is_io_error(tmp_path, capsys):
     from cfdyn.experiment import build_filter_config, load_config
     from cfdyn.filtering import run_filter
@@ -383,9 +410,13 @@ BAD_CELLS = [
                  id="-".join(map(str, (*case, value, shown))))
     for value, shown in NONFINITE for case in FINITE_INPUTS
 ] + [
-    # The pipeline writes each std as sqrt(max(0, ...)).
+    # The pipeline writes each std as sqrt(max(0, ...)), and each noise
+    # variance as a weighted mean of squares.
     pytest.param("theta_estimate.csv", "counterfactual", 3, 2, "std", "-0.25",
                  "std is -0.25, not >= 0", id="theta_estimate.csv-counterfactual-3-2-std-negative"),
+    pytest.param("noise_posterior.csv", "counterfactual", 4, 6, "sigma_3", "-0.25",
+                 "sigma_3 is -0.25, not >= 0",
+                 id="noise_posterior.csv-counterfactual-4-6-sigma_3-negative"),
 ] + [
     # cf_ensemble.csv may hold NaN only in a truncated trajectory's rows, all
     # NaN from its failing step on; line 5 is trajectory 0 at t = 3, and the

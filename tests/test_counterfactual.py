@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfdyn.abduction import NoisePosterior
 from cfdyn.counterfactual import CfTrajectorySet, deterministic_cf, generate_cf, intervene
 from cfdyn.dynamics import LOGISTIC, LORENZ
 from cfdyn.errors import NumericsError
@@ -75,7 +74,7 @@ def test_intervention_form_validation():
 
 def _regime_thetas(regime, theta_mean, theta_std):
     config = replace(PRESETS["lorenz"], horizon=5, n_cf=4, theta_regime=regime)
-    noise = NoisePosterior(mu=np.zeros((5, 3)), sigma=np.full((5, 3), 0.25))
+    noise = (np.zeros((5, 3)), np.full((5, 3), 0.25))
     (_, _, thetas), _ = stage_counterfactual(config, (theta_mean, theta_std), noise)
     return config, thetas
 
@@ -93,14 +92,14 @@ def test_point_regime_returns_theta_mean():
 
 
 def test_posterior_regime_with_zero_spread_is_point():
-    noise = NoisePosterior(mu=np.zeros((1, 3)), sigma=np.zeros((1, 3)))
+    noise = (np.zeros((1, 3)), np.zeros((1, 3)))
     ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 1, 0.05, 5, RngSeed(2))
     assert ens.thetas.tobytes() == np.tile(LORENZ_THETA, (5, 1)).tobytes()
 
 
 def test_posterior_regime_spread_matches_std():
     std = np.array([0.5, 1.5, 0.1])
-    noise = NoisePosterior(mu=np.zeros((1, 3)), sigma=np.zeros((1, 3)))
+    noise = (np.zeros((1, 3)), np.zeros((1, 3)))
     draws = generate_cf(LORENZ, np.zeros(3), std, noise, X0, 1, 0.05, 10000, RngSeed(3)).thetas
     assert (np.abs(draws.std(axis=0) - std) < 0.05 * std).all()
 
@@ -108,7 +107,7 @@ def test_posterior_regime_spread_matches_std():
 def test_regime_reference_requirements():
     # Every parameter needs its own spread: a short or scalar theta_std is
     # rejected rather than broadcast.
-    noise = NoisePosterior(mu=np.zeros((5, 3)), sigma=np.zeros((5, 3)))
+    noise = (np.zeros((5, 3)), np.zeros((5, 3)))
     for theta_std in (np.zeros(2), np.zeros(()), np.zeros(1)):
         with pytest.raises(ValueError, match="theta_std"):
             generate_cf(LORENZ, LORENZ_THETA, theta_std, noise, X0, 5, 0.05, 2, RngSeed(1))
@@ -116,13 +115,42 @@ def test_regime_reference_requirements():
 
 def test_noise_posterior_of_another_dimension_rejected():
     # A (T, 1) posterior would broadcast over the three Lorenz components.
-    noise = NoisePosterior(mu=np.zeros((10, 1)), sigma=np.ones((10, 1)))
-    with pytest.raises(ValueError, match="dimension 1"):
+    noise = (np.zeros((10, 1)), np.ones((10, 1)))
+    with pytest.raises(ValueError, match=r"shapes \(10, 1\) and \(10, 1\), lorenz needs"):
         generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 10, 0.05, 3, RngSeed(1))
-    wide = NoisePosterior(mu=np.zeros((10, 3)), sigma=np.ones((10, 3)))
-    with pytest.raises(ValueError, match="dimension 3"):
+    wide = (np.zeros((10, 3)), np.ones((10, 3)))
+    with pytest.raises(ValueError, match=r"shapes \(10, 3\) and \(10, 3\), logistic needs"):
         generate_cf(LOGISTIC, np.array([0.5, 100.0]), np.zeros(2), wide, np.array([10.0]),
                     10, 0.05, 3, RngSeed(1))
+
+
+def test_noise_pair_validation():
+    def run(noise):
+        generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 5, 0.05, 1, RngSeed(1))
+
+    for noise in ((np.zeros((5, 3)), np.zeros((4, 3))), (np.zeros(3), np.zeros(3)),
+                  (np.zeros((5, 3)),), (np.zeros((5, 3)),) * 3):
+        with pytest.raises(ValueError):
+            run(noise)
+    for bad in (np.nan, np.inf, -np.inf):
+        mu = np.zeros((5, 3))
+        mu[2, 1] = bad
+        with pytest.raises(ValueError, match="noise means must be finite"):
+            run((mu, np.zeros((5, 3))))
+    for bad in (np.nan, -1.0):
+        var = np.zeros((5, 3))
+        var[4, 0] = bad
+        with pytest.raises(ValueError, match=f"noise variances must be >= 0, got {bad!r}"):
+            run((np.zeros((5, 3)), var))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_negative_or_nan_theta_std_rejected(bad):
+    # A std below 0 would draw every trajectory under the mirrored spread.
+    theta_std = np.array([0.5, bad, 0.1])
+    noise = (np.zeros((5, 3)), np.zeros((5, 3)))
+    with pytest.raises(ValueError, match=f"theta_std must be >= 0, got {bad!r}"):
+        generate_cf(LORENZ, LORENZ_THETA, theta_std, noise, X0, 5, 0.05, 2, RngSeed(1))
 
 
 # ------------------------------------------------------------- generate_cf
@@ -135,7 +163,7 @@ def _recorded_noise_posterior(traj, theta):
             for t in range(1, len(traj))
         ]
     )
-    return NoisePosterior(mu=mu, sigma=np.zeros_like(mu))
+    return mu, np.zeros_like(mu)
 
 
 def test_identity_counterfactual_reproduces_factual():
@@ -147,7 +175,7 @@ def test_identity_counterfactual_reproduces_factual():
 
 
 def test_zero_noise_true_theta_equals_deterministic_rollout():
-    noise = NoisePosterior(mu=np.zeros((40, 3)), sigma=np.zeros((40, 3)))
+    noise = (np.zeros((40, 3)), np.zeros((40, 3)))
     ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 40, 0.05, 2, RngSeed(6))
     ref = deterministic_cf(LORENZ, LORENZ_THETA, X0, 40, 0.05)
     for i in range(2):
@@ -156,7 +184,7 @@ def test_zero_noise_true_theta_equals_deterministic_rollout():
 
 def test_logistic_reaches_carrying_capacity():
     theta = np.array([0.5, 100.0])
-    noise = NoisePosterior(mu=np.zeros((500, 1)), sigma=np.zeros((500, 1)))
+    noise = (np.zeros((500, 1)), np.zeros((500, 1)))
     ens = generate_cf(
         LOGISTIC, theta, np.zeros(2), noise, np.array([20.0]), 500, 0.05, 1, RngSeed(7)
     )
@@ -164,7 +192,7 @@ def test_logistic_reaches_carrying_capacity():
 
 
 def test_posterior_zero_spread_bit_identical_to_point():
-    noise = NoisePosterior(mu=np.zeros((20, 3)), sigma=np.full((20, 3), 0.25))
+    noise = (np.zeros((20, 3)), np.full((20, 3), 0.25))
     # Zero spread draws z_i and adds 0 * z_i; the oracle copies theta and draws nothing.
     ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 20, 0.05, 4, RngSeed(8))
     trajectories, thetas, _ = generate_cf_per_trajectory(
@@ -175,7 +203,7 @@ def test_posterior_zero_spread_bit_identical_to_point():
 
 
 def test_trajectories_use_independent_substreams():
-    noise = NoisePosterior(mu=np.zeros((15, 3)), sigma=np.ones((15, 3)))
+    noise = (np.zeros((15, 3)), np.ones((15, 3)))
     small = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 15, 0.05, 3, RngSeed(9))
     large = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 15, 0.05, 6, RngSeed(9))
     assert np.array_equal(small.trajectories, large.trajectories[:3])
@@ -187,7 +215,7 @@ def test_batched_ensemble_matches_per_trajectory_loop(rate):
     # steps or not at all; at -160 every row fails and the rollout stops early.
     from cfdyn.dynamics import EXP_DECAY
 
-    noise = NoisePosterior(mu=np.full((300, 1), 0.01), sigma=np.full((300, 1), 1e-4))
+    noise = (np.full((300, 1), 0.01), np.full((300, 1), 1e-4))
     theta, theta_std = np.array([rate]), np.array([40.0])
     args = (EXP_DECAY, theta, theta_std, noise, np.array([1.0]), 300, 0.05, 24, RngSeed(10))
     ens = generate_cf(*args)
@@ -200,7 +228,7 @@ def test_batched_ensemble_matches_per_trajectory_loop(rate):
 
 
 def test_batched_lorenz_ensemble_matches_per_trajectory_loop():
-    noise = NoisePosterior(mu=np.full((80, 3), 0.1), sigma=np.full((80, 3), 0.5))
+    noise = (np.full((80, 3), 0.1), np.full((80, 3), 0.5))
     theta_std = np.array([0.5, 1.0, 0.1])
     args = (LORENZ, LORENZ_THETA, theta_std, noise, X0, 80, 0.05, 7, RngSeed(14))
     ens = generate_cf(*args)
@@ -211,14 +239,14 @@ def test_batched_lorenz_ensemble_matches_per_trajectory_loop():
 
 
 def test_short_noise_posterior_rejected():
-    noise = NoisePosterior(mu=np.zeros((5, 3)), sigma=np.zeros((5, 3)))
+    noise = (np.zeros((5, 3)), np.zeros((5, 3)))
     with pytest.raises(ValueError):
         generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, X0, 10, 0.05, 1, RngSeed(11))
 
 
 def test_nonfinite_trajectory_truncated_and_flagged():
     theta = np.array([-120.0])
-    noise = NoisePosterior(mu=np.zeros((300, 1)), sigma=np.zeros((300, 1)))
+    noise = (np.zeros((300, 1)), np.zeros((300, 1)))
     from cfdyn.dynamics import EXP_DECAY
 
     ens = generate_cf(
@@ -267,7 +295,7 @@ def test_deterministic_cf_fixed_point_constant():
 
 
 def test_deterministic_cf_equals_noise_free_ensemble():
-    noise = NoisePosterior(mu=np.zeros((30, 3)), sigma=np.zeros((30, 3)))
+    noise = (np.zeros((30, 3)), np.zeros((30, 3)))
     x0_cf = intervene(X0, {"component": 1, "shift": 1e-4})
     ens = generate_cf(LORENZ, LORENZ_THETA, PINNED, noise, x0_cf, 30, 0.05, 1, RngSeed(13))
     ref = deterministic_cf(LORENZ, LORENZ_THETA, x0_cf, 30, 0.05)

@@ -370,7 +370,7 @@ def test_metrics_of_a_truncated_ensemble_average_its_finite_rows(tmp_path):
 def test_true_regime_still_runs_filter_and_abduction(tmp_path):
     config = tiny_config(theta_regime="true")
     run = run_pipeline(config, tmp_path / "run")
-    assert run.products["noise_posterior.csv"].mu.shape == (config.horizon, 3)
+    assert run.products["noise_posterior.csv"][0].shape == (config.horizon, 3)
     assert (tmp_path / "run" / "theta_estimate.csv").exists()
 
 

@@ -818,9 +818,9 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
     assert np.array_equal(smoothed.w_tilde, oracle.w_tilde)
     assert np.array_equal(smoothed.v_tilde, oracle.v_tilde)
 
-    noise = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
-    mu, sigma = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
-    assert np.array_equal(noise.mu, mu) and np.array_equal(noise.sigma, sigma)
+    mu, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+    two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
+    assert np.array_equal(mu, two_pass_mu) and np.array_equal(var, two_pass_var)
 
 
 def _distinct_next_lanes(history) -> np.ndarray:
@@ -979,9 +979,9 @@ def test_abduction_on_coalesced_lineages_matches_two_pass_oracle():
     assert all(np.unique(lane[t]).size < 12 for t in range(history.horizon))
     kept = keep_ancestral(history)
     smoothed = backward_smooth(kept, LORENZ, 0.05, 1.0)
-    noise = abduct_noise(kept, smoothed, LORENZ, 0.05)
-    mu, sigma = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
-    assert np.array_equal(noise.mu, mu) and np.array_equal(noise.sigma, sigma)
+    mu, var = abduct_noise(kept, smoothed, LORENZ, 0.05)
+    two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
+    assert np.array_equal(mu, two_pass_mu) and np.array_equal(var, two_pass_var)
 
 
 def test_smoothed_means_track_rts_oracle():
