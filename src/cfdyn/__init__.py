@@ -39,7 +39,6 @@ from .filtering import (
     FilterHistory,
     SmoothedWeights,
     backward_smooth,
-    filtered_means,
     init_particles,
     inner_weights,
     jitter,
@@ -84,7 +83,6 @@ __all__ = [
     "divergence_onset",
     "expand_grid",
     "factual_rmse",
-    "filtered_means",
     "generate_cf",
     "get_preset",
     "get_system",

@@ -111,38 +111,43 @@ class FilterDiagnostics:
 
 @dataclass
 class FilterHistory:
-    """Pre-resample snapshots for t = 0..T plus resampling ancestry.
+    """What `run_filter` keeps of t = 0..T: lineage rows and per-lane weights.
 
-    `thetas[t]` are the jittered parameters that propagated `states[t]`;
-    `outer_ancestors[t]` maps post-resample lane m to the pre-resample lane it
-    copied, and `inner_ancestors[t]` does the same within each lane. Both
-    hold the narrowest unsigned dtype that indexes their axis
-    (`index_dtype`).
+    The per-row members hold one row per lane-step (t, u) on the final
+    lanes' lineages, numbered as `lineages` numbers them: `thetas` are the
+    jittered parameters that propagated lane u's pre-resample `states` at
+    step t, and `inner_ancestors` maps each post-resample particle of lane u
+    to the particle it copied. The per-lane members keep every lane:
+    `outer_ancestors[t]` maps post-resample lane m to the pre-resample lane
+    it copied, and `filtered_means[t]` is the state mean under the joint
+    outer x inner weights of step t. Both ancestor arrays hold the narrowest
+    unsigned dtype that indexes their axis (`index_dtype`).
     """
 
-    thetas: np.ndarray          # (T+1, M, p)
-    states: np.ndarray          # (T+1, M, N, d)
-    inner_weights: np.ndarray   # (T+1, M, N)
-    outer_weights: np.ndarray   # (T+1, M)
+    thetas: np.ndarray           # (S, p)
+    states: np.ndarray           # (S, N, d)
+    inner_weights: np.ndarray    # (T+1, M, N)
+    outer_weights: np.ndarray    # (T+1, M)
     outer_ancestors: np.ndarray  # (T+1, M)
-    inner_ancestors: np.ndarray  # (T+1, M, N)
+    inner_ancestors: np.ndarray  # (S, N)
+    filtered_means: np.ndarray   # (T+1, d)
     diagnostics: FilterDiagnostics = field(default_factory=FilterDiagnostics)
 
     @property
     def horizon(self) -> int:
-        return self.states.shape[0] - 1
+        return self.outer_weights.shape[0] - 1
 
     @property
     def num_outer(self) -> int:
-        return self.states.shape[1]
+        return self.outer_weights.shape[1]
 
     @property
     def num_inner(self) -> int:
-        return self.states.shape[2]
+        return self.inner_weights.shape[2]
 
     @property
     def dimension(self) -> int:
-        return self.states.shape[3]
+        return self.states.shape[2]
 
 
 def init_particles(
@@ -281,8 +286,14 @@ def outer_weights(log_mean_lik: np.ndarray, diagnostics: FilterDiagnostics) -> n
 
 
 def systematic_resample(weights: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Systematic (low-variance) resampling; returns selected indices."""
-    return systematic_resample_rows(weights[None], np.array([gen.uniform()]))[0]
+    """Systematic (low-variance) resampling of one row; returns selected indices.
+
+    The indices of `systematic_resample_rows`, found by one binary search:
+    for a single row that beats its counting pass.
+    """
+    n = weights.shape[0]
+    positions = (gen.uniform() + np.arange(n)) / n
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
 
 
 def systematic_resample_rows(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -325,6 +336,61 @@ def take_particles(block: np.ndarray, rows: np.ndarray, inner: np.ndarray) -> np
     return np.take(block.reshape(m * n, *block.shape[2:]), flat, axis=0)
 
 
+# Path storage: the buffer holds this many steps of M lane-rows at first, and
+# doubles whenever a prune keeps more than half of it.
+_BUFFER_STEPS = 2 * 33
+
+
+class _PathBuffer:
+    """The per-row members of a `FilterHistory` while the filter runs.
+
+    Each step appends its M lane-rows of thetas, states and inner ancestors;
+    `row_of[t, u]` is lane-step (t, u)'s row. When the buffer is full, `prune`
+    keeps only the rows on the current lanes' lineages, in `lineages` order
+    (Jacob, Murray & Rubenthaler, Stat. Comput. 2015): a lane-step off them
+    is on no later lineage either.
+    """
+
+    def __init__(self, steps: int, m: int, n: int, p: int, d: int, inner_dtype: np.dtype):
+        cap = min(_BUFFER_STEPS, steps) * m
+        self.arrays = [np.empty((cap, p)), np.empty((cap, n, d)), np.empty((cap, n), inner_dtype)]
+        self.row_of = np.empty((steps, m), dtype=np.intp)
+        self.size = 0
+
+    def append(self, t: int, outer_ancestors: np.ndarray, *rows: np.ndarray) -> None:
+        m = self.row_of.shape[1]
+        if self.size + m > self.arrays[0].shape[0]:
+            self.prune(outer_ancestors[:t])
+        self.row_of[t] = np.arange(self.size, self.size + m)
+        for array, block in zip(self.arrays, rows):
+            array[self.size : self.size + m] = block
+        self.size += m
+
+    def prune(self, outer_ancestors: np.ndarray, final: bool = False) -> list[np.ndarray]:
+        """Keep the rows on the lineages of the lanes at the last step of
+        `outer_ancestors`; the final prune returns them in arrays of their own."""
+        _, steps, lanes = lineages(outer_ancestors)
+        keep = self.row_of[steps, lanes]
+        kept = keep.size
+        cap = self.arrays[0].shape[0]
+        if final or 2 * kept > cap:
+            size = kept if final else 2 * cap
+            grown = []
+            for array in self.arrays:
+                new = np.empty((size, *array.shape[1:]), array.dtype)
+                # "clip" writes straight into `out` ("raise" buffers a copy);
+                # every index is in range.
+                np.take(array, keep, axis=0, out=new[:kept], mode="clip")
+                grown.append(new)
+            self.arrays = grown
+        else:
+            for array in self.arrays:
+                array[:kept] = array[keep]
+        self.row_of[steps, lanes] = np.arange(kept)
+        self.size = kept
+        return self.arrays
+
+
 def run_filter(
     observations: np.ndarray,
     system: str | SystemSpec,
@@ -332,7 +398,7 @@ def run_filter(
     config: FilterConfig,
     rng: RngSeed,
 ) -> FilterHistory:
-    """Assimilate observations for t = 1..T and record the full history.
+    """Assimilate observations for t = 1..T and record the history.
 
     Parameters
     ----------
@@ -350,7 +416,10 @@ def run_filter(
 
     Returns
     -------
-    FilterHistory with pre-resample snapshots, ancestry, and diagnostics.
+    FilterHistory with the weights and ancestry of every lane, the filtered
+    means, the lane-steps on the final lanes' lineages, and diagnostics.
+    The lane-steps off those lineages are dropped while the filter runs
+    (`_PathBuffer`), so the (T+1, M, N, d) states are never held at once.
     """
     spec = get_system(system)
     observations = np.asarray(observations, dtype=float)
@@ -374,25 +443,22 @@ def run_filter(
         raise ValueError(f"x0 must be ({spec.dimension},) for {spec.id}, got {x0.shape}")
 
     m, n = config.outer_particles, config.inner_particles
-    history = FilterHistory(
-        thetas=np.empty((horizon + 1, m, spec.n_params)),
-        states=np.empty((horizon + 1, m, n, spec.dimension)),
-        inner_weights=np.empty((horizon + 1, m, n)),
-        outer_weights=np.empty((horizon + 1, m)),
-        outer_ancestors=np.empty((horizon + 1, m), dtype=index_dtype(m)),
-        inner_ancestors=np.empty((horizon + 1, m, n), dtype=index_dtype(n)),
-    )
-    diagnostics = history.diagnostics
+    all_inner_weights = np.empty((horizon + 1, m, n))
+    all_outer_weights = np.empty((horizon + 1, m))
+    outer_ancestors = np.empty((horizon + 1, m), dtype=index_dtype(m))
+    means = np.empty((horizon + 1, spec.dimension))
+    paths = _PathBuffer(horizon + 1, m, n, spec.n_params, spec.dimension, index_dtype(n))
+    diagnostics = FilterDiagnostics()
     bounds, std = np.array(config.prior_bounds), config.jitter_std
     theta, states = init_particles(bounds, m, n, x0, rng.child("init"))
     weights = np.full((m, n), 1.0 / n)
+    identity = np.broadcast_to(np.arange(n), (m, n))
 
-    history.thetas[0] = theta
-    history.states[0] = states
-    history.inner_weights[0] = weights
-    history.outer_weights[0] = 1.0 / m
-    history.outer_ancestors[0] = np.arange(m)
-    history.inner_ancestors[0] = np.arange(n)
+    all_inner_weights[0] = weights
+    all_outer_weights[0] = 1.0 / m
+    outer_ancestors[0] = np.arange(m)
+    means[0] = np.einsum("mn,mnd->d", all_outer_weights[0][:, None] * weights, states)
+    paths.append(0, outer_ancestors, theta, states, identity)
 
     for t in range(1, horizon + 1):
         step = rng.child("step", t)
@@ -404,40 +470,41 @@ def run_filter(
             states, weights, invalid, observations[t], config.observation_std, diagnostics
         )
         v = outer_weights(log_mean_lik, diagnostics)
+        all_inner_weights[t] = weights
+        all_outer_weights[t] = v
+        means[t] = np.einsum("mn,mnd->d", v[:, None] * weights, states)
 
-        history.thetas[t] = theta
-        history.states[t] = states
-        history.inner_weights[t] = weights
-        history.outer_weights[t] = v
-
-        inner_anc = history.inner_ancestors[t]
+        inner_anc = identity
         if config.inner_resampling:
             # `random()` is `uniform()` without its exact 0.0 + 1.0 * u.
             drawer = StreamDrawer(step)
             uniforms = np.empty(m)
             for lane in range(m):
                 uniforms[lane] = drawer.generator("inner_resample", lane).random()
-            inner_anc[:] = systematic_resample_rows(weights, uniforms)
+            inner_anc = systematic_resample_rows(weights, uniforms)
             weights = np.full((m, n), 1.0 / n)
-        else:
-            inner_anc[:] = np.arange(n)
+        paths.append(t, outer_ancestors, theta, states, inner_anc)
 
         # Lanes survive by outer weight, each carrying its resampled inner
         # cloud: post-resample particle (j, i) is pre-resample particle
         # (anc[j], inner_anc[anc[j], i]), gathered in one pass.
         anc = systematic_resample(v, step.child("outer_resample").generator())
-        history.outer_ancestors[t] = anc
+        outer_ancestors[t] = anc
         theta = theta[anc]
         states = take_particles(states, anc, inner_anc[anc])
         weights = weights[anc]
 
-    return history
-
-
-def filtered_means(history: FilterHistory) -> np.ndarray:
-    """Per-step filtered state means under outer x inner weights, (T+1, d)."""
-    joint = history.outer_weights[:, :, None] * history.inner_weights
-    return np.einsum("tmn,tmnd->td", joint, history.states)
+    thetas, kept_states, inner_ancestors = paths.prune(outer_ancestors, final=True)
+    return FilterHistory(
+        thetas=thetas,
+        states=kept_states,
+        inner_weights=all_inner_weights,
+        outer_weights=all_outer_weights,
+        outer_ancestors=outer_ancestors,
+        inner_ancestors=inner_ancestors,
+        filtered_means=means,
+        diagnostics=diagnostics,
+    )
 
 
 def lineages(outer_ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -467,10 +534,11 @@ class AncestralHistory:
 
     The compact members hold one row per lane-step (t, u) on those lineages,
     in the order of `lineages`: `rows[t, j]` is the row final lane j's
-    lineage passes at step t, and a row's `states` are the `FilterHistory`'s
-    `states[t][u]`, and likewise for `thetas`, `inner_weights` and
-    `inner_ancestors`. `parent[r]` is the row one step earlier on the same
-    lineage, whose resampled cloud row r propagated (-1 at t = 0).
+    lineage passes at step t, and a row's `states` are the filter's
+    pre-resample particles of lane u at step t, and likewise for `thetas`,
+    `inner_weights` and `inner_ancestors`. `parent[r]` is the row one step
+    earlier on the same lineage, whose resampled cloud row r propagated (-1
+    at t = 0).
     `outer_weights` and `outer_ancestors` keep every lane; `rows` and
     `parent` are derived from `outer_ancestors` on first use, not stored.
     """
@@ -511,18 +579,19 @@ class AncestralHistory:
 
 
 def keep_ancestral(history: FilterHistory) -> AncestralHistory:
-    """Gather the lane-steps on the final lanes' lineages into an AncestralHistory.
+    """The filter history as the smoother, the abduction and the posterior
+    summary read it: only on the final lanes' lineages.
 
-    The smoother, the abduction and the posterior summary read the history
-    only along those lineages, which coalesce going backward; every other
-    lane-step is dropped. The result shares `history.diagnostics`.
+    `run_filter` already keeps only those lane-steps of the per-row members;
+    this gathers their rows of `inner_weights`, and drops every other
+    lane's. The result shares the other arrays and `history.diagnostics`.
     """
     _, steps, lanes = lineages(history.outer_ancestors)
     return AncestralHistory(
-        thetas=history.thetas[steps, lanes],
-        states=history.states[steps, lanes],
+        thetas=history.thetas,
+        states=history.states,
         inner_weights=history.inner_weights[steps, lanes],
-        inner_ancestors=history.inner_ancestors[steps, lanes],
+        inner_ancestors=history.inner_ancestors,
         outer_weights=history.outer_weights,
         outer_ancestors=history.outer_ancestors,
         diagnostics=history.diagnostics,

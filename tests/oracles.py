@@ -17,15 +17,30 @@ The two-pass particle reorders move particles along the lineage with
 package's one flat gather must match them bit for bit at every index dtype.
 The lineage trace walks each final lane back one step at a time in Python
 ints and numbers the lane-steps it passes with a dict per step; the other
-lineage oracles align lanes with it.
+lineage oracles align lanes with it. The reference filter composes the
+package's public filter steps and keeps every lane-step of t = 0..T, in the
+full (T+1, M, ...) layout; the lineage gather picks a full history's rows
+along the traced lineages one lane-step at a time.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from cfdyn.dynamics import _rk4, get_system, rk4_step
+from cfdyn.filtering import (
+    AncestralHistory,
+    FilterDiagnostics,
+    init_particles,
+    inner_weights,
+    jitter,
+    outer_weights,
+    propagate,
+    systematic_resample,
+    systematic_resample_rows,
+)
 from cfdyn.seeding import RngSeed
 
 
@@ -263,6 +278,93 @@ def lineage_trace(outer_ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows[t] = [number[u] for u in lane[t].tolist()]
         start += len(number)
     return lane, rows
+
+
+@dataclass
+class FullHistory:
+    """Every lane-step of a filter run, t = 0..T, with the ancestry."""
+
+    thetas: np.ndarray           # (T+1, M, p)
+    states: np.ndarray           # (T+1, M, N, d)
+    inner_weights: np.ndarray    # (T+1, M, N)
+    outer_weights: np.ndarray    # (T+1, M)
+    outer_ancestors: np.ndarray  # (T+1, M)
+    inner_ancestors: np.ndarray  # (T+1, M, N)
+    diagnostics: FilterDiagnostics = field(default_factory=FilterDiagnostics)
+
+    @property
+    def horizon(self) -> int:
+        return self.states.shape[0] - 1
+
+    @property
+    def filtered_means(self) -> np.ndarray:
+        """Per-step state means under outer x inner weights, (T+1, d)."""
+        joint = self.outer_weights[:, :, None] * self.inner_weights
+        return np.einsum("tmn,tmnd->td", joint, self.states)
+
+
+def filter_by_hand(obs, system, x0, config, rng) -> FullHistory:
+    """run_filter composed from its public array steps on its substream layout.
+
+    Keeps every lane-step; ancestors are int64 and the resampling gather is
+    plain fancy indexing.
+    """
+    m, n = config.outer_particles, config.inner_particles
+    diagnostics = FilterDiagnostics()
+    theta, states = init_particles(config.prior_bounds, m, n, x0, rng.child("init"))
+    weights = np.full((m, n), 1.0 / n)
+    identity = np.tile(np.arange(n), (m, 1))
+    steps = [(theta, states, weights, np.full(m, 1.0 / m), np.arange(m), identity)]
+    for t in range(1, obs.shape[0]):
+        step = rng.child("step", t)
+        theta = jitter(theta, config.jitter_std, config.prior_bounds, step.child("jitter"))
+        states, invalid = propagate(
+            states, theta, system, config.delta, config.process_std, step.child("propagate")
+        )
+        weights, log_mean_lik = inner_weights(
+            states, weights, invalid, obs[t], config.observation_std, diagnostics
+        )
+        v = outer_weights(log_mean_lik, diagnostics)
+        inner = identity
+        if config.inner_resampling:
+            uniforms = np.array([
+                step.child("inner_resample", lane).generator().uniform() for lane in range(m)
+            ])
+            inner = systematic_resample_rows(weights, uniforms)
+        outer = systematic_resample(v, step.child("outer_resample").generator())
+        steps.append((theta, states, weights, v, outer, inner))
+        theta = theta[outer]
+        states = states[outer[:, None], inner[outer]]
+        weights = np.full((m, n), 1.0 / n) if config.inner_resampling else weights[outer]
+    thetas, states, inner_w, outer_w, outer_anc, inner_anc = (np.stack(c) for c in zip(*steps))
+    return FullHistory(thetas, states, inner_w, outer_w, outer_anc, inner_anc, diagnostics)
+
+
+def gather_ancestral(history: FullHistory) -> AncestralHistory:
+    """A full history's lane-steps on the final lanes' lineages, as `keep_ancestral` keeps them.
+
+    Row r is the lane-step that `lineage_trace` numbers r; each row is picked
+    on its own. Shares `outer_weights`, `outer_ancestors` and the diagnostics.
+    """
+    lane, rows = lineage_trace(history.outer_ancestors)
+    at = {}
+    for t in range(lane.shape[0]):
+        for u, r in zip(lane[t].tolist(), rows[t].tolist()):
+            at[r] = (t, u)
+    order = [at[r] for r in range(len(at))]
+
+    def pick(array):
+        return np.stack([array[t, u] for t, u in order])
+
+    return AncestralHistory(
+        thetas=pick(history.thetas),
+        states=pick(history.states),
+        inner_weights=pick(history.inner_weights),
+        inner_ancestors=pick(history.inner_ancestors),
+        outer_weights=history.outer_weights,
+        outer_ancestors=history.outer_ancestors,
+        diagnostics=history.diagnostics,
+    )
 
 
 def abduct_noise_two_pass(history, smoothed, system, delta: float) -> tuple[np.ndarray, np.ndarray]:

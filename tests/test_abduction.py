@@ -5,7 +5,6 @@ from cfdyn.abduction import abduct_noise
 from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
-    FilterHistory,
     SmoothedWeights,
     backward_smooth,
     keep_ancestral,
@@ -14,7 +13,7 @@ from cfdyn.filtering import (
 from cfdyn.seeding import RngSeed
 from cfdyn.simulate import observe, simulate_hidden
 
-from .oracles import kalman_filter_rts, particle_residual
+from .oracles import FullHistory, gather_ancestral, kalman_filter_rts, particle_residual
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 X0 = np.array([1.0, 1.0, 1.0])
@@ -64,11 +63,12 @@ def _degenerate_history(horizon=12):
 def test_single_particle_posterior_is_exact_residual():
     history, smoothed = _degenerate_history()
     mu, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+    # One lane, so row t is step t.
     for t in range(1, history.horizon + 1):
         expected = particle_residual(
-            history.states[t, 0, 0],
-            history.states[t - 1, 0, 0],
-            history.thetas[t, 0],
+            history.states[t, 0],
+            history.states[t - 1, 0],
+            history.thetas[t],
             LORENZ,
             0.05,
         )
@@ -77,7 +77,10 @@ def test_single_particle_posterior_is_exact_residual():
 
 
 def _manual_history(residuals, weights):
-    """Two inner particles, one lane, one transition; residuals (2, d)."""
+    """Two inner particles, one lane, one transition; residuals (2, d).
+
+    Returns the ancestral rows of the full history and its smoothed weights.
+    """
     d = residuals.shape[1]
     theta = LORENZ_THETA
     x_prev = np.array([1.0, 2.0, 3.0])
@@ -87,7 +90,7 @@ def _manual_history(residuals, weights):
     states[0, 0, 1] = x_prev
     states[1, 0, 0] = base + residuals[0]
     states[1, 0, 1] = base + residuals[1]
-    history = FilterHistory(
+    history = FullHistory(
         thetas=np.broadcast_to(theta, (2, 1, 3)).copy(),
         states=states,
         inner_weights=np.full((2, 1, 2), 0.5),
@@ -100,13 +103,13 @@ def _manual_history(residuals, weights):
         w_tilde=np.stack([w[None, :], w[None, :]]),
         v_tilde=np.ones((2, 1)),
     )
-    return history, smoothed
+    return gather_ancestral(history), smoothed
 
 
 def test_symmetric_two_particle_moments():
     r = np.array([0.7, -1.1, 2.0])
     history, smoothed = _manual_history(np.stack([r, -r]), [0.5, 0.5])
-    mu, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+    mu, var = abduct_noise(history, smoothed, LORENZ, 0.05)
     assert np.allclose(mu[0], 0.0, atol=1e-12)
     assert np.allclose(var[0], r**2, rtol=1e-12)
 
@@ -118,7 +121,7 @@ def test_weighted_mean_stays_within_residual_envelope():
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
         history, smoothed = _manual_history(residuals, w)
-        mu, _ = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+        mu, _ = abduct_noise(history, smoothed, LORENZ, 0.05)
         lo = residuals.min(axis=0) - 1e-12
         hi = residuals.max(axis=0) + 1e-12
         assert ((mu[0] >= lo) & (mu[0] <= hi)).all()
@@ -131,7 +134,7 @@ def test_variance_matches_two_pass_oracle():
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
         history, smoothed = _manual_history(residuals, w)
-        _, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+        _, var = abduct_noise(history, smoothed, LORENZ, 0.05)
         mean = (w[:, None] * residuals).sum(axis=0)
         expected = (w[:, None] * (residuals - mean) ** 2).sum(axis=0)
         rel = np.abs(var[0] - expected) / np.maximum(expected, 1e-30)

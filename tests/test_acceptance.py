@@ -25,7 +25,6 @@ from cfdyn.experiment import (
 from cfdyn.filtering import (
     FilterConfig,
     backward_smooth,
-    filtered_means,
     keep_ancestral,
     posterior_summary,
     run_filter,
@@ -88,7 +87,7 @@ def test_criterion_2_kalman_rts_oracle():
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
         state_mean, _ = posterior_summary(kept, smoothed)
         kf, rts, _, _ = kalman_filter_rts(ys[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
-        mads_filtered.append(np.abs(filtered_means(history)[:, 0] - kf).mean())
+        mads_filtered.append(np.abs(history.filtered_means[:, 0] - kf).mean())
         mads_smoothed.append(np.abs(state_mean[:, 0] - rts).mean())
     elapsed = time.perf_counter() - start
     assert max(mads_filtered) < 0.15, f"filtered MAD {max(mads_filtered):.4f}"

@@ -8,7 +8,7 @@ import pytest
 from cfdyn.cli import main
 from cfdyn.experiment import ARTIFACT_FILES
 
-from .oracles import lineage_trace
+from .oracles import filter_by_hand, lineage_trace
 from .test_experiment import TINY
 
 
@@ -249,7 +249,6 @@ def test_filter_state_off_its_value_domain_is_io_error(tmp_path, capsys):
 
 def test_filter_state_in_the_full_history_layout_is_io_error(tmp_path, capsys):
     from cfdyn.experiment import build_filter_config, load_config
-    from cfdyn.filtering import run_filter
     from cfdyn.seeding import RngSeed
 
     config_path = write_config(tmp_path)
@@ -258,7 +257,7 @@ def test_filter_state_in_the_full_history_layout_is_io_error(tmp_path, capsys):
         assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0
     config = load_config(config_path)
     observations = np.loadtxt(out / "observations.csv", delimiter=",", skiprows=1)[:, 1:]
-    history = run_filter(
+    history = filter_by_hand(
         observations, config.system, np.asarray(config.x0), build_filter_config(config),
         RngSeed(config.master_seed).child("filter"),
     )

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -10,7 +11,6 @@ from cfdyn.filtering import (
     FilterConfig,
     FilterDiagnostics,
     backward_smooth,
-    filtered_means,
     init_particles,
     inner_weights,
     jitter,
@@ -28,9 +28,12 @@ from cfdyn.seeding import RngSeed
 from cfdyn.simulate import observe, simulate_hidden
 
 from .oracles import (
+    FullHistory,
     abduct_noise_two_pass,
     backward_smooth_pairwise,
     bootstrap_particle_filter,
+    filter_by_hand,
+    gather_ancestral,
     gaussian_log_likelihood,
     kalman_filter_rts,
     lineage_trace,
@@ -251,8 +254,7 @@ def test_inner_resample_uniforms_match_per_lane_child_generators(monkeypatch):
     batched = filtering.systematic_resample_rows
 
     def record(weights, uniforms):
-        if weights.shape[0] == config.outer_particles:  # the outer resample passes one row
-            seen.append(uniforms.tobytes())
+        seen.append(uniforms.tobytes())
         return batched(weights, uniforms)
 
     monkeypatch.setattr(filtering, "systematic_resample_rows", record)
@@ -474,6 +476,33 @@ def test_batched_resample_matches_per_row_search_when_the_sum_misses_one():
             assert np.array_equal(got, systematic_resample_per_row(weights, uniforms))
 
 
+class _FixedUniform:
+    """A generator stand-in whose `uniform()` returns one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def test_one_row_resample_matches_the_batched_kernel():
+    gen = RngSeed(42).generator()
+    rows = [gen.dirichlet(np.full(n, 0.3)) for n in (1, 2, 7, 50, 200) for _ in range(20)]
+    rows += [np.eye(5)[k] for k in range(5)]  # one-hot
+    rows += [np.full(n, 1.0 / n) for n in (3, 4, 10, 49, 50, 64)]  # ties at u = 0
+    for w in rows:
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0), gen.uniform()):
+            got = systematic_resample(w, _FixedUniform(u))
+            want = systematic_resample_rows(w[None], np.array([u]))[0]
+            assert got.dtype == want.dtype and np.array_equal(got, want), (w, u)
+    # The generator's one draw is the row's uniform.
+    w = rows[0]
+    got = systematic_resample(w, RngSeed(43).generator())
+    want = systematic_resample_rows(w[None], np.array([RngSeed(43).generator().uniform()]))[0]
+    assert np.array_equal(got, want)
+
+
 def test_resample_carries_inner_clouds():
     states = np.arange(2 * 3 * 1, dtype=float).reshape(2, 3, 1)
     ancestors = systematic_resample(np.array([1.0, 0.0]), RngSeed(14).generator())
@@ -506,7 +535,7 @@ def test_degenerate_filter_recovers_noiseless_truth():
         jitter_scale=0.0,
     )
     history = run_filter(obs, EXP_DECAY, np.array([1.0]), config, filter_seed)
-    assert np.array_equal(filtered_means(history), truth)
+    assert np.array_equal(history.filtered_means, truth)
 
 
 def test_filter_matches_independent_bootstrap_pf():
@@ -522,8 +551,8 @@ def test_filter_matches_independent_bootstrap_pf():
     prior = _point_prior(theta)
     filter_seed = root.child("filter")
     history = run_filter(obs, EXP_DECAY, np.array([0.0]), _decay_config(prior, 64), filter_seed)
-
-    drawn_theta = history.thetas[0, 0]
+    # One lane, so the lineage keeps every step and row t is step t.
+    drawn_theta = history.thetas[0]
 
     def step_fn(states, th):
         out = states.copy()
@@ -534,7 +563,7 @@ def test_filter_matches_independent_bootstrap_pf():
     parts, weights = bootstrap_particle_filter(
         obs, step_fn, drawn_theta, np.array([0.0]), 64, 1.0, 1.0, filter_seed
     )
-    assert np.array_equal(history.states[:, 0], parts)
+    assert np.array_equal(history.states, parts)
     assert np.array_equal(history.inner_weights[:, 0], weights)
 
 
@@ -605,42 +634,6 @@ def test_filter_without_inner_resampling_accumulates_weights():
     assert ess_last.mean() < ess_first.mean()
 
 
-def _filter_by_hand(obs, system, x0, config, rng):
-    """run_filter composed from its public array steps on its substream layout.
-
-    Returns the six history arrays, in FilterHistory's field order, and the
-    diagnostics. The resampling gather is plain fancy indexing.
-    """
-    m, n = config.outer_particles, config.inner_particles
-    diagnostics = FilterDiagnostics()
-    theta, states = init_particles(config.prior_bounds, m, n, x0, rng.child("init"))
-    weights = np.full((m, n), 1.0 / n)
-    identity = np.tile(np.arange(n), (m, 1))
-    steps = [(theta, states, weights, np.full(m, 1.0 / m), np.arange(m), identity)]
-    for t in range(1, obs.shape[0]):
-        step = rng.child("step", t)
-        theta = jitter(theta, config.jitter_std, config.prior_bounds, step.child("jitter"))
-        states, invalid = propagate(
-            states, theta, system, config.delta, config.process_std, step.child("propagate")
-        )
-        weights, log_mean_lik = inner_weights(
-            states, weights, invalid, obs[t], config.observation_std, diagnostics
-        )
-        v = outer_weights(log_mean_lik, diagnostics)
-        inner = identity
-        if config.inner_resampling:
-            uniforms = np.array([
-                step.child("inner_resample", lane).generator().uniform() for lane in range(m)
-            ])
-            inner = systematic_resample_rows(weights, uniforms)
-        outer = systematic_resample(v, step.child("outer_resample").generator())
-        steps.append((theta, states, weights, v, outer, inner))
-        theta = theta[outer]
-        states = states[outer[:, None], inner[outer]]
-        weights = np.full((m, n), 1.0 / n) if config.inner_resampling else weights[outer]
-    return [np.stack(column) for column in zip(*steps)], diagnostics
-
-
 @pytest.mark.parametrize("case", ["inner_resampling", "no_inner_resampling", "nonfinite"])
 def test_run_filter_equals_its_steps_composed_by_hand(case):
     if case == "nonfinite":
@@ -667,17 +660,19 @@ def test_run_filter_equals_its_steps_composed_by_hand(case):
     )
     rng = RngSeed(61)
     history = run_filter(obs, system, x0, config, rng)
-    arrays, diagnostics = _filter_by_hand(obs, system, x0, config, rng)
-    names = (
-        "thetas", "states", "inner_weights", "outer_weights", "outer_ancestors", "inner_ancestors"
-    )
-    for name, want in zip(names, arrays):
-        assert np.array_equal(getattr(history, name), want), name
+    full = filter_by_hand(obs, system, x0, config, rng)
+    # The per-lane members are whole; the per-row ones hold the lineage rows.
+    for name in ("inner_weights", "outer_weights", "outer_ancestors"):
+        assert np.array_equal(getattr(history, name), getattr(full, name)), name
+    kept = gather_ancestral(full)
+    for name in ("thetas", "states", "inner_ancestors"):
+        assert np.array_equal(getattr(history, name), getattr(kept, name)), name
+    np.testing.assert_allclose(history.filtered_means, full.filtered_means, rtol=1e-12)
     counters = ("nonfinite_particles", "inner_weight_underflows", "outer_weight_underflows")
     got = {key: getattr(history.diagnostics, key) for key in counters}
-    assert got == {key: getattr(diagnostics, key) for key in counters}
+    assert got == {key: getattr(full.diagnostics, key) for key in counters}
     if case == "nonfinite":
-        assert 0 < got["nonfinite_particles"] < history.states[1:, :, :, 0].size
+        assert 0 < got["nonfinite_particles"] < full.states[1:, :, :, 0].size
         assert got["inner_weight_underflows"] > 0 and got["outer_weight_underflows"] > 0
 
 
@@ -771,7 +766,8 @@ def test_single_inner_particle_smoothing_is_identity():
     assert np.allclose(smoothed.w_tilde, history.inner_weights[:, :, :], atol=1e-12)
 
 
-def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon, process_std=1.0):
+def _lorenz_run(sim_seed, filter_seed, num_outer, num_inner, horizon, process_std=1.0):
+    """(observations, filter config, filter seed) of a Lorenz run."""
     truth = simulate_hidden(
         LORENZ, LORENZ_THETA, np.array([1.0, 1.0, 1.0]), horizon, 0.05, process_std,
         RngSeed(sim_seed),
@@ -786,16 +782,30 @@ def _lorenz_history(sim_seed, filter_seed, num_outer, num_inner, horizon, proces
         prior_bounds=TABLE1_BOUNDS,
         jitter_scale=0.05,
     )
-    return run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(filter_seed))
+    return obs, config, RngSeed(filter_seed)
+
+
+def _lorenz_filter(*args, **kwargs):
+    """run_filter's history of `_lorenz_run`."""
+    obs, config, rng = _lorenz_run(*args, **kwargs)
+    return run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, rng)
+
+
+def _lorenz_history(*args, **kwargs):
+    """The full-layout reference history of `_lorenz_run`."""
+    obs, config, rng = _lorenz_run(*args, **kwargs)
+    return filter_by_hand(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, rng)
 
 
 @pytest.mark.parametrize("m, n", [(3, 255), (3, 256), (3, 257), (300, 300)])
 def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
     # 255/256 ancestors fit uint8 and 257 need uint16; at M = N = 300 a
     # uint16 lane * N reaches 89,700 and would wrap past 65,535.
+    narrow = _lorenz_filter(35, 36, m, n, 3)
+    assert narrow.outer_ancestors.dtype == np.min_scalar_type(m - 1)
+    assert narrow.inner_ancestors.dtype == np.min_scalar_type(n - 1)
     history = _lorenz_history(35, 36, m, n, 3)
-    assert history.outer_ancestors.dtype == np.min_scalar_type(m - 1)
-    assert history.inner_ancestors.dtype == np.min_scalar_type(n - 1)
+    assert history.outer_ancestors.dtype == history.inner_ancestors.dtype == np.int64
     # Step t + 1 propagates the two-pass reorder of step t plus its replayed noise.
     for t in range(1, history.horizon):
         post = reorder_two_pass(
@@ -805,20 +815,19 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
         z = filtering._lane_normals(RngSeed(36).child("step", t + 1).child("propagate"), post.shape)
         assert np.array_equal(history.states[t + 1], base + np.add(0.0, 1.0 * z))
 
-    smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
-    # The narrow lane trace inside `lineages` numbers the rows the int64 trace does.
-    assert np.array_equal(lineages(history.outer_ancestors)[0],
+    # The narrow run keeps the rows the int64 reference gathers, and the
+    # narrow lane trace inside `lineages` numbers them as the int64 trace does.
+    kept, wide = keep_ancestral(narrow), gather_ancestral(history)
+    for key in ("thetas", "states", "inner_weights", "inner_ancestors"):
+        assert np.array_equal(getattr(kept, key), getattr(wide, key)), key
+    assert np.array_equal(lineages(narrow.outer_ancestors)[0],
                           lineage_trace(history.outer_ancestors)[1])
-    wide = replace(
-        history,
-        outer_ancestors=history.outer_ancestors.astype(np.int64),
-        inner_ancestors=history.inner_ancestors.astype(np.int64),
-    )
-    oracle = backward_smooth(keep_ancestral(wide), LORENZ, 0.05, 1.0)
+    smoothed = backward_smooth(kept, LORENZ, 0.05, 1.0)
+    oracle = backward_smooth(wide, LORENZ, 0.05, 1.0)
     assert np.array_equal(smoothed.w_tilde, oracle.w_tilde)
     assert np.array_equal(smoothed.v_tilde, oracle.v_tilde)
 
-    mu, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+    mu, var = abduct_noise(kept, smoothed, LORENZ, 0.05)
     two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
     assert np.array_equal(mu, two_pass_mu) and np.array_equal(var, two_pass_var)
 
@@ -831,9 +840,9 @@ def _distinct_next_lanes(history) -> np.ndarray:
 
 
 def _smoother_matches_pairwise_oracle(history, process_std) -> int:
-    """Compare backward_smooth on the ancestral history with the pairwise
-    oracle on the full one; the underflow count."""
-    smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, process_std)
+    """Compare backward_smooth on the ancestral rows of a full-layout history
+    with the pairwise oracle on the whole of it; the underflow count."""
+    smoothed = backward_smooth(gather_ancestral(history), LORENZ, 0.05, process_std)
     w_tilde, v_tilde, underflows = backward_smooth_pairwise(history, LORENZ, 0.05, process_std)
     np.testing.assert_allclose(smoothed.w_tilde, w_tilde, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(smoothed.v_tilde, v_tilde, rtol=1e-9, atol=0.0)
@@ -963,7 +972,7 @@ def test_smoother_builds_one_kernel_block_per_distinct_lane(monkeypatch):
     calls = _record_kernel_paths(monkeypatch)
     for seeds, m, n, horizon, blocks in (((80, 81), 12, 30, 20, 64), ((28, 29), 9, 200, 4, 30)):
         calls.clear()
-        history = _lorenz_history(*seeds, m, n, horizon)
+        history = _lorenz_filter(*seeds, m, n, horizon)
         backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
         # One `_group_factors` call per step, one group per distinct lane:
         # sum_t |unique(lane[t + 1])| blocks, not M * T.
@@ -977,7 +986,7 @@ def test_abduction_on_coalesced_lineages_matches_two_pass_oracle():
     lane, _ = lineage_trace(history.outer_ancestors)
     # Below t = T every step has fewer distinct lanes than final lanes.
     assert all(np.unique(lane[t]).size < 12 for t in range(history.horizon))
-    kept = keep_ancestral(history)
+    kept = gather_ancestral(history)
     smoothed = backward_smooth(kept, LORENZ, 0.05, 1.0)
     mu, var = abduct_noise(kept, smoothed, LORENZ, 0.05)
     two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
@@ -993,7 +1002,7 @@ def test_smoothed_means_track_rts_oracle():
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
         state_mean, _ = posterior_summary(kept, smoothed)
         kf, rts, _, _ = kalman_filter_rts(obs[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
-        assert np.abs(filtered_means(history)[:, 0] - kf).mean() < 0.15
+        assert np.abs(history.filtered_means[:, 0] - kf).mean() < 0.15
         assert np.abs(state_mean[:, 0] - rts).mean() < 0.15
 
 
@@ -1006,30 +1015,86 @@ def test_lineages_identity_without_resampling_shuffle():
 
 
 def test_keep_ancestral_gathers_exactly_the_final_lanes_lineages():
-    history = _lorenz_history(80, 81, 12, 30, 20)
+    history = _lorenz_filter(80, 81, 12, 30, 20)
+    full = _lorenz_history(80, 81, 12, 30, 20)
     kept = keep_ancestral(history)
-    lane, traced = lineage_trace(history.outer_ancestors)
+    lane, traced = lineage_trace(full.outer_ancestors)
     assert np.array_equal(kept.rows, traced)
     rows = 0
-    for t in range(history.horizon + 1):
+    for t in range(full.horizon + 1):
         distinct = np.unique(lane[t])
         at = np.unique(kept.rows[t])
         assert np.array_equal(at, rows + np.arange(distinct.size))
         rows += distinct.size
-        assert np.array_equal(kept.states[kept.rows[t]], history.states[t][lane[t]])
+        assert np.array_equal(kept.states[kept.rows[t]], full.states[t][lane[t]])
         for key in ("thetas", "states", "inner_weights", "inner_ancestors"):
-            assert np.array_equal(getattr(kept, key)[at], getattr(history, key)[t][distinct]), key
+            assert np.array_equal(getattr(kept, key)[at], getattr(full, key)[t][distinct]), key
     # The 64 lane-steps of t = 1..T that the smoother builds blocks for, plus
     # the one lane all lineages share at t = 0: 65 of 21 * 12 = 252.
     assert kept.states.shape[0] == rows == 65
-    assert kept.inner_ancestors.dtype == history.inner_ancestors.dtype
-    assert kept.outer_weights is history.outer_weights
-    assert kept.outer_ancestors is history.outer_ancestors
+    assert kept.inner_ancestors.dtype == history.inner_ancestors.dtype == np.uint8
+    for key in ("thetas", "states", "inner_ancestors", "outer_weights", "outer_ancestors"):
+        assert getattr(kept, key) is getattr(history, key), key
+
+
+def _prunes(monkeypatch, buffer_steps) -> list:
+    """Set the path buffer's initial steps; record the length of the
+    prefix each prune reads."""
+    monkeypatch.setattr(filtering, "_BUFFER_STEPS", buffer_steps)
+    calls = []
+    traced = filtering.lineages
+
+    def recording_lineages(outer_ancestors):
+        calls.append(outer_ancestors.shape[0])
+        return traced(outer_ancestors)
+
+    monkeypatch.setattr(filtering, "lineages", recording_lineages)
+    return calls
+
+
+@pytest.mark.parametrize("inner_resampling", [True, False])
+def test_pruning_often_and_only_at_the_end_give_the_same_bytes(monkeypatch, inner_resampling):
+    obs, config, rng = _lorenz_run(80, 81, 6, 10, 60)
+    config = replace(config, inner_resampling=inner_resampling)
+    runs = {}
+    for buffer_steps in (1, 2, 61):
+        calls = _prunes(monkeypatch, buffer_steps)
+        runs[buffer_steps] = run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, rng)
+        # The last prune, at T, reads every step. A buffer of one step of
+        # rows is full at every step until a prune keeps at most half of it
+        # (here it prunes 10 or 11 times); one of T + 1 steps is never full.
+        assert calls[-1] == 61
+        assert len(calls) >= 8 if buffer_steps < 61 else calls == [61]
+        if buffer_steps == 1:
+            assert calls[:2] == [1, 2]
+    for key in ("thetas", "states", "inner_weights", "outer_weights", "outer_ancestors",
+                "inner_ancestors", "filtered_means"):
+        arrays = [getattr(history, key) for history in runs.values()]
+        assert all(a.dtype == arrays[0].dtype and a.shape == arrays[0].shape for a in arrays), key
+        assert all(a.tobytes() == arrays[0].tobytes() for a in arrays), key
+    full = gather_ancestral(filter_by_hand(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, rng))
+    assert np.array_equal(runs[1].states, full.states)
+
+
+@pytest.mark.parametrize("horizon, m, n", [(200, 50, 200), (500, 50, 50)])
+def test_run_filter_peaks_below_the_full_states_array(horizon, m, n):
+    # The lorenz-n200 and lorenz preset shapes. Traced peak bytes of the run
+    # against the (T+1, M, N, d) float64 states that the path buffer never
+    # holds: 39.7 against 48.2 MB and 16.3 against 30.1 MB; a filter that
+    # filled every step's states peaked at 67.9 and 42.5 MB.
+    obs, config, rng = _lorenz_run(42, 43, m, n, horizon)
+    tracemalloc.start()
+    try:
+        run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (horizon + 1) * m * n * 3 * 8
 
 
 @pytest.mark.parametrize("seeds, m, n, horizon", [((80, 81), 12, 30, 20), ((28, 29), 9, 20, 4)])
 def test_rows_and_parent_index_the_traced_lineages(seeds, m, n, horizon):
-    history = _lorenz_history(*seeds, m, n, horizon)
+    history = _lorenz_filter(*seeds, m, n, horizon)
     kept = keep_ancestral(history)
     lane, traced = lineage_trace(history.outer_ancestors)
     rows, steps, lanes = lineages(history.outer_ancestors)
@@ -1072,7 +1137,8 @@ def test_posterior_summary_single_particle():
     kept = keep_ancestral(history)
     smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
     state_mean, (_, theta_std) = posterior_summary(kept, smoothed)
-    assert np.array_equal(state_mean, history.states[:, 0, 0, :])
+    # One lane, so row t is step t.
+    assert np.array_equal(state_mean, history.states[:, 0, :])
     assert theta_std[0] == 0.0
 
 
@@ -1085,9 +1151,9 @@ def test_posterior_summary_two_particle_closed_form():
     states[1, 0, 0, 0] = 1.0
     states[1, 1, 0, 0] = 1.0
     states[1, 2, 0, 0] = 5.0
-    from cfdyn.filtering import FilterHistory, SmoothedWeights
+    from cfdyn.filtering import SmoothedWeights
 
-    history = FilterHistory(
+    history = FullHistory(
         thetas=thetas,
         states=states,
         inner_weights=np.ones((2, 3, 1)),
@@ -1100,7 +1166,7 @@ def test_posterior_summary_two_particle_closed_form():
         w_tilde=np.stack([v[:, None], v[:, None]]),
         v_tilde=np.stack([v, v]),
     )
-    state_mean, (theta_mean, theta_std) = posterior_summary(keep_ancestral(history), smoothed)
+    state_mean, (theta_mean, theta_std) = posterior_summary(gather_ancestral(history), smoothed)
     # weighted mean of states 1,1,5 and thetas 2,2,6 under (0.25,0.25,0.5)
     assert abs(state_mean[1, 0] - 3.0) < 1e-12
     assert abs(theta_mean[0] - 4.0) < 1e-12
@@ -1117,4 +1183,5 @@ def test_posterior_summary_uniform_weights_plain_average():
         v_tilde=np.full((t1, m), 1.0 / m),
     )
     state_mean, _ = posterior_summary(keep_ancestral(history), smoothed)
-    assert np.allclose(state_mean, history.states.mean(axis=(1, 2)))
+    # One lane, so row t is step t.
+    assert np.allclose(state_mean, history.states.mean(axis=1))
