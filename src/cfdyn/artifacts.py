@@ -299,7 +299,6 @@ def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights
             outer_ancestors=history.outer_ancestors,
             inner_ancestors=history.inner_ancestors,
             w_tilde=smoothed.w_tilde,
-            v_tilde=smoothed.v_tilde,
         ),
     )
 
@@ -336,8 +335,8 @@ def _check_filter_state(
     row count S, one `parent` entry per row, is derived from it. Then every
     compact member must have S rows, `inner_ancestors` must index N
     particles, and the smoothed weights must cover every (t, lane). Last come
-    the values: the six members other than the index arrays must have a float
-    dtype, `thetas` and `states` must be finite, the four weight arrays finite
+    the values: the five members other than the index arrays must have a float
+    dtype, `thetas` and `states` must be finite, the three weight arrays finite
     and >= 0, and every step of `w_tilde` must have a positive sum, by which
     abduction divides.
     """
@@ -349,8 +348,8 @@ def _check_filter_state(
         "thetas": (s, p), "states": (s, n, d), "inner_weights": (s, n), "inner_ancestors": (s, n),
     })
     _check_index(path, "inner_ancestors", history.inner_ancestors, n)
-    _check_shapes(path, arrays, {"w_tilde": (t1, m, n), "v_tilde": (t1, m)})
-    for key in ("thetas", "states", "inner_weights", "outer_weights", "w_tilde", "v_tilde"):
+    _check_shapes(path, arrays, {"w_tilde": (t1, m, n)})
+    for key in ("thetas", "states", "inner_weights", "outer_weights", "w_tilde"):
         value, weights = arrays[key], key not in ("thetas", "states")
         if value.dtype.kind != "f":
             raise ArtifactError(f"{path} array {key} has dtype {value.dtype}, not a float dtype")
@@ -382,7 +381,7 @@ def load_filter_state(
             outer_weights=z["outer_weights"],
             outer_ancestors=z["outer_ancestors"],
         )
-        smoothed = SmoothedWeights(w_tilde=z["w_tilde"], v_tilde=z["v_tilde"])
+        smoothed = SmoothedWeights(w_tilde=z["w_tilde"])
     _check_filter_state(path, history, smoothed, t1, m, n, p, d)
     return history, smoothed
 

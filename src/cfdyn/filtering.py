@@ -603,12 +603,12 @@ class SmoothedWeights:
     """Backward-smoothed weights, aligned to final-time outer lanes.
 
     `w_tilde[t, j, n]` weights particle n of row `history.rows[t, j]`, the
-    row final lane j's lineage passes at step t, and is jointly normalized
-    over (j, n) at each t; `v_tilde[t]` are the smoothed lane weights.
+    row final lane j's lineage passes at step t: final lane j's filtered
+    mass v_T(j) times its within-lane smoothed weight, so each step sums to
+    1 over (j, n).
     """
 
     w_tilde: np.ndarray     # (T+1, M, N), joint-normalized per t
-    v_tilde: np.ndarray     # (T+1, M)
 
 
 # Rows with gap_n <= 600 sum at most K * e^600 (finite for any K below 1e47).
@@ -742,9 +742,11 @@ def backward_smooth(
     Runs the backward recursion
         w~_t(n) = w_t(n) * sum_k p(x_{t+1}(k) | x_t(n), theta) w~_{t+1}(k)
     per outer lane along the recorded resampling lineage, with the transition
-    density N(x'; rk4_step(x, theta), process_std^2 I). Per-lane weights are
-    normalized each step; lane masses accumulate into smoothed outer weights,
-    and the joint (outer x inner) weights are normalized per time step.
+    density N(x'; rk4_step(x, theta), process_std^2 I), and normalizes it
+    per lane each step: forward-filtering backward-smoothing under the
+    lane's own theta (Doucet, Godsill & Andrieu, Stat. Comput. 2000). Each
+    final lane keeps its filtered mass v_T(j) = `outer_weights[T, j]`, so
+    the joint weights are w_tilde[t, j] = v_T(j) * w~_t(j).
 
     The recursion reads the history only on the final lanes' lineages, which
     is what an `AncestralHistory` (`keep_ancestral`) keeps: final lane j
@@ -764,13 +766,11 @@ def backward_smooth(
     t_end = history.horizon
     m, n = history.num_outer, history.num_inner
     w_tilde = np.empty((t_end + 1, m, n))
-    v_tilde = np.empty_like(history.outer_weights)
+    mass = history.outer_weights[t_end][:, None]
 
     # Base case: at t = T the smoothed weights are the filtered weights.
     w_norm = history.inner_weights[history.rows[t_end]]
-    v_cur = history.outer_weights[t_end].copy()
-    w_tilde[t_end] = v_cur[:, None] * w_norm
-    v_tilde[t_end] = v_cur
+    w_tilde[t_end] = mass * w_norm
 
     var = process_std * process_std
     # One (N, N) exponent block for every group of every step: fresh blocks
@@ -794,17 +794,9 @@ def backward_smooth(
             np.exp(log_raw - np.where(dead, 0.0, log_r)[:, None]),
         )
         history.diagnostics.smoother_underflows += int(dead.sum())
+        w_tilde[t] = mass * w_norm
 
-        log_v = _log_nonzero(v_cur) + np.where(dead, -np.inf, log_r)
-        norm = _logsumexp(log_v[None, :], axis=1)[0]
-        if np.isfinite(norm):
-            v_cur = np.exp(log_v - norm)
-        # else: every lane underflowed; keep the previous lane weights.
-
-        w_tilde[t] = v_cur[:, None] * w_norm
-        v_tilde[t] = v_cur
-
-    return SmoothedWeights(w_tilde=w_tilde, v_tilde=v_tilde)
+    return SmoothedWeights(w_tilde=w_tilde)
 
 
 def posterior_summary(
@@ -815,9 +807,10 @@ def posterior_summary(
     and the (theta_mean, theta_std) pair.
 
     State means use the joint smoothed weights at each step, over the
-    particles of the final lanes' lineages (rows `history.rows[t]`).
-    The parameter estimate averages final-time particles under the fully
-    smoothed lane weights.
+    particles of the final lanes' lineages (rows `history.rows[t]`): the
+    within-lane smoothed means mixed by the final lane weights v_T. The
+    parameter estimate is the filtered posterior at T, p(theta | y_{1:T}):
+    the final lanes' theta under v_T (Crisan & Miguez, Bernoulli 2018).
     """
     t_end = history.horizon
     x_hat = np.empty((t_end + 1, history.dimension))
@@ -828,7 +821,7 @@ def posterior_summary(
     x_hat /= x_hat_sum[:, None]
 
     theta = history.thetas[history.rows[t_end]]
-    v = smoothed.v_tilde[min(1, t_end)]
+    v = history.outer_weights[t_end]
     theta_mean = v @ theta
     theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))
 

@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the package's filtering/smoothing code paths: the
-Kalman filter and RTS smoother are exact closed-form recursions, and the
-bootstrap particle filter is a from-scratch single-layer filter that shares
-only the seed-stream discipline with the package. The allocating RK4 builds
+Kalman filter and RTS smoother are exact closed-form recursions, the
+exp_decay rate posterior is a quadrature of the Kalman marginal likelihood
+over a grid of rates, and the bootstrap particle filter is a from-scratch
+single-layer filter that shares only the seed-stream discipline with the
+package. The allocating RK4 builds
 each stage from whole-array expressions, and the per-point SVG path formats
 one point at a time; the in-place kernels must match both bit for bit. The
 pairwise backward
@@ -84,6 +86,38 @@ def kalman_filter_rts(ys: np.ndarray, a: float, q: float, r: float, m0: float, p
         smoothed_vars[t] = variances[t] + c * c * (smoothed_vars[t + 1] - pred_vars[t + 1])
         lag_one[t] = c * smoothed_vars[t + 1]
     return means, smoothed, smoothed_vars, lag_one
+
+
+def decay_rate_posterior(ys: np.ndarray, delta: float, q: float, r: float, x0: float,
+                         low: float, high: float, points: int = 1401) -> tuple[float, float]:
+    """Exact mean and std of exp_decay's rate given y_{1:T}, under a uniform
+    prior on [low, high] and a known initial state x0.
+
+    For each of `points` evenly spaced rates the model is linear-Gaussian,
+    x_t = a(rate) x_{t-1} + u (var q), y_t = x_t + w (var r), with a(rate)
+    RK4's one-step factor for dx/dt = -rate x, the fourth-order Taylor
+    polynomial of exp(-rate delta); the Kalman filter's prediction-error
+    decomposition gives its exact marginal likelihood log p(y_{1:T} | rate).
+    The posterior moments are the trapezoidal quadrature of the likelihood
+    on that grid.
+    """
+    rates = np.linspace(low, high, points)
+    h = rates * delta
+    a = 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
+    m, p = np.full(points, float(x0)), np.zeros(points)
+    log_lik = np.zeros(points)
+    for y in ys[1:]:
+        mp, pp = a * m, a * a * p + q
+        s = pp + r
+        log_lik -= 0.5 * (np.log(2.0 * np.pi * s) + (y - mp) ** 2 / s)
+        gain = pp / s
+        m, p = mp + gain * (y - mp), (1.0 - gain) * pp
+    # Trapezoid weights; the grid spacing cancels in the normalization.
+    density = np.exp(log_lik - log_lik.max())
+    density[[0, -1]] *= 0.5
+    density /= density.sum()
+    mean = density @ rates
+    return float(mean), float(np.sqrt(density @ (rates - mean) ** 2))
 
 
 def bootstrap_particle_filter(
@@ -424,7 +458,7 @@ def _log(w: float) -> float:
 
 
 def backward_smooth_pairwise(history, system, delta: float,
-                             process_std: float) -> tuple[np.ndarray, np.ndarray, int]:
+                             process_std: float) -> tuple[np.ndarray, int]:
     """The backward smoothing recursion with one loop iteration per pair.
 
     For lane j on the final-time lineage, particle n at step t and particle k
@@ -432,9 +466,8 @@ def backward_smooth_pairwise(history, system, delta: float,
     evaluated from the difference vector (no norm expansion, no matmul), and
         log w~_t(n) = log w_t(n) + log sum_k p(x_k | x_n) w~_{t+1}(k)
     is normalized per lane. A lane whose sum is not finite keeps its filtered
-    weights and is counted; lane masses carry the smoothed outer weights.
-    Returns (w_tilde, v_tilde, underflow lane-steps) with w_tilde
-    joint-normalized per step.
+    weights and is counted; every lane keeps its final filtered mass v_T(j).
+    Returns (w_tilde, underflow lane-steps) with w_tilde = v_T(j) w~_t(j).
     """
     spec = get_system(system)
     t_end = history.states.shape[0] - 1
@@ -444,15 +477,12 @@ def backward_smooth_pairwise(history, system, delta: float,
     lane, _ = lineage_trace(history.outer_ancestors)
 
     w_tilde = np.empty((t_end + 1, m, n))
-    v_tilde = np.empty((t_end + 1, m))
     w = history.inner_weights[t_end].copy()
     v = history.outer_weights[t_end].copy()
     w_tilde[t_end] = v[:, None] * w
-    v_tilde[t_end] = v
     underflows = 0
     for t in range(t_end - 1, -1, -1):
         w_new = np.empty((m, n))
-        log_v = []
         for j in range(m):
             x_t = history.states[t, lane[t, j]]
             x_next = history.states[t + 1, lane[t + 1, j]]
@@ -469,15 +499,9 @@ def backward_smooth_pairwise(history, system, delta: float,
             log_r = _log_sum_exp(log_raw)
             if math.isfinite(log_r):
                 w_new[j] = [math.exp(x - log_r) for x in log_raw]
-                log_v.append(_log(v[j]) + log_r)
             else:
                 w_new[j] = w_filt
-                log_v.append(-math.inf)
                 underflows += 1
-        norm = _log_sum_exp(log_v)
-        if math.isfinite(norm):
-            v = np.array([math.exp(x - norm) for x in log_v])
         w = w_new
         w_tilde[t] = v[:, None] * w
-        v_tilde[t] = v
-    return w_tilde, v_tilde, underflows
+    return w_tilde, underflows

@@ -99,10 +99,7 @@ def _manual_history(residuals, weights):
         inner_ancestors=np.zeros((2, 1, 2), dtype=np.int64),
     )
     w = np.asarray(weights, dtype=float)
-    smoothed = SmoothedWeights(
-        w_tilde=np.stack([w[None, :], w[None, :]]),
-        v_tilde=np.ones((2, 1)),
-    )
+    smoothed = SmoothedWeights(w_tilde=np.stack([w[None, :], w[None, :]]))
     return gather_ancestral(history), smoothed
 
 

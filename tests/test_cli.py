@@ -172,7 +172,7 @@ def test_filter_state_stores_narrow_indices_and_reads_int64_ones(tmp_path):
         arrays = dict(z)
     assert sorted(arrays) == sorted([
         "thetas", "states", "inner_weights", "inner_ancestors", "outer_weights",
-        "outer_ancestors", "w_tilde", "v_tilde",
+        "outer_ancestors", "w_tilde",
     ])
     # One row per lane-step on a final lane's lineage; T + 1 = 41, M = 6, N = 8.
     rows = int(lineage_trace(arrays["outer_ancestors"])[1].max()) + 1
@@ -236,8 +236,8 @@ def test_filter_state_off_its_value_domain_is_io_error(tmp_path, capsys):
 
     cases = {
         "w_tilde": (put(original["w_tilde"], 7, 0.0), "array w_tilde sums to 0.0 at step 7, not > 0"),
-        "v_tilde": (put(original["v_tilde"], (3, 2), np.nan),
-                    "array v_tilde holds nan at (3, 2), not a finite number >= 0"),
+        "outer_weights": (put(original["outer_weights"], (3, 2), np.nan),
+                          "array outer_weights holds nan at (3, 2), not a finite number >= 0"),
         "states": (put(original["states"], (5, 1, 2), -np.inf),
                    "array states holds -inf at (5, 1, 2), not a finite number"),
         "thetas": (original["thetas"].astype(bool), "array thetas has dtype bool, not a float dtype"),

@@ -7,6 +7,7 @@ import pytest
 from cfdyn import filtering
 from cfdyn.abduction import abduct_noise
 from cfdyn.dynamics import EXP_DECAY, LOGISTIC, LORENZ, _rk4, rk4_step
+from cfdyn.experiment import stage_filter, stage_simulate
 from cfdyn.filtering import (
     FilterConfig,
     FilterDiagnostics,
@@ -32,6 +33,7 @@ from .oracles import (
     abduct_noise_two_pass,
     backward_smooth_pairwise,
     bootstrap_particle_filter,
+    decay_rate_posterior,
     filter_by_hand,
     gather_ancestral,
     gaussian_log_likelihood,
@@ -40,6 +42,7 @@ from .oracles import (
     reorder_two_pass,
     systematic_resample_per_row,
 )
+from .test_experiment import tiny_config
 
 LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0])
 TABLE1_BOUNDS = np.array([[5.0, 15.0], [20.0, 35.0], [2.0, 4.0]])
@@ -586,7 +589,8 @@ def test_filter_weights_normalized_every_step():
     assert np.allclose(history.outer_weights.sum(axis=1), 1.0, atol=1e-9)
     smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
     assert np.allclose(smoothed.w_tilde.sum(axis=(1, 2)), 1.0, atol=1e-9)
-    assert np.allclose(smoothed.v_tilde.sum(axis=1), 1.0, atol=1e-9)
+    # Each final lane keeps its filtered mass at every step.
+    assert np.allclose(smoothed.w_tilde.sum(axis=2), history.outer_weights[-1], atol=1e-12)
 
 
 def test_filter_seed_determinism():
@@ -825,7 +829,6 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
     smoothed = backward_smooth(kept, LORENZ, 0.05, 1.0)
     oracle = backward_smooth(wide, LORENZ, 0.05, 1.0)
     assert np.array_equal(smoothed.w_tilde, oracle.w_tilde)
-    assert np.array_equal(smoothed.v_tilde, oracle.v_tilde)
 
     mu, var = abduct_noise(kept, smoothed, LORENZ, 0.05)
     two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
@@ -843,9 +846,8 @@ def _smoother_matches_pairwise_oracle(history, process_std) -> int:
     """Compare backward_smooth on the ancestral rows of a full-layout history
     with the pairwise oracle on the whole of it; the underflow count."""
     smoothed = backward_smooth(gather_ancestral(history), LORENZ, 0.05, process_std)
-    w_tilde, v_tilde, underflows = backward_smooth_pairwise(history, LORENZ, 0.05, process_std)
+    w_tilde, underflows = backward_smooth_pairwise(history, LORENZ, 0.05, process_std)
     np.testing.assert_allclose(smoothed.w_tilde, w_tilde, rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose(smoothed.v_tilde, v_tilde, rtol=1e-9, atol=0.0)
     assert history.diagnostics.smoother_underflows == underflows
     return underflows
 
@@ -1153,19 +1155,17 @@ def test_posterior_summary_two_particle_closed_form():
     states[1, 2, 0, 0] = 5.0
     from cfdyn.filtering import SmoothedWeights
 
+    # theta reads the final lane weights, the states their smoothed weights.
+    v = np.array([0.25, 0.25, 0.5])
     history = FullHistory(
         thetas=thetas,
         states=states,
         inner_weights=np.ones((2, 3, 1)),
-        outer_weights=np.full((2, 3), 1.0 / 3.0),
+        outer_weights=np.stack([np.full(3, 1.0 / 3.0), v]),
         outer_ancestors=np.tile(np.arange(3), (2, 1)),
         inner_ancestors=np.zeros((2, 3, 1), dtype=np.int64),
     )
-    v = np.array([0.25, 0.25, 0.5])
-    smoothed = SmoothedWeights(
-        w_tilde=np.stack([v[:, None], v[:, None]]),
-        v_tilde=np.stack([v, v]),
-    )
+    smoothed = SmoothedWeights(w_tilde=np.stack([v[:, None], v[:, None]]))
     state_mean, (theta_mean, theta_std) = posterior_summary(gather_ancestral(history), smoothed)
     # weighted mean of states 1,1,5 and thetas 2,2,6 under (0.25,0.25,0.5)
     assert abs(state_mean[1, 0] - 3.0) < 1e-12
@@ -1178,10 +1178,32 @@ def test_posterior_summary_uniform_weights_plain_average():
     from cfdyn.filtering import SmoothedWeights
 
     t1, m, n = history.inner_weights.shape
-    smoothed = SmoothedWeights(
-        w_tilde=np.full((t1, m, n), 1.0 / (m * n)),
-        v_tilde=np.full((t1, m), 1.0 / m),
-    )
+    smoothed = SmoothedWeights(w_tilde=np.full((t1, m, n), 1.0 / (m * n)))
     state_mean, _ = posterior_summary(keep_ancestral(history), smoothed)
     # One lane, so row t is step t.
     assert np.allclose(state_mean, history.states.mean(axis=1))
+
+
+@pytest.mark.slow
+def test_theta_estimate_matches_the_exact_decay_rate_posterior():
+    # exp_decay with its rate unknown: p(rate | y_{1:T}) is the filtered
+    # posterior at T, and quadrature of the Kalman marginal likelihood gives
+    # it exactly. Bounds fixed before the first run.
+    config = tiny_config(
+        system="exp_decay", theta_true=[1.0], x0=[0.0], horizon=200, delta=DECAY_DELTA,
+        prior_bounds=[[0.2, 3.0]], outer_particles=100, inner_particles=100,
+        jitter_scale=0.05, intervention={"component": 1, "shift": 1e-4},
+    )
+    z, ratio = [], []
+    for seed in range(6000, 6020):
+        config = replace(config, master_seed=seed)
+        (_, observations), _ = stage_simulate(config)
+        (_, (theta_mean, theta_std), _), _ = stage_filter(config, observations)
+        mean, std = decay_rate_posterior(
+            observations[:, 0], config.delta, config.process_std**2, config.observation_std**2,
+            config.x0[0], *config.prior_bounds[0],
+        )
+        z.append((theta_mean[0] - mean) / std)
+        ratio.append(theta_std[0] / std)
+    assert np.mean(np.abs(z)) < 0.5, np.round(z, 2)
+    assert 0.8 <= np.median(ratio) <= 1.25, np.round(ratio, 2)

@@ -29,7 +29,7 @@ SEED = 11  # fixed before the first run
 ROUNDS = 3
 TOKENS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "1e400": np.inf}
 # The float members of filter_state.npz, and the two whose values may be negative.
-NPZ_FLOATS = ("thetas", "states", "inner_weights", "outer_weights", "w_tilde", "v_tilde")
+NPZ_FLOATS = ("thetas", "states", "inner_weights", "outer_weights", "w_tilde")
 SIGNED = ("thetas", "states")
 
 # Each run file a command reads -> the commands that read it.
