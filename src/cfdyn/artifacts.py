@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError
-from .filtering import AncestralHistory, SmoothedWeights
+from .filtering import AncestralHistory
 
 
 _BLOCK_ROWS = 1024
@@ -283,12 +283,12 @@ def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
                     entry.write(data[start : start + _NPZ_CHUNK])
 
 
-def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights], *layout) -> None:
+def save_filter_state(path: Path, state: tuple[AncestralHistory, np.ndarray], *layout) -> None:
     """Write the ancestral history and the smoothed weights; `rows` and `parent` are derived, not stored.
 
     `layout` is ignored: an npz stores its own shapes, and its reader checks them.
     """
-    history, smoothed = state
+    history, w_tilde = state
     save_npz(
         path,
         dict(
@@ -298,7 +298,7 @@ def save_filter_state(path: Path, state: tuple[AncestralHistory, SmoothedWeights
             outer_weights=history.outer_weights,
             outer_ancestors=history.outer_ancestors,
             inner_ancestors=history.inner_ancestors,
-            w_tilde=smoothed.w_tilde,
+            w_tilde=w_tilde,
         ),
     )
 
@@ -324,7 +324,7 @@ def _check_index(path: Path, key: str, index: np.ndarray, bound: int) -> None:
 
 
 def _check_filter_state(
-    path: Path, history: AncestralHistory, smoothed: SmoothedWeights,
+    path: Path, history: AncestralHistory, w_tilde: np.ndarray,
     t1: int, m: int, n: int, p: int, d: int,
 ) -> None:
     """Check a filter state against the layout (T+1, M, N, p, d) and its value
@@ -340,7 +340,7 @@ def _check_filter_state(
     and >= 0, and every step of `w_tilde` must have a positive sum, by which
     abduction divides.
     """
-    arrays = {**vars(history), **vars(smoothed)}
+    arrays = {**vars(history), "w_tilde": w_tilde}
     _check_shapes(path, arrays, {"outer_weights": (t1, m), "outer_ancestors": (t1, m)})
     _check_index(path, "outer_ancestors", history.outer_ancestors, m)
     s = history.parent.size
@@ -358,7 +358,7 @@ def _check_filter_state(
             at = tuple(np.argwhere(bad)[0].tolist())
             raise ArtifactError(f"{path} array {key} holds {float(value[at])!r} at {at}, "
                                 f"not a finite number{' >= 0' if weights else ''}")
-    sums = smoothed.w_tilde.sum(axis=(1, 2))
+    sums = w_tilde.sum(axis=(1, 2))
     if not (sums > 0).all():
         t = int(np.argmin(sums > 0))
         raise ArtifactError(f"{path} array w_tilde sums to {float(sums[t])!r} at step {t}, not > 0")
@@ -367,7 +367,7 @@ def _check_filter_state(
 @_reader
 def load_filter_state(
     path: Path, t1: int, m: int, n: int, p: int, d: int
-) -> tuple[AncestralHistory, SmoothedWeights]:
+) -> tuple[AncestralHistory, np.ndarray]:
     """The ancestral history and smoothed weights, checked against the layout (T+1, M, N, p, d).
 
     The file is opened here, not by `np.load`, which leaves it open when it is not a zip.
@@ -381,9 +381,9 @@ def load_filter_state(
             outer_weights=z["outer_weights"],
             outer_ancestors=z["outer_ancestors"],
         )
-        smoothed = SmoothedWeights(w_tilde=z["w_tilde"])
-    _check_filter_state(path, history, smoothed, t1, m, n, p, d)
-    return history, smoothed
+        w_tilde = z["w_tilde"]
+    _check_filter_state(path, history, w_tilde, t1, m, n, p, d)
+    return history, w_tilde
 
 
 def sha256_file(path: Path) -> str:

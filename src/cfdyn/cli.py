@@ -9,9 +9,10 @@ passes the same manifest check and loads its inputs through the same
 3 numerical failure, 4 I/O error (also an input artifact that is corrupt,
 truncated, of the wrong shape, with misordered rows, a renamed header column
 or a value off its file's domain, such as a non-finite value where the
-pipeline writes finite ones or a negative RMSE, or no longer of the sha256
-the manifest lists, and a manifest that is missing, written for another
-config or not yet listing the command's inputs).
+pipeline writes finite ones, a negative RMSE or an RMSE other than `plot`
+recomputes from the ensemble, or no longer of the sha256 the manifest
+lists, and a manifest that is missing, written for another config or not
+yet listing the command's inputs).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .experiment import (
     PRESETS,
     STAGES,
     RunDir,
+    check_rmse,
     expand_grid,
     get_preset,
     load_config,
@@ -73,6 +75,7 @@ def _cmd_plot(args) -> int:
     config = _resolve_config(args)
     run = RunDir(config, resolve_out_dir(config, args.out))
     run.check_manifest(PLOT_INPUTS)
+    check_rmse(run)
     plots = run.path / "plots"
     written = render_plots(*map(run.get, PLOT_INPUTS), plots)
     print(f"plot: wrote {len(written)} SVG files to {plots}")

@@ -312,7 +312,7 @@ def stage_filter(config: ExperimentConfig, observations: np.ndarray) -> tuple[tu
     """Filter, keep the final lanes' lineages, smooth and summarise.
 
     The full `run_filter` history is dropped before the smoother runs; only
-    its ancestral lane-steps are kept and returned.
+    its ancestral lane-steps are kept and returned, with the smoothed weights.
     """
     seed = RngSeed(config.master_seed)
     history = keep_ancestral(run_filter(
@@ -322,9 +322,9 @@ def stage_filter(config: ExperimentConfig, observations: np.ndarray) -> tuple[tu
         build_filter_config(config),
         seed.child("filter"),
     ))
-    smoothed = backward_smooth(history, config.system, config.delta, config.process_std)
-    state_mean, theta_estimate = posterior_summary(history, smoothed)
-    return (state_mean, theta_estimate, (history, smoothed)), asdict(history.diagnostics)
+    w_tilde = backward_smooth(history, config.system, config.delta, config.process_std).w_tilde
+    state_mean, theta_estimate = posterior_summary(history, w_tilde)
+    return (state_mean, theta_estimate, (history, w_tilde)), asdict(history.diagnostics)
 
 
 def stage_abduct(config: ExperimentConfig, state: tuple) -> tuple[tuple, dict]:
@@ -534,6 +534,20 @@ STAGES = (
 ARTIFACT_FILES = tuple(name for stage in STAGES for name in stage.outputs)
 # The run files `cfdyn plot` reads, in `svgplot.render_plots`'s argument order.
 PLOT_INPUTS = ("cf_deterministic.csv", "cf_ensemble.csv", "rmse.csv")
+
+
+def check_rmse(run: RunDir) -> None:
+    """Raise ArtifactError unless rmse.csv holds, cell for cell, what `stage_metrics`
+    computes from the cf_ensemble.csv and cf_deterministic.csv it is plotted with."""
+    reference, trajectories, stored = map(run.get, PLOT_INPUTS)
+    raw = rmse_t(trajectories, reference)
+    expected = np.column_stack((raw, moving_average(raw, run.config.rmse_window)))
+    stored = np.column_stack(stored)
+    bad = np.argwhere((stored != expected) & ~(np.isnan(stored) & np.isnan(expected)))
+    if bad.size:
+        (row, column), name = bad[0], ("rmse", "rmse_smoothed")[bad[0][1]]
+        raise ArtifactError(f"{run.path / 'rmse.csv'} line {row + 2}: {name} is "
+                            f"{float(stored[row, column])!r}, not {float(expected[row, column])!r}")
 
 
 def run_stage(stage: Stage, run: RunDir) -> None:

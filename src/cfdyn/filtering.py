@@ -145,10 +145,6 @@ class FilterHistory:
     def num_inner(self) -> int:
         return self.inner_weights.shape[2]
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[2]
-
 
 def init_particles(
     prior_bounds: np.ndarray,
@@ -573,10 +569,6 @@ class AncestralHistory:
     def num_inner(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[2]
-
 
 def keep_ancestral(history: FilterHistory) -> AncestralHistory:
     """The filter history as the smoother, the abduction and the posterior
@@ -596,6 +588,22 @@ def keep_ancestral(history: FilterHistory) -> AncestralHistory:
         outer_ancestors=history.outer_ancestors,
         diagnostics=history.diagnostics,
     )
+
+
+def lineage_step(
+    spec: SystemSpec, history: AncestralHistory, t: int, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows_t, lane_row, prediction) of step t >= 1: the U_t sorted distinct rows
+    of `history.rows[t]`, final lane j's index lane_row[j] into them, and the
+    (U_t, N, d) rk4_step of row parent[r]'s whole cloud under row r's theta.
+
+    The smoother weighs row r's particles against all of row r's predictions;
+    the abduction differences each against its own parent's, picked by
+    `inner_ancestors[parent[r]]`.
+    """
+    rows_t, lane_row = np.unique(history.rows[t], return_inverse=True)
+    parents = history.states[history.parent[rows_t]]
+    return rows_t, lane_row, _rk4(spec, parents, history.thetas[rows_t][:, None, :], delta)
 
 
 @dataclass
@@ -619,18 +627,15 @@ _TRUST_FLOOR = 1e-250
 
 
 def _group_factors(
-    spec: SystemSpec,
-    x_from: np.ndarray,       # (C, N, d)
+    prediction: np.ndarray,   # (C, N, d)
     x_to: np.ndarray,         # (C, K, d)
-    theta_to: np.ndarray,     # (C, p)
     centre: np.ndarray,       # (C,) index into K
-    delta: float,
     var: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Matmul factors of the kernel exponents of C lineage groups.
 
     Each group is centred on x_c = x_to[c, centre[c]]: with
-    mu'_n = rk4_step(x_from[n], theta) - x_c and x'_k = x_to[k] - x_c,
+    mu'_n = prediction[c, n] - x_c and x'_k = x_to[k] - x_c,
         log N(x_k; mu_n, var I) = e[n, k] - gap_n + log_norm,
         e[n, k] = mu'_n . x'_k / var - |x'_k|^2 / 2var,
         gap_n = |mu'_n|^2 / 2var,
@@ -646,10 +651,9 @@ def _group_factors(
     A non-finite bound leaves the group unmarked. Returns a, b, gap (C, N)
     and fast.
     """
-    c, n, d = x_from.shape
+    c, n, d = prediction.shape
     anchor = x_to[np.arange(c), centre][:, None, :]
-    mu = _rk4(spec, x_from, theta_to[:, None, :], delta)
-    mu -= anchor
+    mu = prediction - anchor
     a = np.empty((c, n, d + 1))
     np.divide(mu, var, out=a[:, :, :d])
     a[:, :, d] = 1.0
@@ -665,15 +669,6 @@ def _group_factors(
     return a, b, gap, fast
 
 
-def _exact_rows(a_rows: np.ndarray, b: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-    """LSE_k((a_rows @ b)[i, k] + log_w[i, k]) for P (row, lane) pairs of one group, (P,).
-
-    Each pair is shifted by its own max of exponent plus log weight, so no
-    term its sum needs can underflow; all -inf pairs stay -inf.
-    """
-    return _logsumexp(a_rows @ b + log_w, axis=1)
-
-
 def _lineage_log_scores(
     spec: SystemSpec,
     history: AncestralHistory,
@@ -686,33 +681,31 @@ def _lineage_log_scores(
     """log sum_k p(x_{t+1}(k) | x_t(n), theta) w_next[j, k] for every final lane j, (M, N).
 
     Lanes j that share row r = rows[t + 1, j] form one group: x_{t+1} and
-    theta_{t+1} are row r's, x_t is row parent[r]'s, and only the backward
-    weights `w_next[j]` differ. One `_group_factors` call builds every
-    group's factors, centred on its filter-heaviest next-step particle. Each
-    group's (N, N) exponent block goes into `block`, exponentiated unshifted
-    where its bound allows and shifted by each row's max otherwise; every
-    member's row sums come from one matmul with the members' weights.
+    the prediction from x_t are row r's `lineage_step`, and only the
+    backward weights `w_next[j]` differ. One `_group_factors` call builds
+    every group's factors, centred on its filter-heaviest next-step particle.
+    Each group's (N, N) exponent block goes into `block`, exponentiated
+    unshifted where its bound allows and shifted by each row's max
+    otherwise; every member's row sums come from one matmul with the
+    members' weights.
 
     A (row, lane) pair whose sum is below `_TRUST_FLOOR` (the lane's weight
     sits where the shifted row underflows) or not finite, or whose row term
-    (gap and shift) is not finite, is recomputed by `_exact_rows` from the
-    group's own factors.
+    (gap and shift) is not finite, is recomputed from the group's factors,
+    shifted by its own max, so no term its sum needs can underflow.
     """
     m, n = w_next.shape[0], history.num_inner
-    # Final lanes ordered by row, split into one run of members per group.
-    groups, counts = np.unique(history.rows[t + 1], return_counts=True)
-    members = np.argsort(history.rows[t + 1], kind="stable")
-    x_from = history.states[history.parent[groups]]
-    x_to = history.states[groups]
-    theta_to = history.thetas[groups]
-    centre = np.argmax(history.inner_weights[groups], axis=1)
     log_norm = -0.5 * spec.dimension * (_LOG_2PI + np.log(var))
     log_s = np.empty((m, n))
-    # Non-finite values and log(0) are caught below and recomputed by `_exact_rows`.
+    # Non-finite values and log(0) are caught below and recomputed exactly.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, b, gap, fast = _group_factors(spec, x_from, x_to, theta_to, centre, delta, var)
+        groups, lane_row, prediction = lineage_step(spec, history, t + 1, delta)
+        centre = np.argmax(history.inner_weights[groups], axis=1)
+        a, b, gap, fast = _group_factors(prediction, history.states[groups], centre, var)
         row = log_norm - gap
-        for c, lanes in enumerate(np.split(members, np.cumsum(counts)[:-1])):
+        # Final lanes ordered by row, split into one run of members per group.
+        members = np.argsort(lane_row, kind="stable")
+        for c, lanes in enumerate(np.split(members, np.cumsum(np.bincount(lane_row))[:-1])):
             e = np.matmul(a[c], b[c], out=block)
             if not fast[c]:
                 shift = np.max(e, axis=1)
@@ -726,7 +719,7 @@ def _lineage_log_scores(
             rows, cols = np.nonzero(~ok)
             if rows.size:
                 log_w = _log_nonzero(w_next[lanes[cols]])
-                exact = _exact_rows(a[c, rows], b[c], log_w)
+                exact = _logsumexp(a[c, rows] @ b[c] + log_w, axis=1)
                 log_s[lanes[cols], rows] = exact + (log_norm - gap[c, rows])
     return log_s
 
@@ -748,14 +741,12 @@ def backward_smooth(
     final lane keeps its filtered mass v_T(j) = `outer_weights[T, j]`, so
     the joint weights are w_tilde[t, j] = v_T(j) * w~_t(j).
 
-    The recursion reads the history only on the final lanes' lineages, which
-    is what an `AncestralHistory` (`keep_ancestral`) keeps: final lane j
-    reads row `history.rows[t, j]` at step t. The lineages coalesce going
-    backward, so at step t only the U_t = |unique(rows[t + 1])| distinct
-    rows need RK4 and an (N, N) kernel block: `_lineage_log_scores` builds
-    one per distinct row and shares it among the final lanes on it,
-    recomputing exactly the few row sums the shared block cannot carry (see
-    there). The cost is O(sum_t U_t * N^2) rather than O(T * M * N^2).
+    The recursion reads the history only on the final lanes' lineages
+    (`keep_ancestral`): final lane j reads row `history.rows[t, j]` at step
+    t. Going backward the lineages coalesce, so step t takes one
+    `lineage_step` over the U_t distinct rows of rows[t + 1] and one (N, N)
+    kernel block per row, shared by the final lanes on it
+    (`_lineage_log_scores`): O(sum_t U_t * N^2), not O(T * M * N^2).
 
     Lanes whose weights underflow fall back to their filtered weights and are
     counted in `history.diagnostics.smoother_underflows`. At process_std 0 the
@@ -801,10 +792,10 @@ def backward_smooth(
 
 def posterior_summary(
     history: AncestralHistory,
-    smoothed: SmoothedWeights,
+    w_tilde: np.ndarray,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Collapse smoothed weights into point estimates: the (T+1, d) state mean
-    and the (theta_mean, theta_std) pair.
+    """Collapse the (T+1, M, N) smoothed weights `w_tilde` into point estimates:
+    the (T+1, d) state mean and the (theta_mean, theta_std) pair.
 
     State means use the joint smoothed weights at each step, over the
     particles of the final lanes' lineages (rows `history.rows[t]`): the
@@ -812,16 +803,12 @@ def posterior_summary(
     parameter estimate is the filtered posterior at T, p(theta | y_{1:T}):
     the final lanes' theta under v_T (Crisan & Miguez, Bernoulli 2018).
     """
-    t_end = history.horizon
-    x_hat = np.empty((t_end + 1, history.dimension))
-    for t in range(t_end + 1):
-        aligned = history.states[history.rows[t]]
-        x_hat[t] = np.einsum("mn,mnd->d", smoothed.w_tilde[t], aligned)
-    x_hat_sum = smoothed.w_tilde.sum(axis=(1, 2))
-    x_hat /= x_hat_sum[:, None]
+    x_hat = np.array([np.einsum("mn,mnd->d", w, history.states[rows])
+                      for w, rows in zip(w_tilde, history.rows)])
+    x_hat /= w_tilde.sum(axis=(1, 2))[:, None]
 
-    theta = history.thetas[history.rows[t_end]]
-    v = history.outer_weights[t_end]
+    theta = history.thetas[history.rows[-1]]
+    v = history.outer_weights[-1]
     theta_mean = v @ theta
     theta_std = np.sqrt(np.maximum(0.0, v @ (theta - theta_mean) ** 2))
 

@@ -401,7 +401,7 @@ def gather_ancestral(history: FullHistory) -> AncestralHistory:
     )
 
 
-def abduct_noise_two_pass(history, smoothed, system, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def abduct_noise_two_pass(history, w_tilde, system, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Weighted residual moments per step, each parent block gathered in two passes.
 
     Lanes are traced back by `lineage_trace` and aligned by int64 fancy
@@ -419,7 +419,7 @@ def abduct_noise_two_pass(history, smoothed, system, delta: float) -> tuple[np.n
             history.states[t - 1][lane[t - 1]], inner[t - 1][lane[t - 1]][:, :, None], axis=1
         )
         resid = x_t - _rk4(spec, parents, theta_t[:, None, :], delta)
-        w = smoothed.w_tilde[t]
+        w = w_tilde[t]
         total = w.sum()
         mean = np.einsum("mn,mnd->d", w, resid) / total
         mu.append(mean)

@@ -5,7 +5,6 @@ from cfdyn.abduction import abduct_noise
 from cfdyn.dynamics import EXP_DECAY, LORENZ, rk4_step
 from cfdyn.filtering import (
     FilterConfig,
-    SmoothedWeights,
     backward_smooth,
     keep_ancestral,
     run_filter,
@@ -56,13 +55,13 @@ def _degenerate_history(horizon=12):
         jitter_scale=0.0,
     )
     history = run_filter(obs, LORENZ, X0, config, RngSeed(42))
-    smoothed = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0)
-    return history, smoothed
+    w_tilde = backward_smooth(keep_ancestral(history), LORENZ, 0.05, 1.0).w_tilde
+    return history, w_tilde
 
 
 def test_single_particle_posterior_is_exact_residual():
-    history, smoothed = _degenerate_history()
-    mu, var = abduct_noise(keep_ancestral(history), smoothed, LORENZ, 0.05)
+    history, w_tilde = _degenerate_history()
+    mu, var = abduct_noise(keep_ancestral(history), w_tilde, LORENZ, 0.05)
     # One lane, so row t is step t.
     for t in range(1, history.horizon + 1):
         expected = particle_residual(
@@ -99,14 +98,13 @@ def _manual_history(residuals, weights):
         inner_ancestors=np.zeros((2, 1, 2), dtype=np.int64),
     )
     w = np.asarray(weights, dtype=float)
-    smoothed = SmoothedWeights(w_tilde=np.stack([w[None, :], w[None, :]]))
-    return gather_ancestral(history), smoothed
+    return gather_ancestral(history), np.stack([w[None, :], w[None, :]])
 
 
 def test_symmetric_two_particle_moments():
     r = np.array([0.7, -1.1, 2.0])
-    history, smoothed = _manual_history(np.stack([r, -r]), [0.5, 0.5])
-    mu, var = abduct_noise(history, smoothed, LORENZ, 0.05)
+    history, w_tilde = _manual_history(np.stack([r, -r]), [0.5, 0.5])
+    mu, var = abduct_noise(history, w_tilde, LORENZ, 0.05)
     assert np.allclose(mu[0], 0.0, atol=1e-12)
     assert np.allclose(var[0], r**2, rtol=1e-12)
 
@@ -117,8 +115,8 @@ def test_weighted_mean_stays_within_residual_envelope():
         residuals = rng.normal(size=(2, 3))
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
-        history, smoothed = _manual_history(residuals, w)
-        mu, _ = abduct_noise(history, smoothed, LORENZ, 0.05)
+        history, w_tilde = _manual_history(residuals, w)
+        mu, _ = abduct_noise(history, w_tilde, LORENZ, 0.05)
         lo = residuals.min(axis=0) - 1e-12
         hi = residuals.max(axis=0) + 1e-12
         assert ((mu[0] >= lo) & (mu[0] <= hi)).all()
@@ -130,8 +128,8 @@ def test_variance_matches_two_pass_oracle():
         residuals = rng.normal(size=(2, 3))
         w = rng.uniform(0.05, 1.0, size=2)
         w /= w.sum()
-        history, smoothed = _manual_history(residuals, w)
-        _, var = abduct_noise(history, smoothed, LORENZ, 0.05)
+        history, w_tilde = _manual_history(residuals, w)
+        _, var = abduct_noise(history, w_tilde, LORENZ, 0.05)
         mean = (w[:, None] * residuals).sum(axis=0)
         expected = (w[:, None] * (residuals - mean) ** 2).sum(axis=0)
         rel = np.abs(var[0] - expected) / np.maximum(expected, 1e-30)
@@ -151,8 +149,8 @@ def test_noiseless_truth_yields_small_abducted_mean():
         jitter_scale=0.0,
     )
     history = keep_ancestral(run_filter(obs, LORENZ, X0, config, RngSeed(44)))
-    smoothed = backward_smooth(history, LORENZ, 0.05, 0.05)
-    mu, _ = abduct_noise(history, smoothed, LORENZ, 0.05)
+    w_tilde = backward_smooth(history, LORENZ, 0.05, 0.05).w_tilde
+    mu, _ = abduct_noise(history, w_tilde, LORENZ, 0.05)
     mean_norm = np.sqrt((mu**2).sum(axis=1)).mean()
     assert mean_norm < 0.05
 
@@ -182,7 +180,7 @@ def test_noise_moments_match_the_exact_linear_gaussian_posterior():
         history = keep_ancestral(
             run_filter(ys, EXP_DECAY, np.array([0.0]), config, root.child("filter"))
         )
-        mu, var = abduct_noise(history, backward_smooth(history, EXP_DECAY, delta, 1.0),
+        mu, var = abduct_noise(history, backward_smooth(history, EXP_DECAY, delta, 1.0).w_tilde,
                                EXP_DECAY, delta)
         _, m, p, c = kalman_filter_rts(ys[:, 0], a, 1.0, 1.0, 0.0, 0.0)
         exact_mu = m[1:] - a * m[:-1]

@@ -85,7 +85,7 @@ def test_criterion_2_kalman_rts_oracle():
         history = run_filter(ys, EXP_DECAY, np.array([0.0]), config, root.child("filter"))
         kept = keep_ancestral(history)
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
-        state_mean, _ = posterior_summary(kept, smoothed)
+        state_mean, _ = posterior_summary(kept, smoothed.w_tilde)
         kf, rts, _, _ = kalman_filter_rts(ys[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         mads_filtered.append(np.abs(history.filtered_means[:, 0] - kf).mean())
         mads_smoothed.append(np.abs(state_mean[:, 0] - rts).mean())

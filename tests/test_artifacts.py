@@ -75,11 +75,11 @@ def test_garbage_filter_state_is_artifact_error(tmp_path):
 
 def test_filter_state_of_another_outer_particle_count_is_artifact_error(tmp_path):
     (_, observations), _ = stage_simulate(_TINY)
-    (_, _, (history, smoothed)), _ = stage_filter(_TINY, observations)
+    (_, _, (history, w_tilde)), _ = stage_filter(_TINY, observations)
     path = tmp_path / "filter_state.npz"
     layout = file_layout("filter_state.npz", _TINY, _SPEC)[1]
-    save_filter_state(path, (history, smoothed), *layout)
-    assert load_filter_state(path, *layout)[1].w_tilde.shape == smoothed.w_tilde.shape
+    save_filter_state(path, (history, w_tilde), *layout)
+    assert load_filter_state(path, *layout)[1].shape == w_tilde.shape
     other = file_layout("filter_state.npz", replace(_TINY, outer_particles=5), _SPEC)[1]
     with pytest.raises(ArtifactError, match="filter_state.npz holds shape .*outer_weights"):
         load_filter_state(path, *other)

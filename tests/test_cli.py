@@ -36,8 +36,11 @@ def test_run_subcommand_writes_artifacts(tmp_path):
         assert (out / name).exists()
 
 
-def test_staged_commands_reproduce_fused_run(tmp_path):
-    config = write_config(tmp_path)
+# At process_std 1 no smoother group of the tiny config takes the row-shifted
+# kernel path; at 0.01 some do.
+@pytest.mark.parametrize("process_std", [1.0, 0.01])
+def test_staged_commands_reproduce_fused_run(tmp_path, process_std):
+    config = write_config(tmp_path, process_std=process_std)
     fused = tmp_path / "fused"
     staged = tmp_path / "staged"
     assert main(["run", "--config", str(config), "--out", str(fused)]) == 0
@@ -561,6 +564,25 @@ def test_plot_of_truncated_rmse_is_io_error(tmp_path, capsys):
     assert main(["plot", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and "rmse.csv" in err
+    assert err.count("\n") == 1
+    assert not (out / "plots").exists()
+
+
+def test_plot_of_rmse_not_matching_the_ensemble_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    # Line 4 is t = 2; a value in the file's domain, but not the RMSE there.
+    path = out / "rmse.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    t, rmse, smoothed = lines[3].split(",")
+    lines[3] = ",".join((t, rmse, "0.5"))
+    path.write_text("\n".join(lines), encoding="utf-8")
+    relist(out, "rmse.csv")
+    capsys.readouterr()
+    assert main(["plot", "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"rmse.csv line 4: rmse_smoothed is 0.5, not {smoothed}" in err, err
     assert err.count("\n") == 1
     assert not (out / "plots").exists()
 

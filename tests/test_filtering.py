@@ -735,7 +735,7 @@ def test_lorenz_theta_estimate_within_prior_support():
         run_filter(obs, LORENZ, np.array([1.0, 1.0, 1.0]), config, RngSeed(23))
     )
     smoothed = backward_smooth(history, LORENZ, 0.05, 1.0)
-    _, (theta_mean, _) = posterior_summary(history, smoothed)
+    _, (theta_mean, _) = posterior_summary(history, smoothed.w_tilde)
     assert np.isfinite(theta_mean).all()
     low, high = TABLE1_BOUNDS.T
     assert ((theta_mean >= low) & (theta_mean <= high)).all()
@@ -830,8 +830,8 @@ def test_lineage_at_index_dtype_bounds_matches_two_pass_int64_oracles(m, n):
     oracle = backward_smooth(wide, LORENZ, 0.05, 1.0)
     assert np.array_equal(smoothed.w_tilde, oracle.w_tilde)
 
-    mu, var = abduct_noise(kept, smoothed, LORENZ, 0.05)
-    two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
+    mu, var = abduct_noise(kept, smoothed.w_tilde, LORENZ, 0.05)
+    two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed.w_tilde, LORENZ, 0.05)
     assert np.array_equal(mu, two_pass_mu) and np.array_equal(var, two_pass_var)
 
 
@@ -900,22 +900,34 @@ def test_smoother_matches_pairwise_oracle_at_tiny_process_noise():
 
 def _record_kernel_paths(monkeypatch) -> list:
     """Record ("group", fast) per `_group_factors` call and ("rows", pairs)
-    per `_exact_rows` call, in call order."""
-    calls = []
+    per exact recomputation, in call order. The exact path is the one
+    `_logsumexp` call inside `_lineage_log_scores`; `backward_smooth`'s own
+    per-step call is not recorded."""
+    calls, inside = [], []
     group_factors = filtering._group_factors
-    exact_rows = filtering._exact_rows
+    lineage_log_scores = filtering._lineage_log_scores
+    logsumexp = filtering._logsumexp
 
     def recording_group_factors(*args):
         a, b, gap, fast = group_factors(*args)
         calls.append(("group", fast.copy()))
         return a, b, gap, fast
 
-    def recording_exact_rows(a_rows, b, log_w):
-        calls.append(("rows", a_rows.shape[0]))
-        return exact_rows(a_rows, b, log_w)
+    def recording_lineage_log_scores(*args):
+        inside.append(True)
+        try:
+            return lineage_log_scores(*args)
+        finally:
+            inside.pop()
+
+    def recording_logsumexp(a, axis):
+        if inside:
+            calls.append(("rows", a.shape[0]))
+        return logsumexp(a, axis)
 
     monkeypatch.setattr(filtering, "_group_factors", recording_group_factors)
-    monkeypatch.setattr(filtering, "_exact_rows", recording_exact_rows)
+    monkeypatch.setattr(filtering, "_lineage_log_scores", recording_lineage_log_scores)
+    monkeypatch.setattr(filtering, "_logsumexp", recording_logsumexp)
     return calls
 
 
@@ -990,8 +1002,8 @@ def test_abduction_on_coalesced_lineages_matches_two_pass_oracle():
     assert all(np.unique(lane[t]).size < 12 for t in range(history.horizon))
     kept = gather_ancestral(history)
     smoothed = backward_smooth(kept, LORENZ, 0.05, 1.0)
-    mu, var = abduct_noise(kept, smoothed, LORENZ, 0.05)
-    two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed, LORENZ, 0.05)
+    mu, var = abduct_noise(kept, smoothed.w_tilde, LORENZ, 0.05)
+    two_pass_mu, two_pass_var = abduct_noise_two_pass(history, smoothed.w_tilde, LORENZ, 0.05)
     assert np.array_equal(mu, two_pass_mu) and np.array_equal(var, two_pass_var)
 
 
@@ -1002,7 +1014,7 @@ def test_smoothed_means_track_rts_oracle():
         truth, obs, history = _decay_history(seed, n_inner=300, horizon=120)
         kept = keep_ancestral(history)
         smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
-        state_mean, _ = posterior_summary(kept, smoothed)
+        state_mean, _ = posterior_summary(kept, smoothed.w_tilde)
         kf, rts, _, _ = kalman_filter_rts(obs[:, 0], a_eff, 1.0, 1.0, 0.0, 0.0)
         assert np.abs(history.filtered_means[:, 0] - kf).mean() < 0.15
         assert np.abs(state_mean[:, 0] - rts).mean() < 0.15
@@ -1138,7 +1150,7 @@ def test_posterior_summary_single_particle():
     _, _, history = _decay_history(33, n_inner=1, horizon=10)
     kept = keep_ancestral(history)
     smoothed = backward_smooth(kept, EXP_DECAY, DECAY_DELTA, 1.0)
-    state_mean, (_, theta_std) = posterior_summary(kept, smoothed)
+    state_mean, (_, theta_std) = posterior_summary(kept, smoothed.w_tilde)
     # One lane, so row t is step t.
     assert np.array_equal(state_mean, history.states[:, 0, :])
     assert theta_std[0] == 0.0
@@ -1153,7 +1165,6 @@ def test_posterior_summary_two_particle_closed_form():
     states[1, 0, 0, 0] = 1.0
     states[1, 1, 0, 0] = 1.0
     states[1, 2, 0, 0] = 5.0
-    from cfdyn.filtering import SmoothedWeights
 
     # theta reads the final lane weights, the states their smoothed weights.
     v = np.array([0.25, 0.25, 0.5])
@@ -1165,8 +1176,8 @@ def test_posterior_summary_two_particle_closed_form():
         outer_ancestors=np.tile(np.arange(3), (2, 1)),
         inner_ancestors=np.zeros((2, 3, 1), dtype=np.int64),
     )
-    smoothed = SmoothedWeights(w_tilde=np.stack([v[:, None], v[:, None]]))
-    state_mean, (theta_mean, theta_std) = posterior_summary(gather_ancestral(history), smoothed)
+    w_tilde = np.stack([v[:, None], v[:, None]])
+    state_mean, (theta_mean, theta_std) = posterior_summary(gather_ancestral(history), w_tilde)
     # weighted mean of states 1,1,5 and thetas 2,2,6 under (0.25,0.25,0.5)
     assert abs(state_mean[1, 0] - 3.0) < 1e-12
     assert abs(theta_mean[0] - 4.0) < 1e-12
@@ -1175,11 +1186,10 @@ def test_posterior_summary_two_particle_closed_form():
 
 def test_posterior_summary_uniform_weights_plain_average():
     _, _, history = _decay_history(34, n_inner=5, horizon=6)
-    from cfdyn.filtering import SmoothedWeights
 
     t1, m, n = history.inner_weights.shape
-    smoothed = SmoothedWeights(w_tilde=np.full((t1, m, n), 1.0 / (m * n)))
-    state_mean, _ = posterior_summary(keep_ancestral(history), smoothed)
+    w_tilde = np.full((t1, m, n), 1.0 / (m * n))
+    state_mean, _ = posterior_summary(keep_ancestral(history), w_tilde)
     # One lane, so row t is step t.
     assert np.allclose(state_mean, history.states.mean(axis=1))
 
